@@ -1141,6 +1141,10 @@ func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Str
 	}
 	res, err := solver.Solve(context.Background(), residual, o)
 	s := res.Strategy
+	if s == nil && res.Plan != nil {
+		// Session solves leave the map view to the caller.
+		s = res.Plan.Strategy()
+	}
 	if err != nil || s == nil {
 		s = model.NewStrategy()
 	}

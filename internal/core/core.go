@@ -40,13 +40,21 @@ type ProgressFn func(Progress)
 type Result struct {
 	// Strategy is the map-based view of the selected plan, materialized
 	// at the end of the run for downstream consumers (serving snapshots,
-	// codecs, metrics). Hot paths should prefer Plan.
+	// codecs, metrics). Hot paths should prefer Plan. Session solves
+	// leave it nil — a replan per adoption burst must not build a
+	// plan-sized map nobody reads; Plan.Strategy() yields it on demand.
 	Strategy *model.Strategy
 	// Plan is the flat candidate-indexed representation the algorithm
 	// inner loops actually ran on. It is nil for algorithms whose output
 	// can contain non-candidate triples (TopRA's q=0 repeats).
 	Plan    *model.Plan
 	Revenue float64 // Rev(Strategy) under the true model
+	// CanonicalRevenue is revenue.Revenue(in, Strategy) bit for bit — the
+	// (user, class)-ordered sum the evaluator already holds — so callers
+	// that publish a plan's revenue need not re-derive it from the
+	// strategy. Revenue above is the path-dependent running sum and may
+	// differ from it in the last bits. Valid exactly when Plan != nil.
+	CanonicalRevenue float64
 
 	// Selections counts triples added; Recomputations counts lazy-forward
 	// marginal-revenue recomputations (a measure of how much work lazy
@@ -150,14 +158,21 @@ func (st *state) remove(id model.CandID) {
 func (st *state) len() int { return st.p.Len() }
 
 func (st *state) result(selections, recomputations int) Result {
+	res := st.planResult(selections, recomputations)
+	res.Strategy = st.p.Strategy()
+	return res
+}
+
+// planResult is result without the materialized Strategy.
+func (st *state) planResult(selections, recomputations int) Result {
 	return Result{
-		Strategy:       st.p.Strategy(),
-		Plan:           st.p,
-		Revenue:        st.ev.Total(),
-		Selections:     selections,
-		Recomputations: recomputations,
-		Curve:          st.curve,
-		Stats:          st.stats,
+		Plan:             st.p,
+		Revenue:          st.ev.Total(),
+		CanonicalRevenue: st.ev.CanonicalTotal(),
+		Selections:       selections,
+		Recomputations:   recomputations,
+		Curve:            st.curve,
+		Stats:            st.stats,
 	}
 }
 

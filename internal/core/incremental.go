@@ -600,7 +600,10 @@ func (s *Session) Solve() Result {
 // only the invalidated heap pairs, and run the standard lazy-forward
 // scan from the restored state. The result is byte-identical to
 // GGreedyWarmCtx (Seeded) or GGreedyCtx (unseeded) on the equivalent
-// residual instance. ctx is checked once per scan iteration; a
+// residual instance, except that Result.Strategy is left nil: the
+// candidate-indexed Result.Plan (in the base instance's CandID space)
+// carries the selection, and Plan.Strategy() builds the map view for the
+// callers that need one. ctx is checked once per scan iteration; a
 // canceled solve returns the partial result with ctx's error, and the
 // session remains consistent for further events and solves.
 func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, error) {
@@ -728,7 +731,7 @@ func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, er
 	// loop plus touched-pair tracking for the next restore.
 	sel, rec, err := s.scan(ctx, progress)
 
-	res := st.result(seeded+sel, rec)
+	res := st.planResult(seeded+sel, rec)
 	// The session's plan stays live across solves; hand callers a copy.
 	res.Plan = st.p.Clone()
 	prev := s.prev[:0]

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/model"
+	"repro/internal/revenue"
 	"repro/internal/testgen"
 )
 
@@ -172,8 +173,29 @@ func randomEvent(rng *dist.RNG, sess *Session, w *refWorld) {
 	}
 }
 
-// assertSameSolve demands byte-identical output: triples, revenue bits,
-// curve bits, selection count, and warm seed accounting.
+// solveChecked runs one session solve and checks what every session
+// result promises beyond the selection itself: the map-backed Strategy is
+// left unbuilt, and the carried CanonicalRevenue equals a from-scratch
+// revenue.Revenue of the plan on the session's instance bit for bit —
+// after any journal, not only on a cold solve. It hands the result back
+// with Strategy materialized so callers can compare triples.
+func solveChecked(t *testing.T, sess *Session) Result {
+	t.Helper()
+	res := sess.Solve()
+	if res.Strategy != nil {
+		t.Fatal("session solve materialized Result.Strategy")
+	}
+	res.Strategy = res.Plan.Strategy()
+	if want := revenue.Revenue(sess.Instance(), res.Strategy); math.Float64bits(res.CanonicalRevenue) != math.Float64bits(want) {
+		t.Fatalf("carried revenue %.17g is not revenue.Revenue %.17g bit for bit (%d triples)",
+			res.CanonicalRevenue, want, res.Plan.Len())
+	}
+	return res
+}
+
+// assertSameSolve demands byte-identical output: triples, revenue bits
+// (running sum and carried canonical sum), curve bits, selection count,
+// and warm seed accounting.
 func assertSameSolve(t *testing.T, tag string, got, want Result) {
 	t.Helper()
 	gt, wt := got.Strategy.Triples(), want.Strategy.Triples()
@@ -187,6 +209,9 @@ func assertSameSolve(t *testing.T, tag string, got, want Result) {
 	}
 	if math.Float64bits(got.Revenue) != math.Float64bits(want.Revenue) {
 		t.Fatalf("%s: revenue bits differ: session %.17g vs scratch %.17g", tag, got.Revenue, want.Revenue)
+	}
+	if math.Float64bits(got.CanonicalRevenue) != math.Float64bits(want.CanonicalRevenue) {
+		t.Fatalf("%s: carried revenue bits differ: session %.17g vs scratch %.17g", tag, got.CanonicalRevenue, want.CanonicalRevenue)
 	}
 	if len(got.Curve) != len(want.Curve) {
 		t.Fatalf("%s: curve lengths differ: session %d vs scratch %d", tag, len(got.Curve), len(want.Curve))
@@ -218,7 +243,7 @@ func TestSessionUnseededMatchesCold(t *testing.T) {
 			for e, n := 0, rng.Intn(7); e < n; e++ {
 				randomEvent(rng, sess, w)
 			}
-			got := sess.Solve()
+			got := solveChecked(t, sess)
 			want := GGreedy(w.residual())
 			assertSameSolve(t, "unseeded", got, want)
 		}
@@ -240,7 +265,7 @@ func TestSessionSeededMatchesWarm(t *testing.T) {
 			for e, n := 0, rng.Intn(7); e < n; e++ {
 				randomEvent(rng, sess, w)
 			}
-			got := sess.Solve()
+			got := solveChecked(t, sess)
 			want := GGreedyWarm(w.residual(), prev)
 			assertSameSolve(t, "seeded", got, want)
 			if res := w.residual(); res.CheckValid(got.Strategy) != nil {
@@ -257,9 +282,9 @@ func TestSessionSeededMatchesWarm(t *testing.T) {
 func TestSessionEmptyJournalFixpoint(t *testing.T) {
 	in := warmInstance(t, 23)
 	sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 3})
-	first := sess.Solve()
+	first := solveChecked(t, sess)
 	for round := 0; round < 3; round++ {
-		again := sess.Solve()
+		again := solveChecked(t, sess)
 		if sess.LastStats().DirtyCands != 0 {
 			t.Fatalf("empty journal dirtied %d candidates", sess.LastStats().DirtyCands)
 		}
@@ -292,7 +317,7 @@ func TestSessionLoadFeedbackReconciles(t *testing.T) {
 	for e := 0; e < 12; e++ {
 		randomEvent(rng, sess, w)
 	}
-	prev := sess.Solve().Strategy.Triples()
+	prev := solveChecked(t, sess).Strategy.Triples()
 
 	// Lost tail: only the session sees these (they died with the crash).
 	lost := newRefWorld(in, 3) // sink for the reference side of the tail
@@ -311,7 +336,7 @@ func TestSessionLoadFeedbackReconciles(t *testing.T) {
 	// last installed plan.
 	sess.LoadFeedback(w.adopted, w.exposures, w.stock, w.now)
 	sess.SeedTriples(prev)
-	got := sess.Solve()
+	got := solveChecked(t, sess)
 	want := GGreedyWarm(w.residual(), prev)
 	assertSameSolve(t, "reconcile", got, want)
 
@@ -319,7 +344,7 @@ func TestSessionLoadFeedbackReconciles(t *testing.T) {
 	for e := 0; e < 6; e++ {
 		randomEvent(rng, sess, w)
 	}
-	got = sess.Solve()
+	got = solveChecked(t, sess)
 	want = GGreedyWarm(w.residual(), want.Strategy.Triples())
 	assertSameSolve(t, "post-reconcile", got, want)
 }
@@ -332,7 +357,7 @@ func TestSessionSeedTriplesBootstrap(t *testing.T) {
 	seeds := GGreedy(in).Strategy.Triples()
 	sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 3})
 	sess.SeedTriples(seeds)
-	got := sess.Solve()
+	got := solveChecked(t, sess)
 	want := GGreedyWarm(in, seeds)
 	assertSameSolve(t, "bootstrap", got, want)
 }
@@ -349,7 +374,7 @@ func TestSessionCancel(t *testing.T) {
 	if _, err := sess.SolveCtx(ctx, nil); err == nil {
 		t.Fatal("canceled solve returned nil error")
 	}
-	got := sess.Solve()
+	got := solveChecked(t, sess)
 	want := GGreedyWarm(w.residual(), nil)
 	assertSameSolve(t, "post-cancel", got, want)
 }
@@ -363,9 +388,9 @@ func TestSessionCancel(t *testing.T) {
 //     journal should have invalidated but didn't would silently serve a
 //     stale bound.
 //  2. The incremental solve is byte-identical to a from-scratch solve
-//     of the equivalent residual instance (seeded and unseeded modes
-//     both derive from the same session pipeline; seeded is fuzzed as
-//     the strictly harder case, with plan unwind and re-seeding).
+//     of the equivalent residual instance, carried revenue included —
+//     for a seeded session (plan unwind and re-seeding) and for an
+//     unseeded one fed the same journal.
 func FuzzSessionInvalidation(f *testing.F) {
 	f.Add(uint64(1), []byte{0x00, 0x41, 0x9c, 0x07})
 	f.Add(uint64(9), []byte{0xff, 0x13, 0x22, 0x31, 0x40, 0x55, 0x68, 0x77})
@@ -382,6 +407,8 @@ func FuzzSessionInvalidation(f *testing.F) {
 			t.Skip()
 		}
 		sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 2})
+		cold := NewSession(in, SessionConfig{MaxExposures: 2})
+		both := []*Session{sess, cold}
 		w := newRefWorld(in, 2)
 		var prev []model.Triple
 		pos := 0
@@ -401,37 +428,49 @@ func FuzzSessionInvalidation(f *testing.F) {
 					id := model.CandID(int(next()) % in.NumCands())
 					c := in.CandAt(id)
 					ad := b%8 == 0
-					sess.Observe(c.U, c.I, c.T, ad)
+					for _, s := range both {
+						s.Observe(c.U, c.I, c.T, ad)
+					}
 					w.observe(c.U, c.I, c.T, ad)
 				case 4:
 					i := model.ItemID(int(next()) % in.NumItems())
 					n := int(next())%5 - 1
-					sess.SetStock(i, n)
+					for _, s := range both {
+						s.SetStock(i, n)
+					}
 					w.setStock(i, n)
 				case 5:
 					i := model.ItemID(int(next()) % in.NumItems())
 					from := model.TimeStep(int(next())%in.T + 1)
 					factor := float64(int(next())%8) / 4.0 // 0..1.75 in quarters
-					sess.ScalePrice(i, from, factor)
+					for _, s := range both {
+						s.ScalePrice(i, from, factor)
+					}
 					w.scalePrice(i, from, factor)
 				case 6:
 					t := w.now + model.TimeStep(int(next())%2+1)
-					sess.Advance(t)
+					for _, s := range both {
+						s.Advance(t)
+					}
 					w.advance(t)
 				case 7:
 					// burst of exposures on one group
 					id := model.CandID(int(next()) % in.NumCands())
 					c := in.CandAt(id)
 					for k := 0; k < 3; k++ {
-						sess.Observe(c.U, c.I, c.T, false)
+						for _, s := range both {
+							s.Observe(c.U, c.I, c.T, false)
+						}
 						w.observe(c.U, c.I, c.T, false)
 					}
 				}
 			}
 			assertDirtySuperset(t, sess)
-			got := sess.Solve()
-			want := GGreedyWarm(w.residual(), prev)
-			assertSameSolve(t, "fuzz", got, want)
+			assertDirtySuperset(t, cold)
+			res := w.residual()
+			want := GGreedyWarm(res, prev)
+			assertSameSolve(t, "fuzz", solveChecked(t, sess), want)
+			assertSameSolve(t, "fuzz unseeded", solveChecked(t, cold), GGreedy(res))
 			prev = want.Strategy.Triples()
 		}
 	})

@@ -68,5 +68,6 @@ func OptimalCtx(ctx context.Context, in *model.Instance) (Result, error) {
 	}
 
 	s := best.Strategy()
-	return Result{Strategy: s, Plan: best, Revenue: revenue.Revenue(in, s), Selections: best.Len()}, nil
+	rev := revenue.Revenue(in, s)
+	return Result{Strategy: s, Plan: best, Revenue: rev, CanonicalRevenue: rev, Selections: best.Len()}, nil
 }

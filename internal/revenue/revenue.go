@@ -169,6 +169,26 @@ func (ev *Evaluator) Instance() *model.Instance { return ev.in }
 // Total returns Rev(S) for the current strategy S.
 func (ev *Evaluator) Total() float64 { return ev.total }
 
+// CanonicalTotal returns Rev(S) as the sum of the cached group revenues
+// in ascending group-ID order. Group IDs ascend in (user, class) order —
+// the order Revenue sorts its groups into — every cached partial is
+// groupRevenue over entries kept in Revenue's (time, item) order, and an
+// empty group adds an exact 0.0, so the result equals Revenue(in, S) bit
+// for bit at the cost of one add per group. Total, a running sum of
+// per-mutation deltas, agrees only to float noise.
+//
+// The identity holds for strategies built through the ID methods on an
+// instance whose prices and candidate probabilities have not moved since
+// each group's last mutation; triples in the overflow map (non-candidate
+// ones) are not counted.
+func (ev *Evaluator) CanonicalTotal() float64 {
+	total := 0.0
+	for g := range ev.groups {
+		total += ev.groups[g].revenue
+	}
+	return total
+}
+
 // Len returns |S|.
 func (ev *Evaluator) Len() int { return ev.size }
 

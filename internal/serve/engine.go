@@ -266,8 +266,9 @@ type Engine struct {
 	custom planner.Algorithm
 	opts   solver.Options
 	// warm (Config.WarmStart on a registry config) seeds each replan's
-	// solve with warmPrev — the live plan's triples. warmPrev is written
-	// by installPlan and read by solve; both run either on
+	// solve with warmPrev — the live plan's triples — until an incremental
+	// session exists, which keeps its own seed from then on. warmPrev is
+	// written by installPlan and read by solve; both run either on
 	// single-threaded boot paths or on the (serialized) replan
 	// goroutine, never concurrently.
 	warm     bool
@@ -362,23 +363,22 @@ func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
 	e.warm = cfg.WarmStart && custom == nil
 	e.incr = cfg.Incremental
 	span := e.met.tracer.Start("plan")
-	s, rev := e.solve(in, span)
-	span.SetFloat("revenue", rev)
+	p := e.planFrom(in, e.solve(in, span), 1, span)
+	span.SetFloat("revenue", p.revenue)
 	span.End()
-	e.installPlan(s, 1, rev)
+	e.installPlan(p)
 	return e, nil
 }
 
-// solve runs the configured planning algorithm on residual and returns
-// the strategy with its revenue under residual. It replicates
-// planner.Named's error-swallowing contract — a solve failure degrades
-// to an empty plan rather than killing the replan loop — while feeding
-// the meter's solve telemetry and attaching a "solve" child to span
-// (nil span: no tracing, zero cost).
-func (e *Engine) solve(residual *model.Instance, span *obs.Span) (*model.Strategy, float64) {
+// solve runs the configured planning algorithm on residual. It
+// replicates planner.Named's error-swallowing contract — a solve failure
+// degrades to an empty plan rather than killing the replan loop — while
+// feeding the meter's solve telemetry and attaching a "solve" child to
+// span (nil span: no tracing, zero cost). The result always selects
+// something to install: a Strategy, a candidate-indexed Plan, or both.
+func (e *Engine) solve(residual *model.Instance, span *obs.Span) solver.Result {
 	if e.custom != nil {
-		s := e.custom(residual)
-		return s, revenue.Revenue(residual, s)
+		return solver.Result{Strategy: e.custom(residual)}
 	}
 	o := e.opts
 	if e.sess != nil {
@@ -392,11 +392,38 @@ func (e *Engine) solve(residual *model.Instance, span *obs.Span) (*model.Strateg
 	start := time.Now()
 	res, err := solver.Solve(context.Background(), residual, o)
 	e.met.observeSolve(res, err, time.Since(start))
-	s := res.Strategy
-	if err != nil || s == nil {
-		s = model.NewStrategy()
+	if err != nil || (res.Strategy == nil && res.Plan == nil) {
+		return solver.Result{Strategy: model.NewStrategy()}
 	}
-	return s, revenue.Revenue(residual, s)
+	return res
+}
+
+// planFrom scores and indexes one solve's output for serving, as
+// "revenue" and "index" children of span. Both take what the solve
+// already computed when the result shows it is there: a candidate-
+// indexed result carries its revenue under residual (CanonicalRevenue,
+// bit-identical to revenue.Revenue), and a plan living in the engine's
+// CandID space — solved on e.in itself or on the session's clone of it —
+// is indexed straight from its CandIDs. Everything else (custom
+// planners, non-candidate outputs, plans over a rebuilt residual
+// instance) goes through the strategy: revenue.Revenue, and buildPlan's
+// triple → CandID lookups. Only session solves come without a Strategy,
+// and a session's plan always shares the engine's CandID space.
+func (e *Engine) planFrom(residual *model.Instance, res solver.Result, from model.TimeStep, span *obs.Span) *plan {
+	rsp := span.Child("revenue")
+	rev, source := res.CanonicalRevenue, "carried"
+	if res.Plan == nil {
+		rev, source = revenue.Revenue(residual, res.Strategy), "recomputed"
+	}
+	rsp.SetStr("revenue_source", source)
+	rsp.End()
+
+	isp := span.Child("index")
+	defer isp.End()
+	if fp := res.Plan; fp != nil && (fp.Instance() == e.in || (e.sess != nil && fp.Instance() == e.sess.Instance())) {
+		return buildPlanFlat(e.in, fp, res.Strategy, from, rev)
+	}
+	return buildPlan(e.in, res.Strategy, from, rev)
 }
 
 // newEngineShell allocates an engine with store state but no plan and no
@@ -432,15 +459,18 @@ func newEngineShell(in *model.Instance, cfg Config) *Engine {
 	return e
 }
 
-// installPlan indexes s and publishes it as the live plan. Warm-start
-// engines also snapshot the plan's triples as the next replan's seed —
-// installPlan runs on single-threaded boot/recovery paths or on the
-// serialized replan goroutine, the same contexts that read warmPrev.
-func (e *Engine) installPlan(s *model.Strategy, from model.TimeStep, rev float64) {
-	n := e.revision.Add(1)
-	e.plan.Store(buildPlan(e.in, s, n, from, rev))
-	if e.warm {
-		e.warmPrev = s.Triples()
+// installPlan publishes p as the live plan under the next revision.
+// Warm-start engines also copy the plan's triples as the next replan's
+// seed, but only until the incremental session exists: a seeded session
+// keeps its own seed and nothing reads warmPrev again. installPlan runs
+// on single-threaded boot/recovery paths or on the serialized replan
+// goroutine, the same contexts that read warmPrev and sess.
+func (e *Engine) installPlan(p *plan) {
+	p.revision = e.revision.Add(1)
+	p.installedAt = time.Now()
+	e.plan.Store(p)
+	if e.warm && e.sess == nil {
+		e.warmPrev = p.planned()
 	}
 }
 
@@ -1258,12 +1288,12 @@ func (e *Engine) Feedback() (planner.Feedback, error) {
 // completion channel orders handoffs), so no locking is needed.
 //
 // span, when non-nil, is the replan's root trace span: replanWith adds
-// residual/swap phase children (the solve attaches its own) and ends
-// it. The caller must not touch span afterwards.
+// delta-sync (or residual), revenue, index and swap phase children (the
+// solve attaches its own) and ends it. The caller must not touch span
+// afterwards.
 func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Span) {
 	start := time.Now()
-	var s *model.Strategy
-	var rev float64
+	var p *plan
 	if e.incr {
 		rsp := span.Child("delta-sync")
 		if e.sess == nil {
@@ -1289,7 +1319,7 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 			e.sess.Advance(fb.Now)
 		}
 		rsp.End()
-		s, rev = e.solve(e.sess.Instance(), span)
+		p = e.planFrom(e.sess.Instance(), e.solve(e.sess.Instance(), span), fb.Now, span)
 		st := e.sess.LastStats()
 		span.SetInt("dirty_cands", int64(st.DirtyCands))
 		span.SetInt("restored_pairs", int64(st.RestoredPairs))
@@ -1298,10 +1328,10 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 		rsp := span.Child("residual")
 		residual := planner.Residual(e.in, fb)
 		rsp.End()
-		s, rev = e.solve(residual, span)
+		p = e.planFrom(residual, e.solve(residual, span), fb.Now, span)
 	}
 	ssp := span.Child("swap")
-	e.installPlan(s, fb.Now, rev)
+	e.installPlan(p)
 	// Plan-swap marker: recovery replans from recovered state rather
 	// than trusting logged plans, but the marker lets offline tooling
 	// correlate log positions with plan generations.
@@ -1310,19 +1340,21 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 	e.replans.Add(1)
 	d := time.Since(start)
 	e.met.replanSec.Observe(d.Seconds())
-	span.SetInt("revision", e.revision.Load())
-	span.SetInt("triples", int64(s.Len()))
-	span.SetFloat("revenue", rev)
+	span.SetInt("revision", p.revision)
+	span.SetInt("triples", int64(p.triples))
+	span.SetFloat("revenue", p.revenue)
 	span.End()
 	if e.logger != nil {
 		obs.WithTrace(e.logger, span).Info("replan complete",
-			"revision", e.revision.Load(), "triples", s.Len(), "revenue", rev,
+			"revision", p.revision, "triples", p.triples, "revenue", p.revenue,
 			"now", int64(fb.Now), "duration_ms", float64(d.Microseconds())/1e3)
 	}
 }
 
-// Strategy returns the live plan's strategy (do not mutate).
-func (e *Engine) Strategy() *model.Strategy { return e.plan.Load().strategy }
+// Strategy returns the live plan's strategy (do not mutate). The serving
+// path never needs the map-backed form, so a plan installed from a
+// candidate-indexed solve builds it here, once, on first request.
+func (e *Engine) Strategy() *model.Strategy { return e.plan.Load().strategy() }
 
 // Stats is a point-in-time summary of the engine, served over /v1/stats.
 type Stats struct {
@@ -1373,7 +1405,7 @@ func (e *Engine) Stats() Stats {
 		Now:            int(e.Now()),
 		PlanRevision:   p.revision,
 		PlanRevenue:    p.revenue,
-		PlannedTriples: p.strategy.Len(),
+		PlannedTriples: p.triples,
 		Replans:        e.replans.Load(),
 		Adoptions:      e.adoptions.Load(),
 		Exposures:      e.exposures.Load(),

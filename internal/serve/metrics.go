@@ -129,7 +129,7 @@ func (m *meter) observeSolve(res solver.Result, err error, d time.Duration) {
 	m.solveScanned.Add(int64(st.Considered))
 	m.warmKept.Add(int64(st.WarmKept))
 	m.warmDropped.Add(int64(st.WarmDropped))
-	if err != nil || res.Strategy == nil {
+	if err != nil || (res.Strategy == nil && res.Plan == nil) {
 		m.solveFailures.Inc()
 	}
 }
@@ -202,7 +202,7 @@ func registerEngineMetrics(e *Engine) {
 		"Recommendation triples in the live plan.",
 		func() float64 {
 			if p := e.plan.Load(); p != nil {
-				return float64(p.strategy.Len())
+				return float64(p.triples)
 			}
 			return 0
 		})

@@ -117,11 +117,34 @@ func TestConcurrentScrapers(t *testing.T) {
 }
 
 // TestReplanTraceSpans forces a replan and asserts /debug/traces-shaped
-// output: a complete replan trace whose solve child carries the
-// candidate-scan/selection phase breakdown.
+// output: a complete replan trace whose children name every phase of
+// the wrapper — state capture, residual build or delta sync, solve,
+// revenue, index, swap — whose revenue child says where the number came
+// from, and whose solve child carries the candidate-scan/selection
+// phase breakdown.
 func TestReplanTraceSpans(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		children []string
+		source   string
+	}{
+		{"scratch", Config{}, []string{"snapshot", "residual", "solve", "revenue", "index", "swap"}, "carried"},
+		// A live session replans from the delta journal: no state capture,
+		// and no scan/selection split inside its solve.
+		{"incremental", Config{Incremental: true}, []string{"delta-sync", "solve", "revenue", "index", "swap"}, "carried"},
+		{"custom-planner", Config{Planner: ggAlgo}, []string{"snapshot", "residual", "revenue", "index", "swap"}, "recomputed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testReplanTraceSpans(t, tc.cfg, tc.children, tc.source)
+		})
+	}
+}
+
+func testReplanTraceSpans(t *testing.T, cfg Config, wantChildren []string, wantSource string) {
 	in := testInstance(t, 30, 6, 2, 1, 23)
-	e := newTestEngine(t, in, Config{ReplanEvery: 4})
+	cfg.ReplanEvery = 4
+	e := newTestEngine(t, in, cfg)
 	for u := 0; u < 8; u++ {
 		if err := e.Feed(Event{User: model.UserID(u), Item: model.ItemID(u % 6), T: 1, Adopted: true}); err != nil {
 			t.Fatal(err)
@@ -141,18 +164,21 @@ func TestReplanTraceSpans(t *testing.T) {
 	if replan == nil {
 		t.Fatalf("no replan trace among %d traces", len(traces))
 	}
-	children := map[string]bool{}
-	var solve *obs.SpanData
+	children := map[string]*obs.SpanData{}
 	for i, c := range replan.Children {
-		children[c.Name] = true
-		if c.Name == "solve" {
-			solve = &replan.Children[i]
+		children[c.Name] = &replan.Children[i]
+	}
+	for _, want := range wantChildren {
+		if children[want] == nil {
+			t.Fatalf("replan trace missing %q child (have %v)", want, replan.Children)
 		}
 	}
-	for _, want := range []string{"snapshot", "residual", "solve", "swap"} {
-		if !children[want] {
-			t.Fatalf("replan trace missing %q child (have %v)", want, children)
-		}
+	if got := children["revenue"].Attrs["revenue_source"]; got != wantSource {
+		t.Fatalf("revenue span revenue_source = %v, want %q", got, wantSource)
+	}
+	solve := children["solve"]
+	if solve == nil || children["residual"] == nil {
+		return // only a from-scratch registry solve reports its phases
 	}
 	var phases []string
 	for _, c := range solve.Children {

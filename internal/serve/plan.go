@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/model"
@@ -24,8 +25,23 @@ type planEntry struct {
 // replan builds a fresh plan and swaps the pointer, so lookups never
 // block on planning (double buffering).
 type plan struct {
+	// revision is stamped by installPlan, just before publication.
 	revision int64
-	strategy *model.Strategy
+	// flat is the solver's candidate-indexed plan when the solve ran in
+	// the engine's CandID space; strat, the map-backed view of the same
+	// triples, is then built from it at most once, by the first caller
+	// that needs a Strategy (the serving path never does). Plans that
+	// arrive as a Strategy — custom planners, non-candidate outputs,
+	// snapshots, residual solves — carry strat from the start. A
+	// session's plan is bound to the session's instance, whose q′ keep
+	// moving; only membership bits and the immutable candidate triples
+	// are ever read through flat.
+	flat      *model.Plan
+	strat     *model.Strategy
+	stratOnce sync.Once
+	// triples is the number of planned triples, kept beside the lazy
+	// strategy so stats and metrics never force it.
+	triples int
 	// perUser[u] holds u's planned entries sorted by (t, item); k and T
 	// are small, so binary search on t plus a short scan is O(log + k).
 	perUser [][]planEntry
@@ -35,57 +51,55 @@ type plan struct {
 	// plannedFrom is the first time step the plan conditions on (the
 	// engine clock when the plan was computed).
 	plannedFrom model.TimeStep
-	// installedAt is when the plan was published — the base of the
-	// revmaxd_plan_staleness_seconds gauge.
+	// installedAt is when the plan was published (installPlan) — the
+	// base of the revmaxd_plan_staleness_seconds gauge.
 	installedAt time.Time
 }
 
-// buildPlan indexes s for serving. Primitive probabilities are read from
-// the *original* instance, not the residual one, because the serving
-// path re-applies the observed saturation memory per request; storing
-// residual q's would double-count it.
+// strategy returns the plan's map-backed strategy (do not mutate),
+// materializing it from the flat plan on first use. Safe for concurrent
+// callers.
+func (p *plan) strategy() *model.Strategy {
+	p.stratOnce.Do(func() {
+		if p.strat == nil {
+			p.strat = p.flat.Strategy()
+		}
+	})
+	return p.strat
+}
+
+// planned returns the plan's triples in canonical order without forcing
+// the map-backed strategy.
+func (p *plan) planned() []model.Triple {
+	if p.flat != nil {
+		return p.flat.Triples()
+	}
+	return p.strat.Triples()
+}
+
+// buildPlan indexes a strategy for serving. Primitive probabilities are
+// read from the *original* instance, not the residual one, because the
+// serving path re-applies the observed saturation memory per request;
+// storing residual q's would double-count it.
 //
 // When the strategy has a flat representation on in (every triple a
 // candidate — true for all solver outputs), entries are emitted straight
-// from the instance's time-ordered candidate index: no per-user sorting
-// and one array read per entry instead of a binary-searched Q lookup.
-func buildPlan(in *model.Instance, s *model.Strategy, revision int64, from model.TimeStep, revenue float64) *plan {
+// from the instance's time-ordered candidate index (indexFlat); the
+// CandIDs are recovered through PlanOf's per-triple binary searches.
+// buildPlanFlat skips that recovery when the solver's own plan is at
+// hand.
+func buildPlan(in *model.Instance, s *model.Strategy, from model.TimeStep, revenue float64) *plan {
 	p := &plan{
-		revision:    revision,
-		strategy:    s,
-		perUser:     make([][]planEntry, in.NumUsers),
+		strat:       s,
+		triples:     s.Len(),
 		revenue:     revenue,
 		plannedFrom: from,
-		installedAt: time.Now(),
 	}
 	if fp, ok := in.PlanOf(s); ok {
-		prev := model.UserID(-1)
-		fp.Each(func(id model.CandID) bool {
-			c := in.CandAt(id)
-			if c.U != prev {
-				// First entry of this user: walk the user's candidates in
-				// (time, item) order and emit the chosen ones, so the
-				// per-user slice comes out pre-sorted.
-				prev = c.U
-				for _, tid := range in.UserCandIDsByTime(c.U) {
-					if !fp.Contains(tid) {
-						continue
-					}
-					tc := in.CandAt(tid)
-					p.perUser[tc.U] = append(p.perUser[tc.U], planEntry{
-						t:     tc.T,
-						item:  tc.I,
-						class: in.Class(tc.I),
-						beta:  in.Beta(tc.I),
-						q:     tc.Q,
-						price: in.Price(tc.I, tc.T),
-					})
-				}
-			}
-			return true
-		})
+		p.perUser = indexFlat(in, fp)
 		return p
 	}
+	p.perUser = make([][]planEntry, in.NumUsers)
 	for _, z := range s.Triples() {
 		if int(z.U) < 0 || int(z.U) >= in.NumUsers {
 			continue
@@ -109,6 +123,62 @@ func buildPlan(in *model.Instance, s *model.Strategy, revision int64, from model
 		})
 	}
 	return p
+}
+
+// buildPlanFlat indexes a solver's candidate-indexed plan for serving.
+// fp must address in's CandID space — a plan over in itself or over a
+// clone of it (a core.Session's instance) — and is retained: the caller
+// must not mutate it afterwards. s is the already-materialized strategy
+// of the same triples, or nil to build it on demand.
+func buildPlanFlat(in *model.Instance, fp *model.Plan, s *model.Strategy, from model.TimeStep, revenue float64) *plan {
+	return &plan{
+		flat:        fp,
+		strat:       s,
+		triples:     fp.Len(),
+		perUser:     indexFlat(in, fp),
+		revenue:     revenue,
+		plannedFrom: from,
+	}
+}
+
+// indexFlat emits the per-user serving entries of the candidates chosen
+// in fp, reading item parameters, primitive probabilities and — at this
+// moment, so a ScalePrice since the last build shows — prices from in.
+// Only fp's membership bits are consulted, so fp may belong to any
+// instance sharing in's CandID space.
+func indexFlat(in *model.Instance, fp *model.Plan) [][]planEntry {
+	perUser := make([][]planEntry, in.NumUsers)
+	// One backing array for every user's entries: CandIDs ascend by user,
+	// so each user's run is contiguous and is carved out as it completes.
+	entries := make([]planEntry, 0, fp.Len())
+	prev := model.UserID(-1)
+	fp.Each(func(id model.CandID) bool {
+		c := in.CandAt(id)
+		if c.U != prev {
+			// First entry of this user: walk the user's candidates in
+			// (time, item) order and emit the chosen ones, so the
+			// per-user slice comes out pre-sorted.
+			prev = c.U
+			lo := len(entries)
+			for _, tid := range in.UserCandIDsByTime(c.U) {
+				if !fp.Contains(tid) {
+					continue
+				}
+				tc := in.CandAt(tid)
+				entries = append(entries, planEntry{
+					t:     tc.T,
+					item:  tc.I,
+					class: in.Class(tc.I),
+					beta:  in.Beta(tc.I),
+					q:     tc.Q,
+					price: in.Price(tc.I, tc.T),
+				})
+			}
+			perUser[c.U] = entries[lo:len(entries):len(entries)]
+		}
+		return true
+	})
+	return perUser
 }
 
 // entriesAt returns the planned entries for (u, t): a sub-slice of the

@@ -1,0 +1,138 @@
+package serve_test
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/scenario"
+	"repro/internal/serve"
+)
+
+// checkPlanRoutes compares the engine's live plan — index, revenue bits,
+// planned-from step, triple count — with the same plan rebuilt through
+// the Strategy route, and checks which route the engine itself took.
+func checkPlanRoutes(t *testing.T, tag string, e *serve.Engine, wantCandIDs bool) {
+	t.Helper()
+	e.Flush()
+	live, fromCandIDs := e.LivePlan()
+	if fromCandIDs != wantCandIDs {
+		t.Fatalf("%s: plan indexed from CandIDs = %v, want %v", tag, fromCandIDs, wantCandIDs)
+	}
+	ref, err := e.StrategyRoutePlan()
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if !reflect.DeepEqual(live, ref) {
+		t.Fatalf("%s: live plan differs from its Strategy-route rebuild (triples %d vs %d, from %d vs %d, revenue bits %x vs %x, index equal: %v)",
+			tag, live.Triples, ref.Triples, live.From, ref.From, live.RevenueBits, ref.RevenueBits,
+			reflect.DeepEqual(live.PerUser, ref.PerUser))
+	}
+	if st := e.Stats(); st.PlannedTriples != live.Triples {
+		t.Fatalf("%s: Stats.PlannedTriples %d, plan holds %d", tag, st.PlannedTriples, live.Triples)
+	}
+}
+
+// feedRound adopts what a stride of users is currently served, rescales
+// one item's price, overrides one item's stock, and (every other round)
+// advances the clock — each a replan trigger of a different kind.
+func feedRound(t *testing.T, e *serve.Engine, round int) {
+	t.Helper()
+	in := e.Instance()
+	now := e.Now()
+	for u := round % 3; u < in.NumUsers; u += 3 {
+		recs, err := e.Recommend(model.UserID(u), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, rec := range recs {
+			if err := e.Feed(serve.Event{User: model.UserID(u), Item: rec.Item, T: now, Adopted: (u+k+round)%2 == 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.ScalePrice(model.ItemID(round%in.NumItems()), now, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetStock(model.ItemID((round+3)%in.NumItems()), round%3); err != nil {
+		t.Fatal(err)
+	}
+	if round%2 == 1 && int(now) < in.T {
+		if err := e.SetNow(now + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPlanFromCandIDsMatchesStrategyRoute: on every scenario archetype,
+// a plan the engine indexed straight from the solver's CandIDs, with the
+// solve's carried revenue, is DeepEqual to the Strategy-route rebuild —
+// at boot, across incremental replans that include price rescales and
+// stock overrides, after kill -9 → Open recovery, and after
+// Snapshot/Restore. A from-scratch engine runs the same script: its
+// residual solves live in another CandID space, so the code must fall
+// back to the Strategy route for the index while still carrying the
+// revenue.
+func TestPlanFromCandIDsMatchesStrategyRoute(t *testing.T) {
+	for _, arch := range scenario.Catalog() {
+		for _, tc := range []struct {
+			name string
+			cfg  serve.Config
+		}{
+			{"scratch", serve.Config{}},
+			{"incremental", serve.Config{Incremental: true}},
+			{"incremental-warm", serve.Config{Incremental: true, WarmStart: true}},
+		} {
+			t.Run(arch.Name+"/"+tc.name, func(t *testing.T) {
+				in, err := scenario.Build(arch, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := tc.cfg
+				cfg.Shards = 2
+				durable := cfg
+				durable.Durability = &serve.Durability{Dir: t.TempDir()}
+
+				e, err := serve.Open(in, durable)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPlanRoutes(t, "boot", e, true)
+				for round := 0; round < 3; round++ {
+					feedRound(t, e, round)
+					checkPlanRoutes(t, "replan", e, cfg.Incremental)
+				}
+				if err := e.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				e.Kill()
+
+				// Recovery installs the snapshotted strategy, replays the WAL
+				// tail and replans once: an incremental engine bootstraps a
+				// fresh session there and is back on CandIDs.
+				e, err = serve.Open(nil, durable)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPlanRoutes(t, "recovered", e, cfg.Incremental)
+				feedRound(t, e, 3)
+				checkPlanRoutes(t, "recovered replan", e, cfg.Incremental)
+
+				var img bytes.Buffer
+				if err := e.Snapshot(&img); err != nil {
+					t.Fatal(err)
+				}
+				e.Close()
+				r, err := serve.Restore(&img, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				checkPlanRoutes(t, "restored", r, false)
+				feedRound(t, r, 4)
+				checkPlanRoutes(t, "restored replan", r, cfg.Incremental)
+			})
+		}
+	}
+}

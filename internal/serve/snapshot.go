@@ -46,14 +46,16 @@ type exposureWire struct {
 }
 
 // snapState is one consistent capture of the engine's mutable state:
-// the wire envelope (sans instance/strategy blobs), the strategy and
+// the wire envelope (sans instance/strategy blobs), the plan and
 // instance that were live at capture time, and — for durable engines —
-// the WAL position the capture is consistent with.
+// the WAL position the capture is consistent with. The plan is carried
+// by pointer: the capture runs on the feedback loop, and materializing
+// a lazy plan's strategy is the encoding goroutine's job.
 type snapState struct {
-	wire  *snapshotWire
-	strat *model.Strategy
-	in    *model.Instance
-	lsn   store.LSN
+	wire *snapshotWire
+	plan *plan
+	in   *model.Instance
+	lsn  store.LSN
 }
 
 // captureState builds a snapState. It is normally executed *by the
@@ -106,7 +108,7 @@ func (e *Engine) captureState() snapState {
 	// instance is immutable, so the price-deep copy (taken here,
 	// between applies) is a consistent image without stalling the loop
 	// on a full candidate-set clone.
-	st := snapState{wire: wire, strat: p.strategy, in: e.in.ClonePrices()}
+	st := snapState{wire: wire, plan: p, in: e.in.ClonePrices()}
 	if e.st != nil {
 		st.lsn = e.st.NextLSN()
 	}
@@ -164,7 +166,7 @@ func (e *Engine) encodeSnapshot(w io.Writer, st snapState) error {
 	}
 	wire.Instance = append(json.RawMessage(nil), bytes.TrimSpace(buf.Bytes())...)
 	buf.Reset()
-	if err := codec.EncodeStrategy(&buf, st.strat); err != nil {
+	if err := codec.EncodeStrategy(&buf, st.plan.strategy()); err != nil {
 		return fmt.Errorf("serve: snapshot strategy: %w", err)
 	}
 	wire.Strategy = append(json.RawMessage(nil), bytes.TrimSpace(buf.Bytes())...)
@@ -261,6 +263,6 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 		}
 	}
 	e.revision.Store(wire.Revision - 1)
-	e.installPlan(strat, model.TimeStep(wire.From), wire.Revenue)
+	e.installPlan(buildPlan(in, strat, model.TimeStep(wire.From), wire.Revenue))
 	return e, nil
 }

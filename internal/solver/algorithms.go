@@ -136,6 +136,9 @@ func solveLocalSearch(ctx context.Context, in *model.Instance, o Options) (Resul
 	// always has a flat representation.
 	if p, ok := in.PlanOf(res.Strategy); ok {
 		out.Plan = p
+		// Revenue above is the capacity-aware objective the search ran on;
+		// the plan's Definition 2 revenue has no evaluator to come from.
+		out.CanonicalRevenue = revenue.Revenue(in, res.Strategy)
 	}
 	return out, err
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/model"
+	"repro/internal/revenue"
 	"repro/internal/solver"
 	"repro/internal/testgen"
 )
@@ -111,6 +113,15 @@ func TestAlgorithmGoldenOutputs(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got = append(got, canonicalResult(name, res))
+		// Every candidate-indexed result carries the canonical revenue of
+		// its strategy, bit for bit — what lets the serving engine publish
+		// plan_revenue without a revenue.Revenue pass per replan.
+		if res.Plan != nil {
+			carried, want := res.CanonicalRevenue, revenue.Revenue(target, res.Strategy)
+			if math.Float64bits(carried) != math.Float64bits(want) {
+				t.Errorf("%s: carried revenue %.17g is not revenue.Revenue %.17g bit for bit", name, carried, want)
+			}
+		}
 	}
 
 	path := filepath.Join("testdata", "golden_algorithms.json")

@@ -214,7 +214,7 @@ func newBenchSession(tb testing.TB, f *warmReplanFixture) *core.Session {
 	sess := core.NewSession(f.in, core.SessionConfig{Seeded: true, MaxExposures: 64})
 	planner.SyncSession(sess, f.fb)
 	sess.SeedTriples(f.seeds)
-	if sess.Solve().Strategy.Len() == 0 {
+	if sess.Solve().Plan.Len() == 0 {
 		tb.Fatal("empty session prime solve")
 	}
 	return sess
@@ -289,7 +289,7 @@ func BenchmarkIncrementalReplan(b *testing.B) {
 					j++
 				}
 				b.StartTimer()
-				if sess.Solve().Strategy.Len() == 0 {
+				if sess.Solve().Plan.Len() == 0 {
 					b.Fatal("empty replan")
 				}
 			}
@@ -328,7 +328,7 @@ func TestIncrementalReplanTouchesFewCandidates(t *testing.T) {
 	for j := 0; j < 32; j++ {
 		u, it, ts := incrStreamEvent(f.in, j)
 		sess.Observe(u, it, ts, false)
-		if sess.Solve().Strategy.Len() == 0 {
+		if sess.Solve().Plan.Len() == 0 {
 			t.Fatal("empty replan")
 		}
 		st := sess.LastStats()
