@@ -134,7 +134,6 @@ func run(args []string, stdout io.Writer) error {
 	warmStart := fs.Bool("warm-start", false, "seed each replan with the previous plan's still-feasible triples (lower replan latency; plans may differ from cold solves)")
 	incremental := fs.Bool("incremental", false, "replan through a persistent solver session with delta-driven invalidation: byte-identical plans, replan latency flat in the event rate (requires a G-Greedy -algo, composes with -warm-start)")
 	shards := fs.Int("shards", 1, "engine shard count: 1 serves from a single engine, ≥ 2 stripes users across a sharded cluster with a cross-shard stock/quota coordinator")
-	stripes := fs.Int("stripes", 0, "per-engine user-store lock-stripe count (0 = next pow2 ≥ GOMAXPROCS)")
 	dataDir := fs.String("data-dir", "", "durable state directory (write-ahead log + snapshots); recovery happens from here on boot")
 	debugAddr := fs.String("debug-addr", "", "listen address for the debug server (pprof, /metrics, /debug/traces); empty disables")
 	walSync := fs.String("wal-sync", "batch", "WAL fsync policy: always | batch | none")
@@ -210,7 +209,6 @@ func run(args []string, stdout io.Writer) error {
 			Solver:        opts,
 			WarmStart:     *warmStart,
 			Incremental:   *incremental,
-			EngineStripes: *stripes,
 			ReplanEvery:   *replanEvery,
 			Durability:    durability,
 			Logger:        logger,
@@ -230,7 +228,6 @@ func run(args []string, stdout io.Writer) error {
 			Solver:        opts,
 			WarmStart:     *warmStart,
 			Incremental:   *incremental,
-			Shards:        *stripes,
 			ReplanEvery:   *replanEvery,
 			Durability:    durability,
 			Logger:        logger,

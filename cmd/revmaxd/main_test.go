@@ -254,9 +254,9 @@ func TestParallelPlannerMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardsFlagFailFast: an out-of-range -shards and the
-// -shards/-snapshot conflict both fail before dataset generation or
-// port binding.
+// TestShardsFlagFailFast: an out-of-range -shards, the
+// -shards/-snapshot conflict and the removed -stripes knob all fail
+// before dataset generation or port binding.
 func TestShardsFlagFailFast(t *testing.T) {
 	for _, bad := range []string{"0", "-3"} {
 		err := run([]string{"-shards", bad}, &bytes.Buffer{})
@@ -267,6 +267,32 @@ func TestShardsFlagFailFast(t *testing.T) {
 	err := run([]string{"-shards", "2", "-snapshot", "x.snap"}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "single-engine") {
 		t.Fatalf("-shards 2 with -snapshot not rejected: %v", err)
+	}
+	err = run([]string{"-stripes", "4"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "not defined: -stripes") {
+		t.Fatalf("-stripes 4 not rejected as an unknown flag: %v", err)
+	}
+}
+
+// TestBenchmarkFlagsDefined: the eleven flags bench/ boots the daemon
+// with are all still defined — read off the -h text's "  -name" lines,
+// not by substring, since flag descriptions mention other flags.
+func TestBenchmarkFlagsDefined(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-h"}, &buf); !errors.Is(err, flag.ErrHelp) {
+		t.Fatal(err)
+	}
+	defined := make(map[string]bool)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			defined[strings.Fields(name)[0]] = true
+		}
+	}
+	for _, name := range []string{"dataset", "users", "seed", "addr", "replan-every", "data-dir",
+		"wal-sync", "incremental", "warm-start", "shards", "flush-interval"} {
+		if !defined[name] {
+			t.Errorf("flag -%s is no longer defined:\n%s", name, buf.String())
+		}
 	}
 }
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	revmax "repro"
@@ -59,8 +60,14 @@ func main() {
 	}
 	in.FinishCandidates()
 
-	gg := revmax.GGreedy(in)
-	tre := revmax.TopRE(in)
+	gg, err := revmax.Solve(context.Background(), in, revmax.Options{Algorithm: "g-greedy"})
+	if err != nil {
+		panic(err)
+	}
+	tre, err := revmax.Solve(context.Background(), in, revmax.Options{Algorithm: "top-revenue"})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("== Flash-sale strategic timing ==")
 	fmt.Printf("price: $%.0f on days 1-%d, $%.0f from day %d\n\n", full, saleDay-1, full*salePct, saleDay)

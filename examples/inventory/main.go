@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -46,7 +47,10 @@ func main() {
 	}
 	in.FinishCandidates()
 
-	gg := revmax.GGreedy(in)
+	gg, err := revmax.Solve(context.Background(), in, revmax.Options{Algorithm: "g-greedy"})
+	if err != nil {
+		panic(err)
+	}
 	if err := in.CheckValid(gg.Strategy); err != nil {
 		panic(err)
 	}

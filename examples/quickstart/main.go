@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	revmax "repro"
@@ -73,10 +74,10 @@ func main() {
 	fmt.Println("== RevMax quickstart ==")
 	fmt.Printf("%d candidate triples over T=%d days\n\n", in.NumCandidates(), in.T)
 
-	gg := revmax.GGreedy(in)
-	sl := revmax.SLGreedy(in)
-	rl := revmax.RLGreedy(in, 6, 7)
-	tre := revmax.TopRE(in)
+	gg := solve(in, revmax.Options{Algorithm: "g-greedy"})
+	sl := solve(in, revmax.Options{Algorithm: "sl-greedy"})
+	rl := solve(in, revmax.Options{Algorithm: "rl-greedy", Perms: 6, Seed: 7})
+	tre := solve(in, revmax.Options{Algorithm: "top-revenue"})
 
 	fmt.Printf("G-Greedy revenue : %8.2f  (%d recommendations)\n", gg.Revenue, gg.Strategy.Len())
 	fmt.Printf("SL-Greedy revenue: %8.2f\n", sl.Revenue)
@@ -95,8 +96,18 @@ func main() {
 		fmt.Println()
 	}
 
-	if opt, err := revmax.Optimal(in); err == nil {
+	if opt, err := revmax.Solve(context.Background(), in, revmax.Options{Algorithm: "optimal"}); err == nil {
 		fmt.Printf("\nexhaustive optimum: %.2f (greedy achieves %.1f%%)\n",
 			opt.Revenue, 100*gg.Revenue/opt.Revenue)
 	}
+}
+
+// solve runs the named algorithm; these instances are tiny and nothing
+// cancels the context, so an error is a bug in the example.
+func solve(in *revmax.Instance, opts revmax.Options) revmax.Result {
+	res, err := revmax.Solve(context.Background(), in, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

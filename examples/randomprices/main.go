@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -62,7 +63,11 @@ func main() {
 	}
 	in.FinishCandidates()
 
-	strategy := revmax.GGreedy(in).Strategy
+	plan, err := revmax.Solve(context.Background(), in, revmax.Options{Algorithm: "g-greedy"})
+	if err != nil {
+		panic(err)
+	}
+	strategy := plan.Strategy
 	fmt.Println("== Random prices: Taylor-approximate expected revenue ==")
 	fmt.Printf("strategy: %d recommendations planned on mean prices\n\n", strategy.Len())
 

@@ -8,10 +8,11 @@
 // This example deploys the same catalog twice over many simulated
 // market draws: once executing G-Greedy's fixed plan (open loop), once
 // replanning with the Planner after every step (closed loop), and
-// reports the realized-revenue gap plus a metrics profile.
+// reports the realized-revenue gap.
 package main
 
 import (
+	"context"
 	"fmt"
 
 	revmax "repro"
@@ -44,7 +45,10 @@ func main() {
 	}
 	in.FinishCandidates()
 
-	plan := revmax.GGreedy(in)
+	plan, err := revmax.Solve(context.Background(), in, revmax.Options{Algorithm: "g-greedy"})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("== Receding-horizon replanning vs fixed plan ==")
 	fmt.Printf("open-loop plan: %d recommendations, promised Rev(S) = %.2f\n\n", plan.Strategy.Len(), plan.Revenue)
 
@@ -52,7 +56,10 @@ func main() {
 	for trial := 0; trial < trials; trial++ {
 		seed := uint64(1000 + trial)
 		// Closed loop: replan each step with feedback.
-		p := revmax.NewPlanner(in, revmax.GGreedyPlanner)
+		p, err := revmax.NewNamedPlanner(in, revmax.Options{Algorithm: "g-greedy"})
+		if err != nil {
+			panic(err)
+		}
 		out, err := p.Rollout(dist.NewRNG(seed))
 		if err != nil {
 			panic(err)
@@ -67,25 +74,5 @@ func main() {
 
 	fmt.Printf("closed loop (replan each step): %9.2f mean realized revenue\n", closed)
 	fmt.Printf("open loop (fixed plan)        : %9.2f mean realized revenue\n", open)
-	fmt.Printf("feedback lift                 : %+8.1f%%\n\n", 100*(closed/open-1))
-
-	report := revmax.ProfileStrategy(in, plan.Strategy)
-	fmt.Println("open-loop plan profile:")
-	fmt.Printf("  display slots used : %.0f%%\n", 100*report.DisplayUtilization)
-	fmt.Printf("  catalog coverage   : %.0f%% of items, %.0f%% of users\n",
-		100*report.ItemCoverage, 100*report.UserCoverage)
-	fmt.Printf("  capacity pressure  : %.0f%% of touched items' capacity\n", 100*report.CapacityUtilization)
-	fmt.Printf("  repeat histogram   : %v (1..T repeats per user-item pair)\n", report.RepeatHistogram)
-
-	// Capacity setting for next season: newsvendor on the hottest item.
-	var forecast []float64
-	for u := 0; u < users; u++ {
-		forecast = append(forecast, in.Q(revmax.UserID(u), 0, 1))
-	}
-	q95, err := revmax.NewsvendorCapacity(forecast, 0.95)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("\nnewsvendor capacity for item 0 at 95%% service: %d units (stock-out risk %.3f)\n",
-		q95, revmax.StockoutProbability(forecast, q95))
+	fmt.Printf("feedback lift                 : %+8.1f%%\n", 100*(closed/open-1))
 }

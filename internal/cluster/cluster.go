@@ -92,9 +92,6 @@ type Config struct {
 	// "g-greedy-parallel"); incompatible with a custom Planner. Shard
 	// engines are unaffected — they never solve.
 	Incremental bool
-	// EngineStripes is each shard engine's internal lock-stripe count
-	// (serve.Config.Shards; 0 = next pow2 ≥ GOMAXPROCS).
-	EngineStripes int
 	// ReplanEvery is passed through to shard engines. Engine-local
 	// replans only re-fetch the shard's slice, so this mostly controls
 	// how often engines refresh conditional probabilities mid-barrier.
@@ -129,7 +126,6 @@ type Config struct {
 func (c *Cluster) engineConfig(k int) serve.Config {
 	cfg := serve.Config{
 		Planner:       func(*model.Instance) *model.Strategy { return c.sliceFor(k) },
-		Shards:        c.cfg.EngineStripes,
 		ReplanEvery:   c.cfg.ReplanEvery,
 		QueueDepth:    c.cfg.QueueDepth,
 		Logger:        shardLogger(c.cfg.Logger, k),
@@ -445,7 +441,6 @@ func recoverCluster(cfg Config) (*Cluster, error) {
 				}
 				return model.NewStrategy()
 			},
-			Shards:        cfg.EngineStripes,
 			ReplanEvery:   cfg.ReplanEvery,
 			QueueDepth:    cfg.QueueDepth,
 			Logger:        shardLogger(cfg.Logger, k),

@@ -44,43 +44,3 @@ func NewNamed(in *model.Instance, opts solver.Options) (*Planner, error) {
 	}
 	return New(in, algo), nil
 }
-
-// WarmAlgorithm plans a strategy for an instance given the previous
-// plan's triples as warm seeds. Algorithms without warm support treat
-// the seeds as absent (a cold solve), so a WarmAlgorithm degrades
-// gracefully across the whole registry.
-type WarmAlgorithm func(in *model.Instance, warm []model.Triple) *model.Strategy
-
-// NamedWarm adapts a registry algorithm to the WarmAlgorithm type; see
-// Named for the validation and error-swallowing contract. Each call
-// passes the caller's previous-plan triples through Options.Warm, so
-// supporting algorithms (g-greedy) replan incrementally: still-feasible
-// previous triples seed the solve, and only the delta is re-derived.
-func NamedWarm(opts solver.Options) (WarmAlgorithm, error) {
-	if err := solver.ValidateOptions(opts); err != nil {
-		return nil, err
-	}
-	return func(in *model.Instance, warm []model.Triple) *model.Strategy {
-		o := opts
-		o.Warm = warm
-		res, err := solver.Solve(context.Background(), in, o)
-		if err != nil || res.Strategy == nil {
-			return model.NewStrategy()
-		}
-		return res.Strategy
-	}, nil
-}
-
-// NewNamedWarm returns a planner over in that replans with warm starts:
-// every PlanStep seeds the solve with the previous plan's still-feasible
-// triples. Warm-started plans generally differ from cold ones — use
-// NewNamed when byte-identity with open-loop solves matters.
-func NewNamedWarm(in *model.Instance, opts solver.Options) (*Planner, error) {
-	warm, err := NamedWarm(opts)
-	if err != nil {
-		return nil, err
-	}
-	p := New(in, func(res *model.Instance) *model.Strategy { return warm(res, nil) })
-	p.warmAlgo = warm
-	return p, nil
-}

@@ -28,11 +28,6 @@ type Algorithm func(in *model.Instance) *model.Strategy
 type Planner struct {
 	in   *model.Instance
 	algo Algorithm
-	// warmAlgo, when non-nil, replaces algo for replanning and receives
-	// the previous plan's triples as warm seeds (NewNamedWarm).
-	warmAlgo WarmAlgorithm
-	// prev holds the previous plan's triples for warm seeding.
-	prev []model.Triple
 
 	// adoptedClass[u][c] marks that user u already purchased from class
 	// c; further recommendations in c are pointless.
@@ -86,13 +81,7 @@ func (p *Planner) PlanStep() ([]Recommendation, error) {
 		return nil, errors.New("planner: horizon exhausted")
 	}
 	residual := p.residualInstance()
-	var strategy *model.Strategy
-	if p.warmAlgo != nil {
-		strategy = p.warmAlgo(residual, p.prev)
-		p.prev = strategy.Triples()
-	} else {
-		strategy = p.algo(residual)
-	}
+	strategy := p.algo(residual)
 	var out []Recommendation
 	for _, z := range strategy.Triples() {
 		if z.T != p.now {

@@ -28,13 +28,6 @@ import (
 // canonical Outcome as an undisturbed one — the determinism contract
 // the durability subsystem is tested against.
 type Runner struct {
-	// Algorithm, when non-nil, plans full-horizon and residual
-	// strategies for both paths of every scenario, overriding the
-	// per-scenario Scenario.Algorithm name.
-	//
-	// Deprecated: declare Scenario.Algorithm (a solver-registry name)
-	// instead, which keeps scenarios serializable and self-describing.
-	Algorithm planner.Algorithm
 	// DataDir, when non-empty, backs every closed-loop trajectory with a
 	// durable engine rooted at DataDir/<scenario>-seed<seed>-traj<k>.
 	// Small WAL segments are used so even short runs exercise rotation
@@ -71,7 +64,7 @@ type Runner struct {
 // registryMode reports whether closed-loop planning goes through the
 // solver registry instead of a Planner closure.
 func (r Runner) registryMode() bool {
-	return (r.WarmStart || r.Workers > 0 || r.Incremental) && r.Algorithm == nil
+	return r.WarmStart || r.Workers > 0 || r.Incremental
 }
 
 // sharded reports whether closed-loop trajectories run on a cluster.
@@ -131,13 +124,12 @@ func (r Runner) engineConfig(sc Scenario, algo planner.Algorithm, seed uint64, k
 
 // clusterConfig is engineConfig's sharded twin: same planning policy
 // and per-trajectory durable root, but the barrier replan happens in
-// the coordinator and the 4 lock stripes live inside each shard engine.
+// the coordinator and the lock stripes live inside each shard engine.
 func (r Runner) clusterConfig(sc Scenario, algo planner.Algorithm, seed uint64, k int) cluster.Config {
 	cfg := cluster.Config{
-		Shards:        r.Shards,
-		Planner:       algo,
-		EngineStripes: 4,
-		ReplanEvery:   1 << 30,
+		Shards:      r.Shards,
+		Planner:     algo,
+		ReplanEvery: 1 << 30,
 	}
 	if r.registryMode() {
 		cfg.Planner = nil
@@ -183,14 +175,10 @@ func (r Runner) crashPlan(sc Scenario, seed uint64, k int, horizon int) (crashAt
 }
 
 // algorithmFor resolves the planning function for sc at the given run
-// seed: the Runner-level override if set, otherwise sc.Algorithm
-// through the solver registry. Randomized algorithms draw their seed
-// from the same (name, seed) mix as the instance, so the whole outcome
-// stays a pure function of the pair.
+// seed: sc.Algorithm through the solver registry. Randomized
+// algorithms draw their seed from the same (name, seed) mix as the
+// instance, so the whole outcome stays a pure function of the pair.
 func (r Runner) algorithmFor(sc Scenario, seed uint64) (planner.Algorithm, error) {
-	if r.Algorithm != nil {
-		return r.Algorithm, nil
-	}
 	algo, err := planner.Named(solver.Options{
 		Algorithm: sc.Algorithm,
 		Seed:      instanceSeed(sc.Name, seed) ^ 0x5F5E,
@@ -215,12 +203,6 @@ func (r Runner) Run(sc Scenario, seed uint64) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	algoName := sc.Algorithm
-	if r.Algorithm != nil {
-		// The deprecated func override planned this run; reporting the
-		// scenario's declared name would misdescribe the numbers.
-		algoName = "custom"
-	}
 	in, err := Build(sc, seed)
 	if err != nil {
 		return Outcome{}, err
@@ -232,7 +214,7 @@ func (r Runner) Run(sc Scenario, seed uint64) (Outcome, error) {
 	out := Outcome{
 		Scenario:      sc.Name,
 		Description:   sc.Description,
-		Algorithm:     algoName,
+		Algorithm:     sc.Algorithm,
 		Seed:          seed,
 		Users:         in.NumUsers,
 		Items:         in.NumItems(),

@@ -58,11 +58,10 @@ type Config struct {
 	// workers, cuts). When both name fields are set, Algorithm wins
 	// over Solver.Algorithm.
 	Solver solver.Options
-	// Planner, when non-nil, bypasses the registry with a custom
-	// planning function.
-	//
-	// Deprecated: solver.Register a named Algorithm and set Algorithm
-	// instead, which keeps the config serializable.
+	// Planner, when non-nil, is a planning-function override that
+	// bypasses the registry; incompatible with Incremental. The cluster
+	// installs each shard's slice of the global plan through it until
+	// ROADMAP item 4 gives the engine an install seam.
 	Planner planner.Algorithm
 	// WarmStart enables incremental replanning: each replan seeds the
 	// solver with the previous plan's still-feasible triples
@@ -135,7 +134,7 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// planSetup resolves the configured planning algorithm: the deprecated
+// planSetup resolves the configured planning algorithm: the
 // Planner override verbatim, otherwise the named registry algorithm's
 // options, validated once here — an unknown name or a missing required
 // option fails engine construction with solver's actionable error
@@ -261,7 +260,7 @@ type priceOp struct {
 type Engine struct {
 	in  *model.Instance
 	cfg Config
-	// custom is the deprecated Config.Planner override; nil for registry
+	// custom is the Config.Planner override; nil for registry
 	// configs, which solve through opts (resolved once by planSetup).
 	custom planner.Algorithm
 	opts   solver.Options

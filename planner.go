@@ -1,12 +1,6 @@
 package revmax
 
-import (
-	"repro/internal/inventory"
-	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/planner"
-	"repro/internal/priceopt"
-)
+import "repro/internal/planner"
 
 // Receding-horizon planning facade — execute a horizon step by step,
 // fold realized adoptions back into the model, replan the rest.
@@ -23,8 +17,8 @@ type (
 )
 
 // NewPlanner returns a receding-horizon planner over in; algo is invoked
-// on the residual instance before every step (GGreedyPlanner is the
-// usual choice).
+// on the residual instance before every step (NewNamedPlanner resolves
+// it from the solver registry instead).
 func NewPlanner(in *Instance, algo PlannerAlgorithm) *Planner {
 	return planner.New(in, algo)
 }
@@ -36,58 +30,3 @@ func NewPlanner(in *Instance, algo PlannerAlgorithm) *Planner {
 func NewNamedPlanner(in *Instance, opts Options) (*Planner, error) {
 	return planner.NewNamed(in, opts)
 }
-
-// GGreedyPlanner adapts GGreedy to the planner's Algorithm signature.
-//
-// Deprecated: name the algorithm instead — NewNamedPlanner(in,
-// Options{Algorithm: "g-greedy"}) or ServeConfig{Algorithm:
-// "g-greedy"} — which keeps configurations declarative.
-func GGreedyPlanner(in *Instance) *Strategy { return GGreedy(in).Strategy }
-
-// Metrics facade — descriptive statistics of a strategy.
-type (
-	// MetricsReport profiles a strategy (repeats, utilization, coverage,
-	// diversity, revenue).
-	MetricsReport = metrics.Report
-)
-
-// ProfileStrategy computes the metrics report for s on in.
-func ProfileStrategy(in *Instance, s *Strategy) MetricsReport {
-	return metrics.Profile(in, s)
-}
-
-// Inventory facade — capacity setting from demand forecasts (§3.1's
-// "determined based on current inventory level and demand forecasting").
-
-// NewsvendorCapacity returns the smallest qᵢ meeting the service level
-// against a Poisson-binomial demand forecast.
-func NewsvendorCapacity(adoptionProbs []float64, serviceLevel float64) (int, error) {
-	return inventory.Newsvendor(adoptionProbs, serviceLevel)
-}
-
-// OverbookCapacity scales physical stock by expected conversion.
-func OverbookCapacity(stock int, adoptionProbs []float64) (int, error) {
-	return inventory.Overbook(stock, adoptionProbs)
-}
-
-// StockoutProbability returns Pr[demand > capacity] for a forecast.
-func StockoutProbability(adoptionProbs []float64, capacity int) float64 {
-	return inventory.StockoutProbability(adoptionProbs, capacity)
-}
-
-// Price optimization facade — the §8 future-work inverse problem: choose
-// per-item price multipliers from a menu, anticipating optimal
-// replanning by the recommender.
-
-// PriceOptimize runs coordinate ascent over items: reprice builds the
-// instance induced by a multiplier vector, plan scores it (e.g.
-// func(in *Instance) float64 { return GGreedy(in).Revenue }).
-func PriceOptimize(numItems int, reprice func([]float64) *Instance, plan func(*Instance) float64, menu []float64) (PriceOptResult, error) {
-	return priceopt.Optimize(numItems,
-		func(ms []float64) *model.Instance { return reprice(ms) },
-		func(in *model.Instance) float64 { return plan(in) },
-		priceopt.Options{Menu: menu})
-}
-
-// PriceOptResult reports chosen multipliers and achieved revenue.
-type PriceOptResult = priceopt.Result

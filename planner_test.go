@@ -11,7 +11,10 @@ import (
 
 func TestFacadePlannerRollout(t *testing.T) {
 	in := buildIntro()
-	p := revmax.NewPlanner(in, revmax.GGreedyPlanner)
+	p, err := revmax.NewNamedPlanner(in, revmax.Options{Algorithm: "g-greedy"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := p.Rollout(dist.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +32,9 @@ func TestFacadePlannerRollout(t *testing.T) {
 
 func TestFacadePlannerStepwise(t *testing.T) {
 	in := buildIntro()
-	p := revmax.NewPlanner(in, revmax.GGreedyPlanner)
+	p := revmax.NewPlanner(in, func(res *revmax.Instance) *revmax.Strategy {
+		return solve(t, res, revmax.Options{Algorithm: "g-greedy"}).Strategy
+	})
 	recs, err := p.PlanStep()
 	if err != nil {
 		t.Fatal(err)
@@ -39,42 +44,6 @@ func TestFacadePlannerStepwise(t *testing.T) {
 	}
 	if p.Now() != 2 {
 		t.Fatalf("Now = %d after one step", p.Now())
-	}
-}
-
-func TestFacadeMetricsProfile(t *testing.T) {
-	in := buildIntro()
-	res := revmax.GGreedy(in)
-	r := revmax.ProfileStrategy(in, res.Strategy)
-	if r.Size != res.Strategy.Len() {
-		t.Fatal("profile size mismatch")
-	}
-	if math.Abs(r.Revenue-res.Revenue) > 1e-9 {
-		t.Fatal("profile revenue mismatch")
-	}
-	if len(r.RepeatHistogram) != in.T {
-		t.Fatal("repeat histogram length != T")
-	}
-}
-
-func TestFacadeInventoryHelpers(t *testing.T) {
-	probs := []float64{0.5, 0.5, 0.5, 0.5}
-	q, err := revmax.NewsvendorCapacity(probs, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q < 2 || q > 4 {
-		t.Fatalf("newsvendor q = %d", q)
-	}
-	ob, err := revmax.OverbookCapacity(2, probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ob != 4 {
-		t.Fatalf("overbook = %d, want 4", ob)
-	}
-	if risk := revmax.StockoutProbability(probs, 4); risk != 0 {
-		t.Fatalf("risk %v with capacity = audience", risk)
 	}
 }
 
@@ -88,10 +57,11 @@ func TestFacadeCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if revmax.GGreedy(back).Revenue != revmax.GGreedy(in).Revenue {
+	gg := revmax.Options{Algorithm: "g-greedy"}
+	if solve(t, back, gg).Revenue != solve(t, in, gg).Revenue {
 		t.Fatal("round-tripped instance behaves differently")
 	}
-	s := revmax.GGreedy(in).Strategy
+	s := solve(t, in, gg).Strategy
 	buf.Reset()
 	if err := revmax.EncodeStrategy(&buf, s); err != nil {
 		t.Fatal(err)
@@ -107,7 +77,7 @@ func TestFacadeCodecRoundTrip(t *testing.T) {
 
 func TestFacadeSimulateMatchesRevenue(t *testing.T) {
 	in := buildIntro()
-	s := revmax.GGreedy(in).Strategy
+	s := solve(t, in, revmax.Options{Algorithm: "g-greedy"}).Strategy
 	out := revmax.Simulate(in, s, revmax.SimOptions{Runs: 60000, Seed: 3})
 	want := revmax.Revenue(in, s)
 	tol := 4*out.StdDev/math.Sqrt(float64(out.Runs)) + 1e-9
@@ -116,29 +86,10 @@ func TestFacadeSimulateMatchesRevenue(t *testing.T) {
 	}
 }
 
-func TestFacadeEstimateSaturation(t *testing.T) {
-	rng := dist.NewRNG(9)
-	truth := 0.45
-	var records []revmax.SaturationRecord
-	for i := 0; i < 20000; i++ {
-		q := rng.Uniform(0.3, 0.8)
-		mem := rng.Uniform(0.1, 2)
-		p := q * math.Pow(truth, mem)
-		records = append(records, revmax.SaturationRecord{Q: q, Memory: mem, Adopted: rng.Float64() < p})
-	}
-	got, err := revmax.EstimateSaturation(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-truth) > 0.05 {
-		t.Fatalf("learned β %v, truth %v", got, truth)
-	}
-}
-
 func TestFacadeParallelRLGreedy(t *testing.T) {
 	in := buildIntro()
-	seq := revmax.RLGreedy(in, 6, 5)
-	par := revmax.RLGreedyParallel(in, 6, 5, 3)
+	seq := solve(t, in, revmax.Options{Algorithm: "rl-greedy", Perms: 6, Seed: 5})
+	par := solve(t, in, revmax.Options{Algorithm: "rl-greedy-parallel", Perms: 6, Seed: 5, Workers: 3})
 	if seq.Revenue != par.Revenue {
 		t.Fatalf("parallel %v != sequential %v", par.Revenue, seq.Revenue)
 	}

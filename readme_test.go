@@ -2,6 +2,8 @@ package revmax_test
 
 import (
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -55,6 +57,76 @@ func TestReadmeAlgorithmList(t *testing.T) {
 		}
 		if a.Name() != canonical {
 			t.Errorf("README alias %q resolves to %q, table says %q", alias, a.Name(), canonical)
+		}
+	}
+}
+
+// internalPackages lists the directories under internal/ that hold at
+// least one non-test .go file.
+func internalPackages(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob("internal/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []string
+	seen := make(map[string]bool)
+	for _, f := range files {
+		dir := filepath.ToSlash(filepath.Dir(f))
+		if !strings.HasSuffix(f, "_test.go") && !seen[dir] {
+			seen[dir] = true
+			pkgs = append(pkgs, dir)
+		}
+	}
+	return pkgs
+}
+
+// TestReadmePackageMap: every internal/<pkg> directory has a row in
+// the README's "## Package map" table, and every internal/, cmd/ and
+// examples/ path the README names anywhere exists on disk.
+func TestReadmePackageMap(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	start := strings.Index(text, "## Package map")
+	if start < 0 {
+		t.Fatal("README.md is missing the \"## Package map\" section")
+	}
+	section := text[start:]
+	if end := strings.Index(section[1:], "\n#"); end >= 0 {
+		section = section[:end+1]
+	}
+	for _, pkg := range internalPackages(t) {
+		if !strings.Contains(section, "`"+pkg+"`") {
+			t.Errorf("README package map has no row for %s", pkg)
+		}
+	}
+	pathRE := regexp.MustCompile(`\b(?:internal|cmd|examples)/[a-z0-9_]+`)
+	for _, path := range pathRE.FindAllString(text, -1) {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("README names %s, which does not exist", path)
+		}
+	}
+}
+
+// TestEveryInternalPackageIsReachable: a package under internal/
+// survives only if a cmd/ or bench/ main imports it, directly or not.
+// One reached only by its own tests, an example or a facade entry is
+// dead weight every refactor must keep compiling — delete it instead.
+func TestEveryInternalPackageIsReachable(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/...", "./bench").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	reached := make(map[string]bool)
+	for _, line := range strings.Fields(string(out)) {
+		reached[line] = true
+	}
+	for _, pkg := range internalPackages(t) {
+		if !reached["repro/"+pkg] {
+			t.Errorf("%s is not imported by any cmd/ or bench/ main (go list -deps ./cmd/... ./bench)", pkg)
 		}
 	}
 }

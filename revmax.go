@@ -22,9 +22,7 @@
 // the staged §6.3 variants, the §6.1 baselines, the §4.2 local-search
 // approximation — is registered under a name (List enumerates them),
 // runs under a context (cancellation and deadlines abort the inner
-// loops promptly), and reports progress through Options.Progress. The
-// per-algorithm free functions (GGreedy, RLGreedy, ...) remain as thin
-// deprecated wrappers with byte-identical output.
+// loops promptly), and reports progress through Options.Progress.
 //
 // The package is a thin facade over the internal subsystem packages; all
 // types are aliases, so values flow freely between the facade and any
@@ -127,80 +125,6 @@ func Lookup(name string) (Algorithm, error) { return solver.Lookup(name) }
 // panics on duplicate names (call it from an init function).
 func RegisterAlgorithm(a Algorithm) { solver.Register(a) }
 
-// GGreedy runs Global Greedy (Algorithm 1): two-level heaps plus lazy
-// forward, selecting the highest-marginal-revenue triple each step.
-//
-// Deprecated: use Solve(ctx, in, Options{Algorithm: "g-greedy"}), which
-// adds cancellation and progress reporting. Output is byte-identical.
-func GGreedy(in *Instance) Result { return core.GGreedy(in) }
-
-// GGreedyStaged runs Global Greedy with prices revealed in sub-horizons
-// split at the given cut-offs (§6.3).
-//
-// Deprecated: use Solve with Options{Algorithm: "g-greedy-staged",
-// Cuts: cuts}. Output is byte-identical.
-func GGreedyStaged(in *Instance, cuts ...int) Result { return core.GGreedyStaged(in, cuts...) }
-
-// SLGreedy runs Sequential Local Greedy (Algorithm 2): per-time-step
-// greedy in chronological order.
-//
-// Deprecated: use Solve with Options{Algorithm: "sl-greedy"}. Output is
-// byte-identical.
-func SLGreedy(in *Instance) Result { return core.SLGreedy(in) }
-
-// RLGreedy runs Randomized Local Greedy: n sampled permutations of the
-// horizon, best strategy kept (§5.2).
-//
-// Deprecated: use Solve with Options{Algorithm: "rl-greedy", Perms: n,
-// Seed: seed}. Output is byte-identical.
-func RLGreedy(in *Instance, n int, seed uint64) Result { return core.RLGreedy(in, n, seed) }
-
-// RLGreedyParallel is RLGreedy with permutation runs executed
-// concurrently (workers ≤ 0 means GOMAXPROCS); output is identical to
-// the sequential version for the same seed.
-//
-// Deprecated: use Solve with Options{Algorithm: "rl-greedy-parallel",
-// Perms: n, Seed: seed, Workers: workers}. Output is byte-identical.
-func RLGreedyParallel(in *Instance, n int, seed uint64, workers int) Result {
-	return core.RLGreedyParallel(in, n, seed, workers)
-}
-
-// RLGreedyStaged is RLGreedy under gradual price availability (§6.3).
-//
-// Deprecated: use Solve with Options{Algorithm: "rl-greedy-staged",
-// Perms: n, Seed: seed, Cuts: cuts}. Output is byte-identical.
-func RLGreedyStaged(in *Instance, n int, seed uint64, cuts ...int) Result {
-	return core.RLGreedyStaged(in, n, seed, cuts...)
-}
-
-// TopRA is the top-rating baseline: k highest-predicted-rating items per
-// user, repeated across the horizon.
-//
-// Deprecated: use Solve with Options{Algorithm: "top-rating", Rating:
-// rating}. Output is byte-identical.
-func TopRA(in *Instance, rating RatingFn) Result { return core.TopRA(in, rating) }
-
-// TopRE is the top-expected-revenue baseline: k items maximizing
-// p(i,t)·q(u,i,t) per user per step.
-//
-// Deprecated: use Solve with Options{Algorithm: "top-revenue"}. Output
-// is byte-identical.
-func TopRE(in *Instance) Result { return core.TopRE(in) }
-
-// GlobalNo is G-Greedy with saturation ignored during selection and
-// restored during evaluation (the GG-No baseline of §6.1).
-//
-// Deprecated: use Solve with Options{Algorithm: "g-greedy-no"}. Output
-// is byte-identical.
-func GlobalNo(in *Instance) Result { return core.GlobalNo(in) }
-
-// Optimal exhaustively solves tiny instances (≤ ~22 candidates); REVMAX
-// is NP-hard (Theorem 1), so this exists for validation only.
-//
-// Deprecated: use Solve with Options{Algorithm: "optimal"}, which also
-// honors deadlines inside the exponential search.
-func Optimal(in *Instance) (Result, error) { return core.Optimal(in) }
-
 // Revenue computes the expected revenue Rev(S) of Definition 2.
 func Revenue(in *Instance, s *Strategy) float64 { return revenue.Revenue(in, s) }
 
@@ -231,24 +155,6 @@ func NewMonteCarloOracle(samples int, seed uint64) CapacityOracle {
 // the effective dynamic adoption probability of Definition 4.
 func EffectiveRevenue(in *Instance, s *Strategy, oracle CapacityOracle) float64 {
 	return revenue.EffectiveRevenue(in, s, oracle)
-}
-
-// LocalSearchRRevMax runs the 1/(4+ε)-approximation of §4.2 for
-// R-REVMAX: local search over the display partition matroid with the
-// capacity constraint pushed into the effective-revenue objective. It is
-// exponential-ish in practice (O(ε⁻¹ n⁴ log n) oracle calls) and meant
-// for small instances.
-//
-// Deprecated: use Solve with Options{Algorithm: "local-search",
-// Oracle: oracle, Epsilon: epsilon}, which adds cancellation (the
-// context reaches into the oracle calls). Output is byte-identical.
-func LocalSearchRRevMax(in *Instance, oracle CapacityOracle, epsilon float64) Result {
-	res, _ := solver.Solve(context.Background(), in, Options{
-		Algorithm: "local-search",
-		Oracle:    oracle,
-		Epsilon:   epsilon,
-	})
-	return res
 }
 
 // SolveT1 solves the PTIME T = 1 special case exactly via maximum-weight

@@ -1,6 +1,7 @@
 package revmax_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,9 +33,19 @@ func buildIntro() *revmax.Instance {
 	return in
 }
 
+// solve runs revmax.Solve and fails the test on error.
+func solve(t *testing.T, in *revmax.Instance, opts revmax.Options) revmax.Result {
+	t.Helper()
+	res, err := revmax.Solve(context.Background(), in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFacadeQuickstartFlow(t *testing.T) {
 	in := buildIntro()
-	res := revmax.GGreedy(in)
+	res := solve(t, in, revmax.Options{Algorithm: "g-greedy"})
 	if err := in.CheckValid(res.Strategy); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +62,7 @@ func TestStrategicTimingOnIntroScenario(t *testing.T) {
 	// high-valuation users, at the sale to low-valuation users. G-Greedy's
 	// first recommendation per user should respect that split.
 	in := buildIntro()
-	res := revmax.GGreedy(in)
+	res := solve(t, in, revmax.Options{Algorithm: "g-greedy"})
 	firstRec := map[revmax.UserID]revmax.TimeStep{}
 	for _, z := range res.Strategy.Triples() {
 		if cur, ok := firstRec[z.U]; !ok || z.T < cur {
@@ -68,10 +79,10 @@ func TestStrategicTimingOnIntroScenario(t *testing.T) {
 
 func TestFacadeAlgorithmsAgree(t *testing.T) {
 	in := buildIntro()
-	gg := revmax.GGreedy(in)
-	sl := revmax.SLGreedy(in)
-	rl := revmax.RLGreedy(in, 4, 1)
-	tre := revmax.TopRE(in)
+	gg := solve(t, in, revmax.Options{Algorithm: "g-greedy"})
+	sl := solve(t, in, revmax.Options{Algorithm: "sl-greedy"})
+	rl := solve(t, in, revmax.Options{Algorithm: "rl-greedy", Perms: 4, Seed: 1})
+	tre := solve(t, in, revmax.Options{Algorithm: "top-revenue"})
 	for name, r := range map[string]revmax.Result{"GG": gg, "SLG": sl, "RLG": rl, "TopRE": tre} {
 		if err := in.CheckValid(r.Strategy); err != nil {
 			t.Fatalf("%s invalid: %v", name, err)
@@ -84,15 +95,12 @@ func TestFacadeAlgorithmsAgree(t *testing.T) {
 
 func TestFacadeOptimalAndLocalSearch(t *testing.T) {
 	in := buildIntro()
-	opt, err := revmax.Optimal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gg := revmax.GGreedy(in)
+	opt := solve(t, in, revmax.Options{Algorithm: "optimal"})
+	gg := solve(t, in, revmax.Options{Algorithm: "g-greedy"})
 	if gg.Revenue > opt.Revenue+1e-9 {
 		t.Fatalf("greedy %v exceeds optimum %v", gg.Revenue, opt.Revenue)
 	}
-	ls := revmax.LocalSearchRRevMax(in, revmax.ExactOracle{}, 0.25)
+	ls := solve(t, in, revmax.Options{Algorithm: "local-search", Oracle: revmax.ExactOracle{}, Epsilon: 0.25})
 	if ls.Strategy.Len() == 0 {
 		t.Fatal("local search returned empty strategy on a profitable instance")
 	}
@@ -135,7 +143,7 @@ func TestFacadeDatasetsAndExperiments(t *testing.T) {
 	if ds.Instance.NumCandidates() == 0 {
 		t.Fatal("no candidates")
 	}
-	res := revmax.TopRA(ds.Instance, revmax.RatingFn(ds.Rating))
+	res := solve(t, ds.Instance, revmax.Options{Algorithm: "top-rating", Rating: revmax.RatingFn(ds.Rating)})
 	if err := ds.Instance.CheckValid(res.Strategy); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +165,7 @@ func TestFacadeRandomPriceModel(t *testing.T) {
 		},
 		Var: func(revmax.ItemID, revmax.TimeStep) float64 { return 0 },
 	}
-	s := revmax.GGreedy(in).Strategy
+	s := solve(t, in, revmax.Options{Algorithm: "g-greedy"}).Strategy
 	if got, want := m.TaylorRevenue(s), revmax.Revenue(in, s); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("zero-variance Taylor %v != deterministic %v", got, want)
 	}
@@ -165,7 +173,7 @@ func TestFacadeRandomPriceModel(t *testing.T) {
 
 func TestFacadeEffectiveRevenueOracles(t *testing.T) {
 	in := buildIntro()
-	s := revmax.GGreedy(in).Strategy
+	s := solve(t, in, revmax.Options{Algorithm: "g-greedy"}).Strategy
 	exact := revmax.EffectiveRevenue(in, s, revmax.ExactOracle{})
 	mc := revmax.EffectiveRevenue(in, s, revmax.NewMonteCarloOracle(50000, 1))
 	if math.Abs(exact-mc) > 0.02*math.Abs(exact)+0.01 {

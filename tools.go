@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/codec"
-	"repro/internal/satlearn"
 	"repro/internal/sim"
 )
 
@@ -37,16 +36,3 @@ func EncodeStrategy(w io.Writer, s *Strategy) error { return codec.EncodeStrateg
 
 // DecodeStrategy reads a strategy from r.
 func DecodeStrategy(r io.Reader) (*Strategy, error) { return codec.DecodeStrategy(r) }
-
-// Saturation learning facade — estimate βᵢ from recommendation logs
-// (§3.1's "βᵢ's can be learned from historical recommendation logs").
-type (
-	// SaturationRecord is one logged exposure outcome.
-	SaturationRecord = satlearn.Record
-)
-
-// EstimateSaturation returns the maximum-likelihood saturation factor
-// for one item's exposure log.
-func EstimateSaturation(records []SaturationRecord) (float64, error) {
-	return satlearn.Estimate(records)
-}
