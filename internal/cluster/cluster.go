@@ -1062,6 +1062,8 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 		st := c.sess.LastStats()
 		sp.SetInt("dirty_cands", int64(st.DirtyCands))
 		sp.SetInt("restored_pairs", int64(st.RestoredPairs))
+		sp.SetInt("unwound_cands", int64(st.UnwoundCands))
+		sp.SetInt("replayed_groups", int64(st.ReplayedGroups))
 	}
 	trim := sp.Child("trim")
 	s, denied := admitQuota(residual, s)

@@ -107,7 +107,7 @@ func Handler(c *Cluster) http.Handler {
 		recs, err := c.RecommendCtx(ctx, model.UserID(user), model.TimeStep(t))
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, serve.ErrorStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, recommendResponse{User: model.UserID(user), T: model.TimeStep(t), Items: recs})
@@ -122,7 +122,7 @@ func Handler(c *Cluster) http.Handler {
 		results, err := c.RecommendBatchCtx(ctx, req.Users, req.T)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, serve.ErrorStatus(err), err.Error())
 			return
 		}
 		resp := batchResponse{T: req.T, Results: make([]recommendResponse, len(req.Users))}
@@ -141,7 +141,7 @@ func Handler(c *Cluster) http.Handler {
 		err := c.FeedCtx(ctx, ev)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, serve.ErrorStatus(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -160,7 +160,7 @@ func Handler(c *Cluster) http.Handler {
 		err := c.SetNowCtx(ctx, req.Now)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, serve.ErrorStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, map[string]int{"now": int(c.Now())})

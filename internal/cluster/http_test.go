@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -200,3 +201,42 @@ func TestHTTPRoundTrip(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// TestHTTPClosedClusterStatus is serve's TestHTTPClosedEngineStatus
+// through the router: a shard engine's ErrClosed surfaces as 503, reads
+// and the clock still answer 200, a malformed request is still a 400.
+func TestHTTPClosedClusterStatus(t *testing.T) {
+	cl := testCluster(t, 2)
+	srv := httptest.NewServer(Handler(cl))
+	defer srv.Close()
+	now := itoa(int(cl.Now()))
+	cl.Close()
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"recommend", "GET", "/v1/recommend?user=1&t=" + now, "", 200},
+		{"batch", "POST", "/v1/recommend/batch", `{"users":[0,1,2,3],"t":` + now + `}`, 200},
+		{"adopt", "POST", "/v1/adopt", `{"user":2,"item":0,"t":` + now + `,"adopted":true}`, 503},
+		{"advance", "POST", "/v1/advance", `{"now":` + now + `}`, 200},
+		{"adopt-bad-user", "POST", "/v1/adopt", `{"user":999,"item":0,"t":` + now + `}`, 400},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&msg) // 2xx bodies are not this shape
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s on a closed cluster: %d %v, want %d", tc.name, resp.StatusCode, msg, tc.want)
+		}
+		if tc.want == 503 && !strings.Contains(msg["error"], serve.ErrClosed.Error()) {
+			t.Errorf("%s: error body %v, want it to mention %q", tc.name, msg, serve.ErrClosed)
+		}
+	}
+}

@@ -47,13 +47,18 @@ type Result struct {
 	// Plan is the flat candidate-indexed representation the algorithm
 	// inner loops actually ran on. It is nil for algorithms whose output
 	// can contain non-candidate triples (TopRA's q=0 repeats).
-	Plan    *model.Plan
-	Revenue float64 // Rev(Strategy) under the true model
+	Plan *model.Plan
+	// Revenue is Rev(Strategy) under the true model. A from-scratch solve
+	// reports the running sum of its per-selection gains (the value the
+	// goldens pin); a Session solve, whose evaluator outlives any one
+	// selection sequence, reports CanonicalRevenue here.
+	Revenue float64
 	// CanonicalRevenue is revenue.Revenue(in, Strategy) bit for bit — the
 	// (user, class)-ordered sum the evaluator already holds — so callers
 	// that publish a plan's revenue need not re-derive it from the
-	// strategy. Revenue above is the path-dependent running sum and may
-	// differ from it in the last bits. Valid exactly when Plan != nil.
+	// strategy. A from-scratch solve's Revenue is the path-dependent
+	// running sum and may differ from it in the last bits. Valid exactly
+	// when Plan != nil.
 	CanonicalRevenue float64
 
 	// Selections counts triples added; Recomputations counts lazy-forward
@@ -63,7 +68,9 @@ type Result struct {
 	Recomputations int
 
 	// Curve records Rev(S) after each selection, in selection order — the
-	// revenue-vs-|S| growth data behind Figure 4.
+	// revenue-vs-|S| growth data behind Figure 4. Session solves leave it
+	// nil: most of their plan was never re-selected, so there is no
+	// selection order to plot; only from-scratch solves feed the figures.
 	Curve []float64
 
 	// Stats is the phase breakdown of the run, feeding the observability
@@ -108,7 +115,9 @@ type state struct {
 	ev    *revenue.Evaluator
 	p     *model.Plan
 	curve []float64
-	stats SolveStats
+	// noCurve stops add from recording the curve (Session solves).
+	noCurve bool
+	stats   SolveStats
 }
 
 func newState(in *model.Instance) *state {
@@ -145,7 +154,9 @@ func (st *state) check(id model.CandID) violation {
 func (st *state) add(id model.CandID) float64 {
 	st.p.Add(id)
 	delta := st.ev.AddID(id)
-	st.curve = append(st.curve, st.ev.Total())
+	if !st.noCurve {
+		st.curve = append(st.curve, st.ev.Total())
+	}
 	return delta
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/pqueue"
@@ -42,6 +42,12 @@ type SessionStats struct {
 	// entries — and their lazily corrected keys — verbatim across solves.
 	RestoredPairs   int
 	RestoredEntries int
+	// UnwoundCands counts the planned candidates Solve removed from the
+	// live plan and evaluator to replay them as warm seeds, and
+	// ReplayedGroups the (user, class) groups they belong to (the replay
+	// set, see unwindReplaySet). Every other group's members stay in place.
+	UnwoundCands   int
+	ReplayedGroups int
 	// NumCands is the session's total candidate count, the denominator
 	// for dirty/restored ratios.
 	NumCands int
@@ -56,10 +62,12 @@ type SessionStats struct {
 // to the exact set of dirty CandIDs; at the next Solve only those
 // candidates get their upper-bound keys recomputed, only heap pairs of
 // groups the journal (or a dropped seed) actually invalidated are
-// rebuilt, and the lazily corrected keys of every untouched pair carry
-// over — they remain valid upper bounds while the seeded plan keeps
-// covering the group content they were evaluated against. The output is
-// byte-identical
+// rebuilt, only groups whose warm-seed replay can come out differently
+// are unwound and replayed (see SolveCtx), and the lazily corrected keys
+// of every untouched pair carry over — they remain valid upper bounds
+// while the seeded plan keeps covering the group content they were
+// evaluated against. The plan, its per-group revenue partials and the
+// warm-seed accounting are identical
 // to solving planner.Residual(base, feedback) from scratch with GGreedy
 // (unseeded) or GGreedyWarm on the previous plan (Seeded):
 //
@@ -146,17 +154,19 @@ type Session struct {
 	dispDeferred [][]int32
 	dispDefMark  []bool
 
-	// prev is the previous solve's plan in ascending CandID order — the
-	// next warm seed (Seeded). inPrev is its membership bitmap: a dirty
-	// candidate inside the seeded plan voids its whole group's corrected
-	// keys (their gains were evaluated against its old value), while a
-	// dirty candidate outside it is invalidated in place. unwind is the
-	// scratch for tearing the live plan down without clobbering prev, so
-	// SeedTriples can override the seed of a session with a live plan.
-	prev    []model.CandID
-	inPrev  []bool
-	unwind  []model.CandID
-	scratch []*pqueue.Entry
+	// The live plan (st.p) is the next warm seed. selGrps lists the groups
+	// the last scan selected into (repeats allowed): their members entered
+	// in greedy order and have not yet been validated in the ascending
+	// CandID order seeding uses, so the next Solve replays them.
+	// replaySeen/replayGrps dedup one Solve's replay set, and unwind holds
+	// its planned members. prev is an externally supplied seed in ascending
+	// CandID order, non-nil only between SeedTriples and the next Solve.
+	selGrps    []int32
+	replaySeen []bool
+	replayGrps []int32
+	unwind     []model.CandID
+	prev       []model.CandID
+	scratch    []*pqueue.Entry
 
 	last SessionStats
 }
@@ -187,7 +197,7 @@ func NewSession(in *model.Instance, cfg SessionConfig) *Session {
 		alive:        make([]bool, n),
 		byStep:       make([][]model.CandID, cl.T+1),
 		dirtySeen:    make([]bool, n),
-		inPrev:       make([]bool, n),
+		replaySeen:   make([]bool, cl.NumGroups()),
 		itemSeen:     make([]bool, cl.NumItems()),
 		pairSeen:     make([]bool, cl.NumPairs()),
 		groupTouched: make([]bool, cl.NumGroups()),
@@ -206,6 +216,7 @@ func NewSession(in *model.Instance, cfg SessionConfig) *Session {
 		}
 	}
 	s.scratch = make([]*pqueue.Entry, 0, maxPair)
+	s.st.noCurve = true
 	flat := cl.Candidates()
 	for id := range flat {
 		c := &flat[id]
@@ -502,25 +513,20 @@ func (s *Session) Advance(t model.TimeStep) {
 
 // SeedTriples primes the next Seeded Solve with an externally supplied
 // warm plan (a recovered engine's last installed plan). It replaces the
-// internal previous-plan seed; triples that are not candidates are
-// ignored, matching GGreedyWarm's CandIDOf filter.
+// live plan as the seed; triples that are not candidates are ignored,
+// matching GGreedyWarm's CandIDOf filter.
 func (s *Session) SeedTriples(warm []model.Triple) {
 	// The externally supplied plan need not extend the plan the cached
-	// corrections were computed under, so none of them can be trusted.
+	// corrections were computed under, so none of them can be trusted, and
+	// the whole live plan is unwound to make room for it.
 	s.restoreAll = true
-	for _, id := range s.prev {
-		s.inPrev[id] = false
-	}
-	s.prev = s.prev[:0]
+	s.prev = make([]model.CandID, 0, len(warm))
 	for _, z := range warm {
 		if id, ok := s.in.CandIDOf(z); ok {
 			s.prev = append(s.prev, id)
 		}
 	}
-	sort.Slice(s.prev, func(a, b int) bool { return s.prev[a] < s.prev[b] })
-	for _, id := range s.prev {
-		s.inPrev[id] = true
-	}
+	slices.Sort(s.prev)
 }
 
 // LoadFeedback reconciles the session against a complete external
@@ -594,58 +600,55 @@ func (s *Session) Solve() Result {
 	return res
 }
 
-// SolveCtx runs one incremental replan: unwind the previous plan,
-// apply the journal's dirty set (recompute q′/aliveness/upper bounds
-// for exactly the invalidated CandIDs), re-seed (Seeded mode), rebuild
-// only the invalidated heap pairs, and run the standard lazy-forward
-// scan from the restored state. The result is byte-identical to
-// GGreedyWarmCtx (Seeded) or GGreedyCtx (unseeded) on the equivalent
-// residual instance, except that Result.Strategy is left nil: the
-// candidate-indexed Result.Plan (in the base instance's CandID space)
-// carries the selection, and Plan.Strategy() builds the map view for the
-// callers that need one. ctx is checked once per scan iteration; a
-// canceled solve returns the partial result with ctx's error, and the
-// session remains consistent for further events and solves.
+// SolveCtx runs one incremental replan: unwind the replay set (see
+// unwindReplaySet), fold in the journal's deferred capacity sync, replay
+// the unwound members as seeds (Seeded mode), rebuild only the
+// invalidated heap pairs, and run the standard lazy-forward scan from the
+// restored state.
+//
+// The session contract: Result.Plan, CanonicalRevenue, every group's
+// evaluator partial, Selections and WarmKept/WarmDropped equal
+// GGreedyWarmCtx on the previous plan (Seeded) or GGreedyCtx (unseeded)
+// over the equivalent residual instance, bit for bit. Three fields are
+// the session's own: Result.Strategy is nil (Result.Plan, in the base
+// instance's CandID space, carries the selection; Plan.Strategy() builds
+// the map view on demand), and since most of the plan is never re-added
+// there is no running sum of gains to report — Result.Revenue is
+// CanonicalRevenue and Result.Curve is nil. ctx is checked once per scan
+// iteration; a canceled solve returns the partial result with ctx's
+// error, and the session remains consistent for further events and solves.
 func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, error) {
 	st := s.st
 
-	// 1. Unwind the previous plan to the empty state. This must precede
-	// the capacity sync: Plan.Remove balances its over-capacity counters
-	// against the capacities seen at Add time. The unwind set is collected
-	// apart from prev, which may hold an externally supplied seed.
-	if st.p.Len() > 0 {
-		ids := s.unwind[:0]
-		st.p.Each(func(id model.CandID) bool {
-			ids = append(ids, id)
-			return true
-		})
-		s.unwind = ids
-		for _, id := range s.unwind {
-			st.p.Remove(id)
-			st.ev.RemoveID(id)
-		}
+	// 1. Unwind the replay set. This must precede the capacity sync:
+	// Plan.Remove balances its over-capacity counters against the
+	// capacities seen at Add time.
+	planned := st.p.Len()
+	seeds, groups := s.unwindReplaySet()
+	s.last = SessionStats{
+		DirtyCands:     len(s.dirtyList),
+		UnwoundCands:   len(seeds),
+		ReplayedGroups: groups,
+		NumCands:       len(s.entries),
 	}
-	st.ev.ResetTotal()
-	st.curve = nil
+	if s.prev != nil {
+		seeds, planned = s.prev, len(s.prev)
+	}
 	st.stats = SolveStats{}
 
 	// 2. Fold the journal's bookkeeping in. The dirty candidates' bounds
 	// and heap entries were already repaired eagerly as each event was
 	// journaled; what remains is deferred capacity sync (a raise wakes
-	// the pairs parked while the item was saturated) and the stats.
+	// the pairs parked while the item was saturated).
 	for _, i := range s.itemList {
 		s.itemSeen[i] = false
-		cap := s.stock[i]
-		if cap < 0 {
-			cap = 0
-		}
+		cap := max(s.stock[i], 0)
 		if cap > s.in.Capacity(i) {
 			s.wakeItem(i)
 		}
 		s.in.SetItem(i, s.in.Class(i), s.in.Beta(i), cap)
 	}
 	s.itemList = s.itemList[:0]
-	s.last = SessionStats{DirtyCands: len(s.dirtyList), NumCands: len(s.entries)}
 	for _, id := range s.dirtyList {
 		s.dirtySeen[id] = false
 	}
@@ -653,14 +656,13 @@ func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, er
 
 	// 3. Seed, before the heap restore so that dropped seeds can still
 	// invalidate their group's corrected keys and wake parked pairs on
-	// their item and user. Seeded mode replays seedWarm exactly
-	// (canonical order, feasibility and profitability re-checks, the
-	// dropped-seed curve blip); unseeded mode starts every group's
-	// content from empty, which voids every cached correction, so the
-	// whole heap is rebuilt pristine.
-	seeded := 0
+	// their item and user. Seeded mode replays seedWarm exactly for the
+	// unwound members (canonical order, feasibility and profitability
+	// re-checks); unseeded mode starts every group's content from empty,
+	// which voids every cached correction, so the whole heap is rebuilt
+	// pristine.
 	if s.cfg.Seeded {
-		for _, id := range s.prev {
+		for _, id := range seeds {
 			if !s.alive[id] {
 				s.dropSeed(id) // not a residual candidate anymore
 				continue
@@ -672,19 +674,15 @@ func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, er
 			if st.add(id) <= Eps {
 				st.remove(id)
 				s.dropSeed(id)
-				continue
 			}
-			seeded++
 		}
-		st.stats.WarmKept = seeded
-		st.stats.WarmDropped = len(s.prev) - seeded
+		st.stats.WarmKept = st.p.Len()
+		st.stats.WarmDropped = planned - st.p.Len()
 	} else {
 		s.restoreAll = true
 	}
-	for _, id := range s.prev {
-		s.inPrev[id] = false
-	}
-	s.prev = s.prev[:0]
+	s.prev = nil
+	seeded := st.p.Len()
 
 	// 4. Restore: every queued pair is rebuilt pristine — alive
 	// candidates return under their cached p·q′ upper bound with a zero
@@ -732,18 +730,83 @@ func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, er
 	sel, rec, err := s.scan(ctx, progress)
 
 	res := st.planResult(seeded+sel, rec)
+	res.Revenue = res.CanonicalRevenue
 	// The session's plan stays live across solves; hand callers a copy.
 	res.Plan = st.p.Clone()
-	prev := s.prev[:0]
-	st.p.Each(func(id model.CandID) bool {
-		prev = append(prev, id)
-		return true
-	})
-	s.prev = prev
-	for _, id := range s.prev {
-		s.inPrev[id] = true
-	}
 	return res, err
+}
+
+// unwindReplaySet removes from the live plan and evaluator the planned
+// members of every group whose seeding replay is not known to repeat, and
+// returns them in ascending CandID order with the group count. A group is a replay fixpoint —
+// GGreedyWarm's seeding would re-add exactly its members with exactly
+// their partial — once all of them were seeded in canonical order and
+// nothing they depend on moved since. So the replay set is: groups the
+// journal touched through a planned member (touchedGrps); groups the last
+// scan selected into; and, for every item whose new capacity is below its
+// planned distinct recipients, the groups of all planned candidates on it
+// — the only coupling between groups, since a replayed subset of a valid
+// plan cannot fail a display check and can fail a capacity check only on
+// such an item. restoreAll (an external seed) and unseeded sessions
+// unwind every planned group.
+func (s *Session) unwindReplaySet() ([]model.CandID, int) {
+	st := s.st
+	ids := s.unwind[:0]
+	mark := func(g int32) bool {
+		if s.replaySeen[g] {
+			return false
+		}
+		s.replaySeen[g] = true
+		s.replayGrps = append(s.replayGrps, g)
+		return true
+	}
+	if s.restoreAll || !s.cfg.Seeded {
+		st.p.Each(func(id model.CandID) bool {
+			ids = append(ids, id)
+			mark(s.in.GroupOf(id))
+			return true
+		})
+	} else {
+		replay := func(g int32) {
+			if !mark(g) {
+				return
+			}
+			for _, id := range s.in.GroupCandIDs(g) {
+				if st.p.Contains(id) {
+					ids = append(ids, id)
+				}
+			}
+		}
+		for _, g := range s.touchedGrps {
+			replay(g)
+		}
+		for _, g := range s.selGrps {
+			replay(g)
+		}
+		for _, i := range s.itemList {
+			if max(s.stock[i], 0) >= st.p.ItemUsers(i) {
+				continue
+			}
+			for _, id := range s.in.ItemCandIDs(i) {
+				if st.p.Contains(id) {
+					replay(s.in.GroupOf(id))
+				}
+			}
+		}
+		slices.Sort(ids)
+	}
+	s.selGrps = s.selGrps[:0]
+	groups := len(s.replayGrps)
+	for _, g := range s.replayGrps {
+		s.replaySeen[g] = false
+	}
+	s.replayGrps = s.replayGrps[:0]
+	for _, id := range ids {
+		st.p.Remove(id)
+		st.ev.RemoveID(id)
+	}
+	s.unwind = ids
+	return ids, groups
 }
 
 // refresh recomputes one dirty candidate — saturation-folded q′, the
@@ -751,9 +814,10 @@ func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, er
 // cached p·q′ upper bound, the instance's in-place q′ — and repairs the
 // heap around the change with the cheapest sound invalidation:
 //
-//   - A dirty member of the seeded plan voids its whole group's
+//   - A dirty member of the live plan voids its whole group's
 //     corrected keys (their gains were evaluated against group content
-//     holding its old value), so the group's pairs rebuild pristine.
+//     holding its old value), so the group's pairs rebuild pristine —
+//     and puts the group in the next Solve's replay set.
 //   - An aliveness flip changes pair membership, so the pair rebuilds.
 //   - Everything else is repaired in place: the fresh p·q′ bounds the
 //     new gain on its own, so the entry's key is lifted to it when it
@@ -774,7 +838,7 @@ func (s *Session) refresh(id model.CandID) {
 	alive := c.T >= s.now && !s.adopted[g] && s.stock[c.I] > 0 && q > 0
 	wasAlive := s.alive[id]
 	s.alive[id] = alive
-	if s.inPrev[id] {
+	if s.st.p.Contains(id) {
 		s.touchGroup(g)
 		return
 	}
@@ -873,6 +937,7 @@ func (s *Session) scan(ctx context.Context, progress ProgressFn) (selections, re
 		// its group's pairs if the seed fails re-validation (an unseeded
 		// session rebuilds the whole heap anyway).
 		st.add(e.ID)
+		s.selGrps = append(s.selGrps, s.in.GroupOf(e.ID))
 		selections++
 		heap.DeleteMax()
 		if progress != nil {

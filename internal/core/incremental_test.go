@@ -174,28 +174,72 @@ func randomEvent(rng *dist.RNG, sess *Session, w *refWorld) {
 }
 
 // solveChecked runs one session solve and checks what every session
-// result promises beyond the selection itself: the map-backed Strategy is
-// left unbuilt, and the carried CanonicalRevenue equals a from-scratch
-// revenue.Revenue of the plan on the session's instance bit for bit —
-// after any journal, not only on a cold solve. It hands the result back
-// with Strategy materialized so callers can compare triples.
+// result promises beyond the selection itself, looking inside the session:
+//
+//   - the map-backed Strategy is left unbuilt, Curve is nil and Revenue is
+//     the carried CanonicalRevenue;
+//   - CanonicalRevenue equals a from-scratch revenue.Revenue of the plan on
+//     the session's instance bit for bit — after any journal, not only on a
+//     cold solve;
+//   - the live plan the next solve seeds from is the plan handed out, and
+//     the live evaluator holds exactly its candidates;
+//   - every group's evaluator partial is bit-equal to a fresh evaluator
+//     loaded with the final plan — a group the partial unwind wrongly left
+//     in place would keep a partial computed from stale q′ or prices.
+//
+// It hands the result back with Strategy materialized so callers can
+// compare triples.
 func solveChecked(t *testing.T, sess *Session) Result {
 	t.Helper()
-	res := sess.Solve()
-	if res.Strategy != nil {
-		t.Fatal("session solve materialized Result.Strategy")
-	}
+	res, _ := sess.SolveCtx(context.Background(), nil)
+	checkSessionResult(t, sess, res)
 	res.Strategy = res.Plan.Strategy()
-	if want := revenue.Revenue(sess.Instance(), res.Strategy); math.Float64bits(res.CanonicalRevenue) != math.Float64bits(want) {
-		t.Fatalf("carried revenue %.17g is not revenue.Revenue %.17g bit for bit (%d triples)",
-			res.CanonicalRevenue, want, res.Plan.Len())
-	}
 	return res
 }
 
-// assertSameSolve demands byte-identical output: triples, revenue bits
-// (running sum and carried canonical sum), curve bits, selection count,
-// and warm seed accounting.
+func checkSessionResult(t *testing.T, sess *Session, res Result) {
+	t.Helper()
+	if res.Strategy != nil {
+		t.Fatal("session solve materialized Result.Strategy")
+	}
+	if res.Curve != nil {
+		t.Fatalf("session solve recorded a %d-point curve", len(res.Curve))
+	}
+	if math.Float64bits(res.Revenue) != math.Float64bits(res.CanonicalRevenue) {
+		t.Fatalf("session Revenue %.17g is not CanonicalRevenue %.17g", res.Revenue, res.CanonicalRevenue)
+	}
+	if want := revenue.Revenue(sess.Instance(), res.Plan.Strategy()); math.Float64bits(res.CanonicalRevenue) != math.Float64bits(want) {
+		t.Fatalf("carried revenue %.17g is not revenue.Revenue %.17g bit for bit (%d triples)",
+			res.CanonicalRevenue, want, res.Plan.Len())
+	}
+	live, ev := sess.st.p, sess.st.ev
+	if live == res.Plan {
+		t.Fatal("session handed out its live plan, not a copy")
+	}
+	if ev.Len() != live.Len() {
+		t.Fatalf("live evaluator holds %d candidates, live plan %d", ev.Len(), live.Len())
+	}
+	if err := live.Valid(); err != nil {
+		t.Fatalf("live plan invalid: %v", err)
+	}
+	fresh := revenue.NewEvaluator(sess.in)
+	for id := model.CandID(0); int(id) < sess.in.NumCands(); id++ {
+		if live.Contains(id) != res.Plan.Contains(id) {
+			t.Fatalf("cand %d: live plan membership %v, result plan %v", id, live.Contains(id), res.Plan.Contains(id))
+		}
+		if live.Contains(id) {
+			fresh.AddID(id)
+		}
+	}
+	for g := int32(0); int(g) < sess.in.NumGroups(); g++ {
+		if got, want := ev.GroupPartial(g), fresh.GroupPartial(g); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("group %d: live partial %.17g, fresh evaluator %.17g", g, got, want)
+		}
+	}
+}
+
+// assertSameSolve demands the oracle's output: triples, carried canonical
+// revenue bits, selection count, and warm seed accounting.
 func assertSameSolve(t *testing.T, tag string, got, want Result) {
 	t.Helper()
 	gt, wt := got.Strategy.Triples(), want.Strategy.Triples()
@@ -207,19 +251,8 @@ func assertSameSolve(t *testing.T, tag string, got, want Result) {
 			t.Fatalf("%s: plans diverge at %d: session %v vs scratch %v", tag, i, gt[i], wt[i])
 		}
 	}
-	if math.Float64bits(got.Revenue) != math.Float64bits(want.Revenue) {
-		t.Fatalf("%s: revenue bits differ: session %.17g vs scratch %.17g", tag, got.Revenue, want.Revenue)
-	}
 	if math.Float64bits(got.CanonicalRevenue) != math.Float64bits(want.CanonicalRevenue) {
 		t.Fatalf("%s: carried revenue bits differ: session %.17g vs scratch %.17g", tag, got.CanonicalRevenue, want.CanonicalRevenue)
-	}
-	if len(got.Curve) != len(want.Curve) {
-		t.Fatalf("%s: curve lengths differ: session %d vs scratch %d", tag, len(got.Curve), len(want.Curve))
-	}
-	for i := range got.Curve {
-		if math.Float64bits(got.Curve[i]) != math.Float64bits(want.Curve[i]) {
-			t.Fatalf("%s: curves diverge at %d: session %.17g vs scratch %.17g", tag, i, got.Curve[i], want.Curve[i])
-		}
 	}
 	if got.Selections != want.Selections {
 		t.Fatalf("%s: selections differ: session %d vs scratch %d", tag, got.Selections, want.Selections)
@@ -279,14 +312,24 @@ func TestSessionSeededMatchesWarm(t *testing.T) {
 // TestSessionEmptyJournalFixpoint: with no events between replans, a
 // seeded session keeps returning the identical plan, and the dirty
 // counter stays at zero — the invariant behind the <5%-touched gate.
+// The first replan replays every group (the boot scan selected all of
+// them in greedy order); from then on an empty journal unwinds nothing.
 func TestSessionEmptyJournalFixpoint(t *testing.T) {
 	in := warmInstance(t, 23)
 	sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 3})
 	first := solveChecked(t, sess)
 	for round := 0; round < 3; round++ {
 		again := solveChecked(t, sess)
-		if sess.LastStats().DirtyCands != 0 {
-			t.Fatalf("empty journal dirtied %d candidates", sess.LastStats().DirtyCands)
+		st := sess.LastStats()
+		if st.DirtyCands != 0 {
+			t.Fatalf("empty journal dirtied %d candidates", st.DirtyCands)
+		}
+		if round == 0 && st.UnwoundCands != first.Plan.Len() {
+			t.Fatalf("first replan unwound %d of the %d candidates the boot scan selected", st.UnwoundCands, first.Plan.Len())
+		}
+		if round > 0 && (st.UnwoundCands != 0 || st.ReplayedGroups != 0) {
+			t.Fatalf("round %d: empty journal after a steady-state solve unwound %d candidates in %d groups",
+				round, st.UnwoundCands, st.ReplayedGroups)
 		}
 		gt, wt := again.Strategy.Triples(), first.Strategy.Triples()
 		if len(gt) != len(wt) {
@@ -364,7 +407,10 @@ func TestSessionSeedTriplesBootstrap(t *testing.T) {
 
 // TestSessionCancel: a canceled incremental solve returns ctx's error
 // and leaves the session consistent — the next solve still matches the
-// from-scratch reference.
+// from-scratch reference. Canceled before the scan starts, and canceled
+// mid-scan: the partial plan's members entered in greedy order, so the
+// next solve must replay their groups even though no journal event names
+// them, and must keep doing so across further events.
 func TestSessionCancel(t *testing.T) {
 	in := warmInstance(t, 43)
 	sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 3})
@@ -377,6 +423,78 @@ func TestSessionCancel(t *testing.T) {
 	got := solveChecked(t, sess)
 	want := GGreedyWarm(w.residual(), nil)
 	assertSameSolve(t, "post-cancel", got, want)
+
+	for _, seed := range []uint64{43, 47, 59} {
+		in := warmInstance(t, seed)
+		sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 3})
+		w := newRefWorld(in, 3)
+		rng := dist.NewRNG(seed * 31)
+		ctx, cancel := context.WithCancel(context.Background())
+		partial, err := sess.SolveCtx(ctx, func(p Progress) {
+			if p.Done == 25 {
+				cancel()
+			}
+		})
+		if err == nil || partial.Plan.Len() != 25 {
+			t.Fatalf("mid-scan cancel: err %v, %d selections", err, partial.Plan.Len())
+		}
+		checkSessionResult(t, sess, partial)
+		prev := partial.Plan.Triples()
+		for round := 0; round < 4; round++ {
+			for e := 0; e < 5; e++ {
+				randomEvent(rng, sess, w)
+			}
+			got := solveChecked(t, sess)
+			want := GGreedyWarm(w.residual(), prev)
+			assertSameSolve(t, "post-mid-scan-cancel", got, want)
+			prev = want.Strategy.Triples()
+		}
+	}
+}
+
+// TestSessionStockCutBelowRecipients: a stock override that stays
+// positive dirties no candidate — it only queues a capacity sync — yet
+// cutting a saturated item below its planned recipients must drop seeds,
+// and which ones is decided by replay order: GGreedyWarm re-admits
+// recipients in ascending CandID order until the new capacity is used up.
+// The session must unwind every planned group on the item and replay
+// them in that order, not the ones the journal named (none).
+func TestSessionStockCutBelowRecipients(t *testing.T) {
+	cuts := 0
+	for _, seed := range []uint64{7, 19, 53, 61} {
+		in := warmInstance(t, seed)
+		sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 3})
+		w := newRefWorld(in, 3)
+		solveChecked(t, sess)
+		prev := solveChecked(t, sess) // steady state: every group seeded canonically
+		for i := 0; i < in.NumItems(); i++ {
+			item := model.ItemID(i)
+			n := sess.st.p.ItemUsers(item)
+			if n < 2 || n != sess.in.Capacity(item) {
+				continue
+			}
+			sess.SetStock(item, n-1)
+			w.setStock(item, n-1)
+			if d := len(sess.dirtyList); d != 0 {
+				t.Fatalf("positive stock cut dirtied %d candidates", d)
+			}
+			got := solveChecked(t, sess)
+			want := GGreedyWarm(w.residual(), prev.Strategy.Triples())
+			assertSameSolve(t, "stock-cut", got, want)
+			if want.Stats.WarmDropped == 0 {
+				t.Fatalf("seed %d item %d: cut to %d of %d recipients dropped no seed", seed, i, n-1, n)
+			}
+			st := sess.LastStats()
+			if st.UnwoundCands == 0 || st.UnwoundCands >= prev.Plan.Len() {
+				t.Fatalf("seed %d item %d: unwound %d of %d planned candidates", seed, i, st.UnwoundCands, prev.Plan.Len())
+			}
+			prev = got
+			cuts++
+		}
+	}
+	if cuts == 0 {
+		t.Fatal("no instance had a saturated item with two planned recipients")
+	}
 }
 
 // FuzzSessionInvalidation drives random event journals (observation /

@@ -69,6 +69,10 @@ func (p *Plan) Contains(id CandID) bool {
 	return p.bits[id>>6]&(1<<(uint(id)&63)) != 0
 }
 
+// ItemUsers returns the number of distinct users holding a chosen
+// candidate of item i — the count Check compares against the capacity.
+func (p *Plan) ItemUsers(i ItemID) int { return int(p.itemUsers[i]) }
+
 // Check classifies whether candidate id can be added: PlanOK when it
 // fits, PlanDisplay when already chosen or the display slot is full,
 // PlanCapacity when the item is at capacity with this user not yet a

@@ -189,23 +189,12 @@ func (ev *Evaluator) CanonicalTotal() float64 {
 	return total
 }
 
+// GroupPartial returns the cached revenue contribution of group g — one
+// term of CanonicalTotal.
+func (ev *Evaluator) GroupPartial(g int32) float64 { return ev.groups[g].revenue }
+
 // Len returns |S|.
 func (ev *Evaluator) Len() int { return ev.size }
-
-// ResetTotal forces the accumulated total back to exactly zero on an
-// empty evaluator. Add/Remove maintain total as a running sum of
-// per-group deltas, so unwinding a strategy entry by entry can leave a
-// float residue of ±ulps even though every group's revenue is exactly
-// zero again; persistent solver sessions call this after an unwind so
-// the next solve's totals are bit-identical to a fresh evaluator's.
-// Panics when entries remain — a non-empty total is meaningful and
-// must not be discarded.
-func (ev *Evaluator) ResetTotal() {
-	if ev.size != 0 {
-		panic("revenue: ResetTotal on a non-empty evaluator")
-	}
-	ev.total = 0
-}
 
 // groupAt resolves the (user, class) group for a triple; create controls
 // whether a missing overflow group is allocated. nil means "no group and

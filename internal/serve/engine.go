@@ -1322,6 +1322,8 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 		st := e.sess.LastStats()
 		span.SetInt("dirty_cands", int64(st.DirtyCands))
 		span.SetInt("restored_pairs", int64(st.RestoredPairs))
+		span.SetInt("unwound_cands", int64(st.UnwoundCands))
+		span.SetInt("replayed_groups", int64(st.ReplayedGroups))
 		e.sessUp = true
 	} else {
 		rsp := span.Child("residual")

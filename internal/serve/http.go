@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 
@@ -66,7 +67,7 @@ func Handler(e *Engine) http.Handler {
 		recs, err := e.RecommendCtx(ctx, model.UserID(user), model.TimeStep(t))
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, ErrorStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, recommendResponse{User: model.UserID(user), T: model.TimeStep(t), Items: recs})
@@ -81,7 +82,7 @@ func Handler(e *Engine) http.Handler {
 		results, err := e.RecommendBatchCtx(ctx, req.Users, req.T)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, ErrorStatus(err), err.Error())
 			return
 		}
 		resp := batchResponse{T: req.T, Results: make([]recommendResponse, len(req.Users))}
@@ -100,7 +101,7 @@ func Handler(e *Engine) http.Handler {
 		err := e.FeedCtx(ctx, ev)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, ErrorStatus(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -119,7 +120,7 @@ func Handler(e *Engine) http.Handler {
 		err := e.SetNowCtx(ctx, req.Now)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, ErrorStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, map[string]int{"now": int(e.Now())})
@@ -159,6 +160,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 	}
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// ErrorStatus maps an error returned by an Engine (or a cluster of them)
+// to the HTTP status its handler answers with: 503 for the lifecycle
+// conditions ErrClosed and ErrKilled — the request was fine, the server
+// cannot take it, retry elsewhere or later — and 400 for everything else,
+// which is input validation.
+func ErrorStatus(err error) int {
+	if errors.Is(err, ErrClosed) || errors.Is(err, ErrKilled) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -280,5 +283,51 @@ func TestHTTPTraceHeader(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusOK || r2.Header.Get("X-Trace-Id") != "" {
 		t.Fatalf("malformed trace header: %d %q", r2.StatusCode, r2.Header.Get("X-Trace-Id"))
+	}
+}
+
+// TestHTTPClosedEngineStatus: a closed engine's refusal is the server's
+// condition, not the client's mistake — 503, not 400. Reads keep being
+// answered from the last installed plan and the clock still stores, so
+// those stay 200; a malformed request is still a 400, closed or not.
+func TestHTTPClosedEngineStatus(t *testing.T) {
+	for _, err := range []error{ErrClosed, ErrKilled, fmt.Errorf("shard 2: %w", ErrClosed)} {
+		if got := ErrorStatus(err); got != http.StatusServiceUnavailable {
+			t.Errorf("ErrorStatus(%v) = %d, want 503", err, got)
+		}
+	}
+	if got := ErrorStatus(errors.New("serve: unknown user 9")); got != http.StatusBadRequest {
+		t.Errorf("ErrorStatus(validation error) = %d, want 400", got)
+	}
+
+	e, srv := newTestServer(t)
+	e.Close()
+	adopt := map[string]any{"user": 3, "item": 1, "t": 1, "adopted": true}
+	for _, tc := range []struct {
+		name    string
+		do      func() (int, []byte)
+		want    int
+		wantErr string
+	}{
+		{"recommend", func() (int, []byte) { return get(t, srv.URL+"/v1/recommend?user=3&t=1") }, http.StatusOK, ""},
+		{"batch", func() (int, []byte) {
+			return post(t, srv.URL+"/v1/recommend/batch", map[string]any{"users": []int{1, 2}, "t": 1})
+		}, http.StatusOK, ""},
+		{"adopt", func() (int, []byte) { return post(t, srv.URL+"/v1/adopt", adopt) }, http.StatusServiceUnavailable, ErrClosed.Error()},
+		{"advance", func() (int, []byte) { return post(t, srv.URL+"/v1/advance", map[string]int{"now": 1}) }, http.StatusOK, ""},
+		{"adopt-bad-user", func() (int, []byte) {
+			return post(t, srv.URL+"/v1/adopt", map[string]any{"user": 100000, "item": 1, "t": 1})
+		}, http.StatusBadRequest, "100000"},
+	} {
+		code, body := tc.do()
+		if code != tc.want {
+			t.Errorf("%s on a closed engine: %d %s, want %d", tc.name, code, body, tc.want)
+		}
+		if tc.wantErr != "" {
+			var msg map[string]string
+			if err := json.Unmarshal(body, &msg); err != nil || !strings.Contains(msg["error"], tc.wantErr) {
+				t.Errorf("%s: error body %s, want it to mention %q", tc.name, body, tc.wantErr)
+			}
+		}
 	}
 }

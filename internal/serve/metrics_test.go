@@ -176,6 +176,13 @@ func testReplanTraceSpans(t *testing.T, cfg Config, wantChildren []string, wantS
 	if got := children["revenue"].Attrs["revenue_source"]; got != wantSource {
 		t.Fatalf("revenue span revenue_source = %v, want %q", got, wantSource)
 	}
+	// An -incremental replan says what its session did, and nobody else does.
+	for _, attr := range []string{"dirty_cands", "restored_pairs", "unwound_cands", "replayed_groups"} {
+		if _, ok := replan.Attrs[attr]; ok != cfg.Incremental {
+			t.Fatalf("replan span attribute %q present = %v on an engine with Incremental = %v (attrs %v)",
+				attr, ok, cfg.Incremental, replan.Attrs)
+		}
+	}
 	solve := children["solve"]
 	if solve == nil || children["residual"] == nil {
 		return // only a from-scratch registry solve reports its phases
