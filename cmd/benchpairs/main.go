@@ -31,15 +31,14 @@ func main() {
 	workload := flag.String("workload", "feedback_incremental", "bench workload (or all)")
 	seed := flag.Uint64("seed", 1, "bench seed")
 	n := flag.Int("n", 10, "number of base/head pairs")
-	seconds := flag.Int("seconds", 0, "bench -seconds on both sides (0: the benchmark's own run length)")
 	flag.Parse()
-	if err := run(*base, *workload, *seed, *n, *seconds); err != nil {
+	if err := run(*base, *workload, *seed, *n); err != nil {
 		fmt.Fprintf(os.Stderr, "benchpairs: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(base, workload string, seed uint64, n, seconds int) error {
+func run(base, workload string, seed uint64, n int) error {
 	if n < 1 {
 		return fmt.Errorf("-n %d out of range (want ≥ 1)", n)
 	}
@@ -71,7 +70,7 @@ func run(base, workload string, seed uint64, n, seconds int) error {
 		for _, s := range sides {
 			out := filepath.Join(dir, fmt.Sprintf("%s-seed%d-%02d-%s.json", workload, seed, i, s.name))
 			fmt.Fprintf(os.Stderr, "pair %d/%d: %s\n", i+1, n, s.name)
-			r, err := benchOnce(s.tree, workload, seed, seconds, out)
+			r, err := benchOnce(s.tree, workload, seed, out)
 			if err != nil {
 				return fmt.Errorf("pair %d, %s: %w", i+1, s.name, err)
 			}
@@ -140,13 +139,9 @@ func (r savedRun) failures(workload string) int {
 // benchOnce runs the benchmark of one tree and reads the run it saved. A
 // non-zero exit with a saved run is a run with failed checks or
 // operations: it is kept and counted, not dropped.
-func benchOnce(tree, workload string, seed uint64, seconds int, out string) (savedRun, error) {
-	args := []string{"run", "./bench", "-workload", workload, "-seed", fmt.Sprint(seed), "-out", out}
-	if seconds > 0 {
-		args = append(args, "-seconds", fmt.Sprint(seconds))
-	}
+func benchOnce(tree, workload string, seed uint64, out string) (savedRun, error) {
 	_ = os.Remove(out) // a stale file must not stand in for a run that died
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", "run", "./bench", "-workload", workload, "-seed", fmt.Sprint(seed), "-out", out)
 	cmd.Dir = tree
 	log, runErr := cmd.CombinedOutput()
 	var r savedRun
@@ -207,8 +202,10 @@ type summary struct {
 // (base[i] and head[i] ran back to back). The order of the tests is the
 // order of the claims: a difference inside the base's own spread is
 // unresolved whatever its sign; outside it, a worsening beyond the bound
-// is a regression; a gain needs nine pairs in ten as well.
-func summarize(m metric, base, head []float64) summary {
+// is a regression; a gain needs nine pairs in ten as well, and is void
+// when the head's runs failed more operations and checks than the base's
+// (baseFailed, headFailed: the workload's totals over all pairs).
+func summarize(m metric, base, head []float64, baseFailed, headFailed int) summary {
 	better := func(a, b float64) bool { // a better than b
 		if m.Better == "higher" {
 			return a > b
@@ -238,10 +235,12 @@ func summarize(m metric, base, head []float64) summary {
 		s.verdict = "WORSE beyond bound"
 	case !better(s.headMedian, s.baseMedian):
 		s.verdict = "worse within bound"
-	case 10*s.wins >= 9*len(base):
-		s.verdict = "gain"
-	default:
+	case 10*s.wins < 9*len(base):
 		s.verdict = "better, under 9 in 10"
+	case headFailed > baseFailed:
+		s.verdict = "gain void: more failures than base"
+	default:
+		s.verdict = "gain"
 	}
 	return s
 }
@@ -276,7 +275,7 @@ func report(w io.Writer, metrics []metric, base, head []savedRun) {
 			if len(bv) == 0 {
 				continue
 			}
-			s := summarize(m, bv, hv)
+			s := summarize(m, bv, hv, bf, hf)
 			change := "n/a"
 			if s.baseMedian != 0 {
 				change = fmt.Sprintf("%+.1f%%", 100*(s.headMedian-s.baseMedian)/s.baseMedian)

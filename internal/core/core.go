@@ -115,9 +115,7 @@ type state struct {
 	ev    *revenue.Evaluator
 	p     *model.Plan
 	curve []float64
-	// noCurve stops add from recording the curve (Session solves).
-	noCurve bool
-	stats   SolveStats
+	stats SolveStats
 }
 
 func newState(in *model.Instance) *state {
@@ -154,9 +152,7 @@ func (st *state) check(id model.CandID) violation {
 func (st *state) add(id model.CandID) float64 {
 	st.p.Add(id)
 	delta := st.ev.AddID(id)
-	if !st.noCurve {
-		st.curve = append(st.curve, st.ev.Total())
-	}
+	st.curve = append(st.curve, st.ev.Total())
 	return delta
 }
 

@@ -216,7 +216,6 @@ func NewSession(in *model.Instance, cfg SessionConfig) *Session {
 		}
 	}
 	s.scratch = make([]*pqueue.Entry, 0, maxPair)
-	s.st.noCurve = true
 	flat := cl.Candidates()
 	for id := range flat {
 		c := &flat[id]
@@ -635,6 +634,7 @@ func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, er
 		seeds, planned = s.prev, len(s.prev)
 	}
 	st.stats = SolveStats{}
+	st.curve = st.curve[:0]
 
 	// 2. Fold the journal's bookkeeping in. The dirty candidates' bounds
 	// and heap entries were already repaired eagerly as each event was
@@ -730,7 +730,7 @@ func (s *Session) SolveCtx(ctx context.Context, progress ProgressFn) (Result, er
 	sel, rec, err := s.scan(ctx, progress)
 
 	res := st.planResult(seeded+sel, rec)
-	res.Revenue = res.CanonicalRevenue
+	res.Revenue, res.Curve = res.CanonicalRevenue, nil
 	// The session's plan stays live across solves; hand callers a copy.
 	res.Plan = st.p.Clone()
 	return res, err
@@ -890,6 +890,13 @@ func (s *Session) restorePair(p int32) {
 func (s *Session) scan(ctx context.Context, progress ProgressFn) (selections, recomputations int, err error) {
 	st, heap := s.st, s.heap
 	limit := maxSelections(s.in)
+	// Progress.Best is anchored at the canonical total each solve: the
+	// evaluator's own running sum is never re-zeroed over a session's
+	// life and would carry every past replan's rounding.
+	var best float64
+	if progress != nil {
+		best = st.ev.CanonicalTotal()
+	}
 	for st.len() < limit && !heap.Empty() {
 		if err := ctx.Err(); err != nil {
 			return selections, recomputations, err
@@ -936,12 +943,12 @@ func (s *Session) scan(ctx context.Context, progress ProgressFn) (selections, re
 		// re-seeded plan re-covers it next solve, and dropSeed restores
 		// its group's pairs if the seed fails re-validation (an unseeded
 		// session rebuilds the whole heap anyway).
-		st.add(e.ID)
+		best += st.add(e.ID)
 		s.selGrps = append(s.selGrps, s.in.GroupOf(e.ID))
 		selections++
 		heap.DeleteMax()
 		if progress != nil {
-			progress(Progress{Done: st.len(), Total: limit, Best: st.ev.Total()})
+			progress(Progress{Done: st.len(), Total: limit, Best: best})
 		}
 	}
 	return selections, recomputations, nil

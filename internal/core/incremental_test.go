@@ -191,8 +191,14 @@ func randomEvent(rng *dist.RNG, sess *Session, w *refWorld) {
 // compare triples.
 func solveChecked(t *testing.T, sess *Session) Result {
 	t.Helper()
-	res, _ := sess.SolveCtx(context.Background(), nil)
+	best, reported := 0.0, false
+	res, _ := sess.SolveCtx(context.Background(), func(p Progress) { best, reported = p.Best, true })
 	checkSessionResult(t, sess, res)
+	// Progress.Best restarts from the canonical total every solve, so its
+	// last reading is off by this scan's rounding only.
+	if reported && math.Abs(best-res.CanonicalRevenue) > 1e-10*math.Abs(res.CanonicalRevenue) {
+		t.Fatalf("last Progress.Best %.17g strays from CanonicalRevenue %.17g", best, res.CanonicalRevenue)
+	}
 	res.Strategy = res.Plan.Strategy()
 	return res
 }
