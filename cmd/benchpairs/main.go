@@ -201,10 +201,12 @@ type summary struct {
 // summarize applies the protocol to one metric's paired readings
 // (base[i] and head[i] ran back to back). The order of the tests is the
 // order of the claims: a difference inside the base's own spread is
-// unresolved whatever its sign; outside it, a worsening beyond the bound
-// is a regression; a gain needs nine pairs in ten as well, and is void
-// when the head's runs failed more operations and checks than the base's
-// (baseFailed, headFailed: the workload's totals over all pairs).
+// unresolved whatever its sign, unless every head run reads better than
+// every base run — that clean separation settles "no worse", but is not a
+// gain; outside the spread, a worsening beyond the bound is a regression;
+// a gain needs nine pairs in ten as well, and is void when the head's runs
+// failed more operations and checks than the base's (baseFailed,
+// headFailed: the workload's totals over all pairs).
 func summarize(m metric, base, head []float64, baseFailed, headFailed int) summary {
 	better := func(a, b float64) bool { // a better than b
 		if m.Better == "higher" {
@@ -229,6 +231,8 @@ func summarize(m metric, base, head []float64, baseFailed, headFailed int) summa
 		diff = -diff
 	}
 	switch {
+	case diff <= s.baseIQR && better(hs[0], bs[len(bs)-1]) && better(hs[len(hs)-1], bs[0]):
+		s.verdict = fmt.Sprintf("better, inside base spread (%d/%d)", s.wins, len(base))
 	case diff <= s.baseIQR:
 		s.verdict = "unresolved"
 	case !better(s.headMedian, s.baseMedian) && s.baseMedian != 0 && diff/s.baseMedian > m.Bound:

@@ -31,6 +31,12 @@ func TestSummarize(t *testing.T) {
 		{"regression within the bound", higher,
 			[]float64{1000, 1001, 1000, 1001, 1000, 1001, 1000, 1001, 1000, 1001},
 			[]float64{950, 950, 950, 950, 950, 950, 950, 950, 950, 950}, 0, 0, "worse within bound"},
+		{"every head run better, lower is better, inside the base's spread", lower,
+			[]float64{10, 10.1, 10.2, 10.3, 10.4, 10.5, 20, 30, 40, 50},
+			[]float64{9.9, 9.9, 9.9, 9.9, 9.9, 9.9, 9.9, 9.9, 9.9, 9.9}, 0, 10, "better, inside base spread (10/10)"},
+		{"every head run better, higher is better, inside the base's spread", higher,
+			[]float64{100, 99.9, 99.8, 99.7, 99.6, 99.5, 90, 80, 70, 60},
+			[]float64{100.1, 100.1, 100.1, 100.1, 100.1, 100.1, 100.1, 100.1, 100.1, 100.1}, 0, 10, "better, inside base spread (10/10)"},
 		{"higher is better", higher,
 			[]float64{1000, 1001, 1000, 1001, 1000, 1001, 1000, 1001, 1000, 1001},
 			[]float64{1500, 1500, 1500, 1500, 1500, 1500, 1500, 1500, 1500, 1000}, 0, 9, "gain"},

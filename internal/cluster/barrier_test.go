@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/serve"
 )
@@ -183,5 +185,52 @@ func TestScalePriceInstanceRace(t *testing.T) {
 	want *= 1 << doublings
 	if got := cl.Instance().Price(item, 1); got != want {
 		t.Errorf("price after %d doublings = %v, want %v", doublings, got, want)
+	}
+}
+
+// TestReplansCountedWhenPlanVisible: a coordinated replan is counted
+// when its plan is installed, not when its solve starts, so Stats (and
+// /v1/stats) moves replans and plan revenue together, as a single engine
+// does. A custom planner holds the barrier's solve open while the count
+// is read.
+func TestReplansCountedWhenPlanVisible(t *testing.T) {
+	in := testInstance(t, 24, 29)
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	planner := func(res *model.Instance) *model.Strategy {
+		if hold.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+		return core.GGreedy(res).Strategy
+	}
+	cl, err := New(in.Clone(), Config{Shards: 2, ReplanEvery: 1 << 30, Planner: planner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	before := cl.Stats().Replans
+	if err := cl.Feed(firstCandidates(t, in, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	hold.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cl.Flush()
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the flush never reached the planner")
+	}
+	if got := cl.Stats().Replans; got != before {
+		t.Errorf("replans = %d while the solve is still running, want %d", got, before)
+	}
+	hold.Store(false)
+	close(release)
+	<-done
+	if got := cl.Stats().Replans; got != before+1 {
+		t.Errorf("replans = %d after the plan was installed, want %d", got, before+1)
 	}
 }

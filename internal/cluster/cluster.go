@@ -1118,8 +1118,6 @@ func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 // the single planning invocation per coordinated replan. A non-nil sp
 // receives the solver's own "solve" child span with phase breakdown.
 func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Strategy {
-	c.replans.Add(1)
-	c.co.replansC.Inc()
 	if c.custom != nil {
 		s := c.custom(residual)
 		if s == nil {
@@ -1187,7 +1185,8 @@ func admitQuota(in *model.Instance, s *model.Strategy) (*model.Strategy, int) {
 // installGlobal publishes s as the live global plan: revenue is
 // evaluated against the residual it was solved on, the strategy is
 // sliced by owning shard, and the slices are swapped in for the
-// engines' planner closures to pick up.
+// engines' planner closures to pick up. The replan is counted only
+// then, so Stats moves replans and plan revenue together.
 func (c *Cluster) installGlobal(residual *model.Instance, s *model.Strategy) {
 	c.revBits.Store(math.Float64bits(revenue.Revenue(residual, s)))
 	c.strat.Store(s)
@@ -1198,6 +1197,8 @@ func (c *Cluster) installGlobal(residual *model.Instance, s *model.Strategy) {
 	for k, sl := range sliceStrategy(s, c.n) {
 		c.slices[k].Store(sl)
 	}
+	c.replans.Add(1)
+	c.co.replansC.Inc()
 }
 
 // Sync flushes the cluster and reports the first durability error any

@@ -114,8 +114,12 @@ func Handler(c *Cluster) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/recommend/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad batch request: "+err.Error())
+		if code, err := serve.DecodeRequest(w, r, &req); err != nil {
+			httpError(w, code, "bad batch request: "+err.Error())
+			return
+		}
+		if err := serve.CheckBatch(len(req.Users)); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		ctx, sp := traceContext(c.tracer, w, r, "http.recommend-batch")
@@ -133,8 +137,8 @@ func Handler(c *Cluster) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/adopt", func(w http.ResponseWriter, r *http.Request) {
 		var ev serve.Event
-		if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
-			httpError(w, http.StatusBadRequest, "bad adoption event: "+err.Error())
+		if code, err := serve.DecodeRequest(w, r, &ev); err != nil {
+			httpError(w, code, "bad adoption event: "+err.Error())
 			return
 		}
 		ctx, sp := traceContext(c.tracer, w, r, "http.adopt")
@@ -152,8 +156,8 @@ func Handler(c *Cluster) http.Handler {
 		var req struct {
 			Now model.TimeStep `json:"now"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad advance request: "+err.Error())
+		if code, err := serve.DecodeRequest(w, r, &req); err != nil {
+			httpError(w, code, "bad advance request: "+err.Error())
 			return
 		}
 		ctx, sp := traceContext(c.tracer, w, r, "http.advance")

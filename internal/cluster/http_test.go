@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -237,6 +238,37 @@ func TestHTTPClosedClusterStatus(t *testing.T) {
 		}
 		if tc.want == 503 && !strings.Contains(msg["error"], serve.ErrClosed.Error()) {
 			t.Errorf("%s: error body %v, want it to mention %q", tc.name, msg, serve.ErrClosed)
+		}
+	}
+}
+
+// TestHTTPClusterRequestLimits is serve's TestHTTPRequestLimits through
+// the router: the same serve.MaxRequestBytes and serve.MaxBatchUsers.
+func TestHTTPClusterRequestLimits(t *testing.T) {
+	cl := testCluster(t, 2)
+	srv := httptest.NewServer(Handler(cl))
+	defer srv.Close()
+	now := itoa(int(cl.Now()))
+	pad := strings.Repeat(" ", serve.MaxRequestBytes)
+	users := func(n int) string { return strings.TrimSuffix(strings.Repeat("1,", n), ",") }
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversize batch", "/v1/recommend/batch", `{"users":[1],` + pad + `"t":` + now + `}`, 413},
+		{"oversize adopt", "/v1/adopt", `{"user":1,"item":0,"t":` + now + `,` + pad + `"adopted":false}`, 413},
+		{"oversize advance", "/v1/advance", pad + `{"now":` + now + `}`, 413},
+		{"too many users", "/v1/recommend/batch", `{"users":[` + users(serve.MaxBatchUsers+1) + `],"t":` + now + `}`, 400},
+		{"users at the limit", "/v1/recommend/batch", `{"users":[` + users(serve.MaxBatchUsers) + `],"t":` + now + `}`, 200},
+	} {
+		resp, err := srv.Client().Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %d %.200s, want %d", tc.name, resp.StatusCode, body, tc.want)
 		}
 	}
 }

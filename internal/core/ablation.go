@@ -28,11 +28,8 @@ func GGreedySingleHeap(in *model.Instance) Result {
 		c := &flat[id]
 		cid := model.CandID(id)
 		entries[id] = pqueue.Entry{
-			Triple: c.Triple,
-			ID:     cid,
-			Q:      c.Q,
-			Key:    in.Price(c.I, c.T) * c.Q,
-			Flag:   0,
+			ID:  cid,
+			Key: in.Price(c.I, c.T) * c.Q,
 		}
 		heap.Push(&entries[id])
 		g := in.GroupOf(cid)
@@ -50,7 +47,7 @@ func GGreedySingleHeap(in *model.Instance) Result {
 			heap.Pop()
 			continue
 		}
-		fresh := st.ev.GroupSizeID(e.ID)
+		fresh := int32(st.ev.GroupSizeID(e.ID))
 		if e.Flag < fresh {
 			for _, sib := range groups[in.GroupOf(e.ID)] {
 				if st.p.Contains(sib.ID) {
@@ -86,11 +83,9 @@ func GGreedyEager(in *model.Instance) Result {
 		c := &flat[id]
 		cid := model.CandID(id)
 		entries[id] = pqueue.Entry{
-			Triple: c.Triple,
-			ID:     cid,
-			Pair:   in.PairOf(cid),
-			Q:      c.Q,
-			Key:    in.Price(c.I, c.T) * c.Q,
+			ID:   cid,
+			Pair: in.PairOf(cid),
+			Key:  in.Price(c.I, c.T) * c.Q,
 		}
 		heap.Add(&entries[id])
 		g := in.GroupOf(cid)

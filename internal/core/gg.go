@@ -174,7 +174,7 @@ func gGreedyWindow(ctx context.Context, st *state, lo, hi model.TimeStep, progre
 			continue
 		}
 		cid := model.CandID(id)
-		key, flag := 0.0, 0
+		key, flag := 0.0, int32(0)
 		switch {
 		case upperBoundInit:
 			// Seeded state: skip candidates it already rules out — plans
@@ -189,15 +189,13 @@ func gGreedyWindow(ctx context.Context, st *state, lo, hi model.TimeStep, progre
 			key = coldKeys[id]
 		default:
 			key = st.ev.MarginalGainID(cid)
-			flag = st.ev.GroupSizeID(cid)
+			flag = int32(st.ev.GroupSizeID(cid))
 		}
 		entries = append(entries, pqueue.Entry{
-			Triple: c.Triple,
-			ID:     cid,
-			Pair:   in.PairOf(cid),
-			Q:      c.Q,
-			Key:    key,
-			Flag:   flag,
+			ID:   cid,
+			Pair: in.PairOf(cid),
+			Key:  key,
+			Flag: flag,
 		})
 		heap.Add(&entries[len(entries)-1])
 	}
@@ -227,7 +225,7 @@ func gGreedyWindow(ctx context.Context, st *state, lo, hi model.TimeStep, progre
 			heap.DeletePairOf(e)
 			continue
 		}
-		fresh := st.ev.GroupSizeID(e.ID)
+		fresh := int32(st.ev.GroupSizeID(e.ID))
 		if e.Flag < fresh {
 			// Stale root: recompute every sibling in the lower heap
 			// (Algorithm 1, lines 15–19), stamp them fresh, re-heapify.

@@ -118,7 +118,7 @@ func (p *ggPartition) settle(st *state) {
 			p.heap.DeletePairOf(e)
 			continue
 		}
-		fresh := st.ev.GroupSizeID(e.ID)
+		fresh := int32(st.ev.GroupSizeID(e.ID))
 		if e.Flag < fresh {
 			// Stale root: recompute every sibling of its pair (Algorithm 1,
 			// lines 15–19), stamp fresh, re-heapify.
@@ -147,19 +147,15 @@ func (p *ggPartition) build(st *state, warmPrune bool) {
 	keys := make([]float64, n)
 	in.UpperBoundKeys(p.candLo, p.candHi, keys)
 	p.entries = make([]pqueue.Entry, 0, n)
-	flat := in.Candidates()
 	for k := 0; k < n; k++ {
 		cid := p.candLo + model.CandID(k)
 		if warmPrune && st.check(cid) != violationNone {
 			continue
 		}
-		c := &flat[cid]
 		p.entries = append(p.entries, pqueue.Entry{
-			Triple: c.Triple,
-			ID:     cid,
-			Pair:   in.PairOf(cid) - p.pairLo,
-			Q:      c.Q,
-			Key:    keys[k],
+			ID:   cid,
+			Pair: in.PairOf(cid) - p.pairLo,
+			Key:  keys[k],
 		})
 		p.heap.Add(&p.entries[len(p.entries)-1])
 	}

@@ -58,8 +58,8 @@ type SessionStats struct {
 // evaluator alive across replans, and accepts a journal of feedback
 // deltas (exposures/adoptions, stock overrides, price rescales, clock
 // advances) between solves. Each event is mapped through the instance's
-// inverted indexes — per-(user,class) group, per-item, per-time-step —
-// to the exact set of dirty CandIDs; at the next Solve only those
+// inverted indexes — per-(user,class) group, per-item, per-(user,time)
+// slot — to the exact set of dirty CandIDs; at the next Solve only those
 // candidates get their upper-bound keys recomputed, only heap pairs of
 // groups the journal (or a dropped seed) actually invalidated are
 // rebuilt, only groups whose warm-seed replay can come out differently
@@ -86,8 +86,9 @@ type SessionStats struct {
 // A Session is bound to one goroutine at a time; it is not safe for
 // concurrent use.
 type Session struct {
-	cfg SessionConfig
-	in  *model.Instance // private clone; q′/capacity/prices mutate in place
+	cfg  SessionConfig
+	base *model.Instance // the caller's instance, read only for primitive q
+	in   *model.Instance // private clone; q′/capacity/prices mutate in place
 
 	st   *state
 	heap *pqueue.TwoLevel
@@ -111,13 +112,12 @@ type Session struct {
 	stateGroups []int32
 	groupMarked []bool
 
-	// Candidate caches: primitive q before saturation folding, the
-	// cached upper-bound key p·q′, and the aliveness predicate (alive ⟺
-	// present in the residual instance).
-	baseQ  []float64
-	ubKey  []float64
-	alive  []bool
-	byStep [][]model.CandID // per time step: candidates at that step
+	// alive caches the aliveness predicate per candidate (alive ⟺ present
+	// in the residual instance). Nothing else per candidate is cached:
+	// primitive q is base's, and the p·q′ upper bound is the clone's price
+	// times its q′, both kept current because every change to either
+	// dirties the candidate.
+	alive []bool
 
 	// Journal fan-out: dirty candidates since the last Solve, and items
 	// whose capacity must be re-synced onto the instance (deferred past
@@ -172,7 +172,10 @@ type Session struct {
 }
 
 // NewSession builds a session over a finished instance. The instance is
-// cloned — the caller's copy is never mutated — and the initial state
+// cloned — the session never mutates the caller's copy — and stays the
+// session's source of each candidate's primitive q, so the caller must
+// not change candidate probabilities on it (SetCandQ) while the session
+// lives; prices and capacities it may change freely. The initial state
 // has no feedback: clock at 1, full stock, no exposures or adoptions,
 // every positive-q candidate alive in the heap under its p·q bound.
 func NewSession(in *model.Instance, cfg SessionConfig) *Session {
@@ -183,6 +186,7 @@ func NewSession(in *model.Instance, cfg SessionConfig) *Session {
 	n := cl.NumCands()
 	s := &Session{
 		cfg:          cfg,
+		base:         in,
 		in:           cl,
 		st:           newState(cl),
 		heap:         pqueue.NewTwoLevelDense(cl.NumPairs(), pairCaps(cl)),
@@ -192,10 +196,7 @@ func NewSession(in *model.Instance, cfg SessionConfig) *Session {
 		exposures:    make([][]model.TimeStep, cl.NumGroups()),
 		stock:        make([]int, cl.NumItems()),
 		groupMarked:  make([]bool, cl.NumGroups()),
-		baseQ:        make([]float64, n),
-		ubKey:        make([]float64, n),
 		alive:        make([]bool, n),
-		byStep:       make([][]model.CandID, cl.T+1),
 		dirtySeen:    make([]bool, n),
 		replaySeen:   make([]bool, cl.NumGroups()),
 		itemSeen:     make([]bool, cl.NumItems()),
@@ -220,16 +221,10 @@ func NewSession(in *model.Instance, cfg SessionConfig) *Session {
 	for id := range flat {
 		c := &flat[id]
 		cid := model.CandID(id)
-		s.baseQ[id] = c.Q
-		s.byStep[c.T] = append(s.byStep[c.T], cid)
-		key := cl.Price(c.I, c.T) * c.Q
-		s.ubKey[id] = key
 		s.entries[id] = pqueue.Entry{
-			Triple: c.Triple,
-			ID:     cid,
-			Pair:   cl.PairOf(cid),
-			Q:      c.Q,
-			Key:    key,
+			ID:   cid,
+			Pair: cl.PairOf(cid),
+			Key:  cl.Price(c.I, c.T) * c.Q,
 		}
 		if c.Q > 0 && s.stock[c.I] > 0 {
 			s.alive[id] = true
@@ -487,7 +482,7 @@ func (s *Session) ScalePrice(i model.ItemID, from model.TimeStep, factor float64
 
 // Advance journals a clock move: candidates at steps that leave (or
 // re-enter, defensively) the residual horizon are dirtied through the
-// per-step index.
+// display-slot index, step by step in ascending CandID order.
 func (s *Session) Advance(t model.TimeStep) {
 	if t < 1 {
 		t = 1
@@ -499,11 +494,15 @@ func (s *Session) Advance(t model.TimeStep) {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
+	hi = min(hi, model.TimeStep(s.in.T+1))
 	// The clock moves first: markDirty refreshes eagerly against it.
 	s.now = t
 	for step := lo; step < hi; step++ {
-		if int(step) < len(s.byStep) {
-			for _, id := range s.byStep[step] {
+		for sl := int32(0); int(sl) < s.in.NumSlots(); sl++ {
+			if s.in.SlotTime(sl) != step {
+				continue
+			}
+			for _, id := range s.in.SlotCandIDs(sl) {
 				s.markDirty(id)
 			}
 		}
@@ -809,10 +808,11 @@ func (s *Session) unwindReplaySet() ([]model.CandID, int) {
 	return ids, groups
 }
 
-// refresh recomputes one dirty candidate — saturation-folded q′, the
-// aliveness predicate (exactly planner.Residual's membership test), the
-// cached p·q′ upper bound, the instance's in-place q′ — and repairs the
-// heap around the change with the cheapest sound invalidation:
+// refresh recomputes one dirty candidate — saturation-folded q′ (written
+// into the clone in place), the aliveness predicate (exactly
+// planner.Residual's membership test), the p·q′ upper bound — and
+// repairs the heap around the change with the cheapest sound
+// invalidation:
 //
 //   - A dirty member of the live plan voids its whole group's
 //     corrected keys (their gains were evaluated against group content
@@ -828,13 +828,12 @@ func (s *Session) unwindReplaySet() ([]model.CandID, int) {
 func (s *Session) refresh(id model.CandID) {
 	c := s.in.CandAt(id)
 	g := s.in.GroupOf(id)
-	q := s.baseQ[id]
+	q := s.base.CandAt(id).Q
 	if q > 0 {
 		q = model.Discount(q, s.in.Beta(c.I), model.SaturationMemory(s.exposures[g], c.T))
 	}
 	s.in.SetCandQ(id, q)
 	ub := s.in.Price(c.I, c.T) * q
-	s.ubKey[id] = ub
 	alive := c.T >= s.now && !s.adopted[g] && s.stock[c.I] > 0 && q > 0
 	wasAlive := s.alive[id]
 	s.alive[id] = alive
@@ -864,8 +863,10 @@ func (s *Session) refresh(id model.CandID) {
 }
 
 // restorePair rebuilds one (user, item) lower heap to its pristine
-// state: every alive candidate under its cached p·q′ upper bound with a
-// zero lazy-forward flag, dead candidates dropped.
+// state: every alive candidate under its p·q′ upper bound with a zero
+// lazy-forward flag, dead candidates dropped. The bound is the product
+// refresh last computed: any price or q′ change since would have dirtied
+// the candidate and refreshed it.
 func (s *Session) restorePair(p int32) {
 	lo, hi := s.in.PairCandSpan(p)
 	if lo == hi {
@@ -876,10 +877,10 @@ func (s *Session) restorePair(p int32) {
 		if !s.alive[id] {
 			continue
 		}
+		c := s.in.CandAt(id)
 		e := &s.entries[id]
-		e.Key = s.ubKey[id]
+		e.Key = s.in.Price(c.I, c.T) * c.Q
 		e.Flag = 0
-		e.Q = s.in.CandAt(id).Q
 		buf = append(buf, e)
 	}
 	s.heap.RestorePair(p, buf)
@@ -913,7 +914,8 @@ func (s *Session) scan(ctx context.Context, progress ProgressFn) (selections, re
 			// rebuilding and re-discarding it every solve.
 			if !s.dispDefMark[e.Pair] {
 				s.dispDefMark[e.Pair] = true
-				s.dispDeferred[e.Triple.U] = append(s.dispDeferred[e.Triple.U], e.Pair)
+				u := s.in.CandAt(e.ID).U
+				s.dispDeferred[u] = append(s.dispDeferred[u], e.Pair)
 			}
 			heap.DeleteEntry(e)
 			continue
@@ -922,12 +924,13 @@ func (s *Session) scan(ctx context.Context, progress ProgressFn) (selections, re
 			// of its seeds drops; park the whole pair until then.
 			if !s.capDefMark[e.Pair] {
 				s.capDefMark[e.Pair] = true
-				s.capDeferred[e.Triple.I] = append(s.capDeferred[e.Triple.I], e.Pair)
+				i := s.in.CandAt(e.ID).I
+				s.capDeferred[i] = append(s.capDeferred[i], e.Pair)
 			}
 			heap.DeletePairOf(e)
 			continue
 		}
-		fresh := st.ev.GroupSizeID(e.ID)
+		fresh := int32(st.ev.GroupSizeID(e.ID))
 		if e.Flag < fresh {
 			// The corrected keys stay in place across solves: they remain
 			// valid upper bounds while the group's content only grows.

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/model"
-	"repro/internal/pqueue"
 	"repro/internal/testgen"
 )
 
@@ -220,54 +219,263 @@ func (st *lgState) result(selections, recomputations int) lgResult {
 	}
 }
 
+// --- legacy heaps (map-keyed two-level) -----------------------------------
+//
+// The reference keeps its own copy of the heaps it was written against —
+// a binary max-heap on the cached key, and Algorithm 1's two-level heap
+// with one lower heap per (user, item) pair found through a map — so a
+// change to internal/pqueue cannot move the reference along with the
+// code it checks.
+
+type lgHeapEntry struct {
+	z    model.Triple
+	q    float64
+	key  float64
+	flag int
+	pos  int
+}
+
+func (e *lgHeapEntry) heapKey() float64 { return e.key }
+func (e *lgHeapEntry) setPos(i int)     { e.pos = i }
+
+// lgHeapItem is what lgHeap orders: larger heapKey first.
+type lgHeapItem interface {
+	comparable
+	heapKey() float64
+	setPos(int)
+}
+
+type lgHeap[T lgHeapItem] struct{ es []T }
+
+func (h *lgHeap[T]) push(e T) {
+	h.es = append(h.es, e)
+	e.setPos(len(h.es) - 1)
+	h.up(len(h.es) - 1)
+}
+
+func (h *lgHeap[T]) pop() {
+	last := len(h.es) - 1
+	h.swap(0, last)
+	h.es[last].setPos(-1)
+	h.es = h.es[:last]
+	if last > 0 {
+		h.down(0)
+	}
+}
+
+func (h *lgHeap[T]) fix(i int) {
+	if !h.up(i) {
+		h.down(i)
+	}
+}
+
+func (h *lgHeap[T]) swap(a, b int) {
+	h.es[a], h.es[b] = h.es[b], h.es[a]
+	h.es[a].setPos(a)
+	h.es[b].setPos(b)
+}
+
+func (h *lgHeap[T]) up(i int) bool {
+	moved := false
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !(h.es[i].heapKey() > h.es[parent].heapKey()) {
+			break
+		}
+		h.swap(parent, i)
+		i = parent
+		moved = true
+	}
+	return moved
+}
+
+func (h *lgHeap[T]) down(i int) {
+	n := len(h.es)
+	for {
+		l, r := 2*i+1, 2*i+2
+		best := i
+		if l < n && h.es[l].heapKey() > h.es[best].heapKey() {
+			best = l
+		}
+		if r < n && h.es[r].heapKey() > h.es[best].heapKey() {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		h.swap(i, best)
+		i = best
+	}
+}
+
+type lgPairKey struct {
+	u model.UserID
+	i model.ItemID
+}
+
+// lgLower is one pair's heap, ranked in the upper heap by its root key.
+type lgLower struct {
+	pair lgPairKey
+	heap lgHeap[*lgHeapEntry]
+	root float64
+	pos  int
+}
+
+func (lo *lgLower) heapKey() float64 { return lo.root }
+func (lo *lgLower) setPos(i int)     { lo.pos = i }
+
+func (lo *lgLower) refreshRoot() {
+	lo.root = -1e308
+	if len(lo.heap.es) > 0 {
+		lo.root = lo.heap.es[0].key
+	}
+}
+
+// lgTwoLevel holds only non-empty lower heaps: one is dropped from the
+// upper heap as soon as it empties.
+type lgTwoLevel struct {
+	lowers map[lgPairKey]*lgLower
+	upper  lgHeap[*lgLower]
+	count  int
+}
+
+// add inserts e before build orders the upper heap.
+func (t *lgTwoLevel) add(e *lgHeapEntry) {
+	key := lgPairKey{e.z.U, e.z.I}
+	lo := t.lowers[key]
+	if lo == nil {
+		lo = &lgLower{pair: key, pos: len(t.upper.es)}
+		t.lowers[key] = lo
+		t.upper.es = append(t.upper.es, lo)
+	}
+	lo.heap.push(e)
+	lo.refreshRoot()
+	t.count++
+}
+
+func (t *lgTwoLevel) build() {
+	for i := len(t.upper.es)/2 - 1; i >= 0; i-- {
+		t.upper.down(i)
+	}
+}
+
+func (t *lgTwoLevel) peekMax() *lgHeapEntry {
+	if len(t.upper.es) == 0 {
+		return nil
+	}
+	return t.upper.es[0].heap.es[0]
+}
+
+func (t *lgTwoLevel) deleteMax() {
+	top := t.upper.es[0]
+	top.heap.pop()
+	top.refreshRoot()
+	t.count--
+	if len(top.heap.es) == 0 {
+		t.removeUpper(0)
+	} else {
+		t.upper.down(0)
+	}
+}
+
+func (t *lgTwoLevel) deleteEntry(e *lgHeapEntry) {
+	lo := t.lowers[lgPairKey{e.z.U, e.z.I}]
+	h := &lo.heap
+	last, i := len(h.es)-1, e.pos
+	h.swap(i, last)
+	h.es = h.es[:last]
+	if i < last {
+		h.fix(i)
+	}
+	e.pos = -1
+	t.count--
+	lo.refreshRoot()
+	if len(h.es) == 0 {
+		t.removeUpper(lo.pos)
+	} else {
+		t.upper.fix(lo.pos)
+	}
+}
+
+func (t *lgTwoLevel) deletePair(u model.UserID, i model.ItemID) {
+	lo := t.lowers[lgPairKey{u, i}]
+	t.count -= len(lo.heap.es)
+	t.removeUpper(lo.pos)
+}
+
+func (t *lgTwoLevel) pairEntries(u model.UserID, i model.ItemID) []*lgHeapEntry {
+	return t.lowers[lgPairKey{u, i}].heap.es
+}
+
+func (t *lgTwoLevel) fixPair(u model.UserID, i model.ItemID) {
+	lo := t.lowers[lgPairKey{u, i}]
+	for j := len(lo.heap.es)/2 - 1; j >= 0; j-- {
+		lo.heap.down(j)
+	}
+	lo.refreshRoot()
+	t.upper.fix(lo.pos)
+}
+
+func (t *lgTwoLevel) removeUpper(i int) {
+	lo := t.upper.es[i]
+	last := len(t.upper.es) - 1
+	t.upper.swap(i, last)
+	t.upper.es = t.upper.es[:last]
+	delete(t.lowers, lo.pair)
+	lo.pos = -1
+	if i < last {
+		t.upper.fix(i)
+	}
+}
+
 // --- legacy algorithm drivers -------------------------------------------
 
 func lgGGreedyWindow(st *lgState, lo, hi model.TimeStep) (selections, recomputations int) {
 	in := st.in
-	heap := pqueue.NewTwoLevel()
+	heap := &lgTwoLevel{lowers: make(map[lgPairKey]*lgLower)}
 	for u := 0; u < in.NumUsers; u++ {
 		for _, c := range in.UserCandidates(model.UserID(u)) {
 			if c.T < lo || c.T > hi {
 				continue
 			}
-			heap.Add(&pqueue.Entry{
-				Triple: c.Triple,
-				Q:      c.Q,
-				Key:    st.ev.marginalGain(c.Triple, c.Q),
-				Flag:   st.ev.groupSize(c.U, in.Class(c.I)),
+			heap.add(&lgHeapEntry{
+				z:    c.Triple,
+				q:    c.Q,
+				key:  st.ev.marginalGain(c.Triple, c.Q),
+				flag: st.ev.groupSize(c.U, in.Class(c.I)),
 			})
 		}
 	}
-	heap.Build()
+	heap.build()
 
 	limit := maxSelections(in)
-	for len(st.set) < limit && !heap.Empty() {
-		e := heap.PeekMax()
-		if e == nil || e.Key <= Eps {
+	for len(st.set) < limit && heap.count > 0 {
+		e := heap.peekMax()
+		if e == nil || e.key <= Eps {
 			break
 		}
-		z := e.Triple
+		z := e.z
 		switch st.check(z) {
 		case violationDisplay:
-			heap.DeleteEntry(e)
+			heap.deleteEntry(e)
 			continue
 		case violationCapacity:
-			heap.DeletePair(z.U, z.I)
+			heap.deletePair(z.U, z.I)
 			continue
 		}
 		fresh := st.ev.groupSize(z.U, in.Class(z.I))
-		if e.Flag < fresh {
-			for _, sib := range heap.PairEntries(z.U, z.I) {
-				sib.Key = st.ev.marginalGain(sib.Triple, sib.Q)
-				sib.Flag = fresh
+		if e.flag < fresh {
+			for _, sib := range heap.pairEntries(z.U, z.I) {
+				sib.key = st.ev.marginalGain(sib.z, sib.q)
+				sib.flag = fresh
 				recomputations++
 			}
-			heap.FixPair(z.U, z.I)
+			heap.fixPair(z.U, z.I)
 			continue
 		}
-		st.add(z, e.Q)
+		st.add(z, e.q)
 		selections++
-		heap.DeleteMax()
+		heap.deleteMax()
 	}
 	return selections, recomputations
 }
@@ -280,41 +488,41 @@ func lgGGreedy(in *model.Instance) lgResult {
 
 func lgLocalRound(st *lgState, t model.TimeStep) (selections, recomputations int) {
 	in := st.in
-	var heap pqueue.Max
+	var heap lgHeap[*lgHeapEntry]
 	for u := 0; u < in.NumUsers; u++ {
 		for _, c := range in.UserCandidates(model.UserID(u)) {
 			if c.T != t {
 				continue
 			}
-			heap.Push(&pqueue.Entry{
-				Triple: c.Triple,
-				Q:      c.Q,
-				Key:    st.ev.marginalGain(c.Triple, c.Q),
-				Flag:   st.ev.groupSize(c.U, in.Class(c.I)),
+			heap.push(&lgHeapEntry{
+				z:    c.Triple,
+				q:    c.Q,
+				key:  st.ev.marginalGain(c.Triple, c.Q),
+				flag: st.ev.groupSize(c.U, in.Class(c.I)),
 			})
 		}
 	}
-	for !heap.Empty() {
-		e := heap.Peek()
-		if e.Key <= Eps {
+	for len(heap.es) > 0 {
+		e := heap.es[0]
+		if e.key <= Eps {
 			break
 		}
-		z := e.Triple
+		z := e.z
 		if st.check(z) != violationNone {
-			heap.Pop()
+			heap.pop()
 			continue
 		}
 		fresh := st.ev.groupSize(z.U, in.Class(z.I))
-		if e.Flag < fresh {
-			e.Key = st.ev.marginalGain(z, e.Q)
-			e.Flag = fresh
+		if e.flag < fresh {
+			e.key = st.ev.marginalGain(z, e.q)
+			e.flag = fresh
 			recomputations++
-			heap.Fix(e)
+			heap.fix(e.pos)
 			continue
 		}
-		st.add(z, e.Q)
+		st.add(z, e.q)
 		selections++
-		heap.Pop()
+		heap.pop()
 	}
 	return selections, recomputations
 }

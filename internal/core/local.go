@@ -175,11 +175,9 @@ func localRound(ctx context.Context, st *state, t model.TimeStep) (selections, r
 		}
 		cid := model.CandID(id)
 		entries = append(entries, pqueue.Entry{
-			Triple: c.Triple,
-			ID:     cid,
-			Q:      c.Q,
-			Key:    st.ev.MarginalGainID(cid),
-			Flag:   st.ev.GroupSizeID(cid),
+			ID:   cid,
+			Key:  st.ev.MarginalGainID(cid),
+			Flag: int32(st.ev.GroupSizeID(cid)),
 		})
 		heap.Push(&entries[len(entries)-1])
 	}
@@ -195,7 +193,7 @@ func localRound(ctx context.Context, st *state, t model.TimeStep) (selections, r
 			heap.Pop()
 			continue
 		}
-		fresh := st.ev.GroupSizeID(e.ID)
+		fresh := int32(st.ev.GroupSizeID(e.ID))
 		if e.Flag < fresh {
 			e.Key = st.ev.MarginalGainID(e.ID)
 			e.Flag = fresh

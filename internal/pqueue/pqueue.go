@@ -15,18 +15,18 @@ import (
 	"repro/internal/model"
 )
 
-// Entry is one candidate triple tracked by a heap, with its cached
-// (possibly stale) marginal revenue and the lazy-forward flag of
-// Algorithm 1 (line 9).
+// Entry is one candidate tracked by a heap, with its cached (possibly
+// stale) marginal revenue and the lazy-forward flag of Algorithm 1 (line
+// 9). It holds no copy of the triple or its probability — callers read
+// those from the instance by ID — so it takes 24 bytes, and every
+// G-Greedy solve and incremental session holds one per candidate.
 type Entry struct {
-	Triple model.Triple
-	ID     model.CandID // dense candidate ID (hot-path addressing)
-	Pair   int32        // dense (user, item) pair ID; required in dense two-level heaps
-	Q      float64      // primitive adoption probability, cached
-	Key    float64      // cached marginal revenue (may be stale)
-	Flag   int          // lazy-forward freshness stamp
+	ID   model.CandID // dense candidate ID (hot-path addressing)
+	Pair int32        // dense (user, item) pair ID: selects the lower heap
+	Key  float64      // cached marginal revenue (may be stale)
+	Flag int32        // lazy-forward freshness stamp
 
-	pos int // index within its heap
+	pos int32 // index within its heap
 }
 
 // Beats reports whether e precedes o in the deterministic total order
@@ -56,9 +56,9 @@ func (h *Max) Empty() bool { return len(h.es) == 0 }
 
 // Push inserts e.
 func (h *Max) Push(e *Entry) {
-	e.pos = len(h.es)
+	e.pos = int32(len(h.es))
 	h.es = append(h.es, e)
-	h.siftUp(e.pos)
+	h.siftUp(len(h.es) - 1)
 }
 
 // Peek returns the maximum entry without removing it, or nil when empty.
@@ -85,13 +85,18 @@ func (h *Max) Pop() *Entry {
 	return top
 }
 
+// holds reports whether e currently sits in h.
+func (h *Max) holds(e *Entry) bool {
+	return e.pos >= 0 && int(e.pos) < len(h.es) && h.es[e.pos] == e
+}
+
 // Fix restores heap order after e.Key changed in place.
 func (h *Max) Fix(e *Entry) {
-	if e.pos < 0 || e.pos >= len(h.es) || h.es[e.pos] != e {
+	if !h.holds(e) {
 		return
 	}
-	if !h.siftUp(e.pos) {
-		h.siftDown(e.pos)
+	if !h.siftUp(int(e.pos)) {
+		h.siftDown(int(e.pos))
 	}
 }
 
@@ -101,8 +106,8 @@ func (h *Max) Entries() []*Entry { return h.es }
 
 func (h *Max) swap(a, b int) {
 	h.es[a], h.es[b] = h.es[b], h.es[a]
-	h.es[a].pos = a
-	h.es[b].pos = b
+	h.es[a].pos = int32(a)
+	h.es[b].pos = int32(b)
 }
 
 func (h *Max) siftUp(i int) bool {
@@ -138,23 +143,16 @@ func (h *Max) siftDown(i int) {
 	}
 }
 
-// PairKey identifies one (user, item) lower heap.
-type PairKey struct {
-	U model.UserID
-	I model.ItemID
-}
-
 // lower is one per-(user,item) heap plus its position in the upper heap
 // and a cached copy of its root (key and candidate ID): upper-heap sift
 // comparisons read the cache instead of chasing two pointers into the
 // lower heap's root entry. Every lower-heap mutation must refreshRoot
 // before the upper heap is touched.
 type lower struct {
-	key    PairKey
 	heap   Max
 	root   float64
 	rootID model.CandID
-	pos    int // index within the upper heap
+	pos    int // index within the upper heap; -1 while the pair is inactive
 }
 
 func (lo *lower) refreshRoot() {
@@ -180,27 +178,16 @@ func (lo *lower) rootBeats(o *lower) bool {
 const negInf = -1e308
 
 // TwoLevel is the two-level heap of Algorithm 1. Populate with Add, then
-// call Build once; afterwards PeekMax / DeleteMax / FixPair / DeletePair
-// maintain the invariant that the upper root's lower root is the global
-// maximum.
+// call Build once; afterwards PeekMax / DeleteMax / FixPairOf /
+// DeletePairOf maintain the invariant that the upper root's lower root is
+// the global maximum. Lower heaps live in one bulk-allocated array
+// indexed by Entry.Pair (the instance's dense (user, item) pair IDs), so
+// every pair lookup is an array read.
 type TwoLevel struct {
-	lowers map[PairKey]*lower
-	// dense, when non-nil, replaces the pair map: lower heaps live in one
-	// bulk-allocated array indexed by Entry.Pair (the instance's dense
-	// (user, item) pair IDs), so every pair lookup is an array read and
-	// the per-pair allocations disappear. Built by NewTwoLevelDense;
-	// entries added to a dense heap must carry their Pair.
-	dense []lower
-	upper []*lower
-	count int
-	built bool
-}
-
-// NewTwoLevel returns an empty two-level heap keyed by (user, item)
-// pairs through a map. Prefer NewTwoLevelDense when a dense pair
-// numbering is available.
-func NewTwoLevel() *TwoLevel {
-	return &TwoLevel{lowers: make(map[PairKey]*lower)}
+	lowers []lower
+	upper  []*lower
+	count  int
+	built  bool
 }
 
 // NewTwoLevelDense returns an empty two-level heap whose lower heaps are
@@ -209,9 +196,9 @@ func NewTwoLevel() *TwoLevel {
 // numPairs): lower-heap storage is then carved out of one bulk backing
 // array and Pushes never allocate. The heap is populate-then-consume:
 // Add all entries, Build, then select; re-adding to a pair dropped by
-// DeletePairOf is not supported in dense mode.
+// DeletePairOf is not supported (RestorePair replaces a pair instead).
 func NewTwoLevelDense(numPairs int, caps []int32) *TwoLevel {
-	t := &TwoLevel{dense: make([]lower, numPairs)}
+	t := &TwoLevel{lowers: make([]lower, numPairs)}
 	if caps != nil {
 		total := 0
 		for _, c := range caps {
@@ -219,14 +206,14 @@ func NewTwoLevelDense(numPairs int, caps []int32) *TwoLevel {
 		}
 		backing := make([]*Entry, total)
 		off := 0
-		for i := range t.dense {
+		for i := range t.lowers {
 			end := off + int(caps[i])
-			t.dense[i].heap.es = backing[off:off:end]
+			t.lowers[i].heap.es = backing[off:off:end]
 			off = end
 		}
 	}
-	for i := range t.dense {
-		t.dense[i].pos = -1
+	for i := range t.lowers {
+		t.lowers[i].pos = -1
 	}
 	return t
 }
@@ -235,29 +222,16 @@ func NewTwoLevelDense(numPairs int, caps []int32) *TwoLevel {
 // both before and after Build; before Build the upper heap is not yet
 // ordered, afterwards Add restores the upper-heap invariant itself.
 func (t *TwoLevel) Add(e *Entry) {
-	var lo *lower
-	if t.dense != nil {
-		lo = &t.dense[e.Pair]
-		if lo.pos < 0 {
-			if lo.heap.Len() > 0 {
-				// The pair was dropped wholesale by DeletePairOf with its
-				// entries still in place; reactivating it would resurrect
-				// those stale entries alongside e. This was documented as
-				// unsupported but used to fail silently.
-				panic("pqueue: Add to a dense pair dropped by DeletePairOf")
-			}
-			lo.key = PairKey{e.Triple.U, e.Triple.I}
-			lo.pos = len(t.upper)
-			t.upper = append(t.upper, lo)
+	lo := &t.lowers[e.Pair]
+	if lo.pos < 0 {
+		if lo.heap.Len() > 0 {
+			// The pair was dropped wholesale by DeletePairOf with its
+			// entries still in place; reactivating it would resurrect
+			// those stale entries alongside e.
+			panic("pqueue: Add to a pair dropped by DeletePairOf")
 		}
-	} else {
-		key := PairKey{e.Triple.U, e.Triple.I}
-		lo = t.lowers[key]
-		if lo == nil {
-			lo = &lower{key: key, pos: len(t.upper)}
-			t.lowers[key] = lo
-			t.upper = append(t.upper, lo)
-		}
+		lo.pos = len(t.upper)
+		t.upper = append(t.upper, lo)
 	}
 	lo.heap.Push(e)
 	lo.refreshRoot()
@@ -271,17 +245,14 @@ func (t *TwoLevel) Add(e *Entry) {
 	}
 }
 
-// lowerOf resolves an entry's lower heap in either addressing mode; nil
-// when the pair has been deleted (or never added).
+// lowerOf resolves an entry's lower heap; nil when the pair has been
+// deleted (or never added).
 func (t *TwoLevel) lowerOf(e *Entry) *lower {
-	if t.dense != nil {
-		lo := &t.dense[e.Pair]
-		if lo.pos < 0 {
-			return nil
-		}
-		return lo
+	lo := &t.lowers[e.Pair]
+	if lo.pos < 0 {
+		return nil
 	}
-	return t.lowers[PairKey{e.Triple.U, e.Triple.I}]
+	return lo
 }
 
 // Build heapifies the upper heap over all lower roots (Algorithm 1,
@@ -331,20 +302,10 @@ func (t *TwoLevel) DeleteMax() *Entry {
 	return e
 }
 
-// PairEntries returns the entries of the (u, i) lower heap so the caller
-// can recompute their keys (Algorithm 1, lines 16–18). Returns nil when
-// the pair has been deleted. After mutating keys call FixPair.
-// Map-addressed; dense-mode callers use PairEntriesOf.
-func (t *TwoLevel) PairEntries(u model.UserID, i model.ItemID) []*Entry {
-	lo := t.lowers[PairKey{u, i}]
-	if lo == nil {
-		return nil
-	}
-	return lo.heap.Entries()
-}
-
-// PairEntriesOf is PairEntries addressed through an entry (array read in
-// dense mode).
+// PairEntriesOf returns the entries of e's (user, item) lower heap so
+// the caller can recompute their keys (Algorithm 1, lines 16–18).
+// Returns nil when the pair has been deleted. After mutating keys call
+// FixPairOf.
 func (t *TwoLevel) PairEntriesOf(e *Entry) []*Entry {
 	lo := t.lowerOf(e)
 	if lo == nil {
@@ -353,19 +314,11 @@ func (t *TwoLevel) PairEntriesOf(e *Entry) []*Entry {
 	return lo.heap.Entries()
 }
 
-// FixPair re-heapifies the (u, i) lower heap after its keys changed and
-// repositions it in the upper heap (the Decrease-Key of line 19).
-// Map-addressed; dense-mode callers use FixPairOf.
-func (t *TwoLevel) FixPair(u model.UserID, i model.ItemID) {
-	t.fixLower(t.lowers[PairKey{u, i}])
-}
-
-// FixPairOf is FixPair addressed through an entry.
+// FixPairOf re-heapifies e's (user, item) lower heap after its keys
+// changed and repositions it in the upper heap (the Decrease-Key of line
+// 19).
 func (t *TwoLevel) FixPairOf(e *Entry) {
-	t.fixLower(t.lowerOf(e))
-}
-
-func (t *TwoLevel) fixLower(lo *lower) {
+	lo := t.lowerOf(e)
 	if lo == nil {
 		return
 	}
@@ -381,15 +334,12 @@ func (t *TwoLevel) fixLower(lo *lower) {
 // specific triple becomes permanently infeasible).
 func (t *TwoLevel) DeleteEntry(e *Entry) {
 	lo := t.lowerOf(e)
-	if lo == nil || e.pos < 0 {
+	if lo == nil || !lo.heap.holds(e) {
 		return
 	}
 	h := &lo.heap
 	last := len(h.es) - 1
-	i := e.pos
-	if i > last || h.es[i] != e {
-		return
-	}
+	i := int(e.pos)
 	h.swap(i, last)
 	h.es = h.es[:last]
 	if i < last {
@@ -414,10 +364,7 @@ func (t *TwoLevel) DeleteEntry(e *Entry) {
 // this to decide between an in-place UpdateKey and a RestorePair.
 func (t *TwoLevel) Contains(e *Entry) bool {
 	lo := t.lowerOf(e)
-	if lo == nil {
-		return false
-	}
-	return e.pos >= 0 && e.pos < lo.heap.Len() && lo.heap.es[e.pos] == e
+	return lo != nil && lo.heap.holds(e)
 }
 
 // UpdateKey overwrites e's cached key and lazy-forward flag in place and
@@ -426,9 +373,9 @@ func (t *TwoLevel) Contains(e *Entry) bool {
 // candidates pay it; clean entries are never touched). Reports false
 // without mutating anything when e is not currently in an active lower
 // heap (caller falls back to RestorePair).
-func (t *TwoLevel) UpdateKey(e *Entry, key float64, flag int) bool {
+func (t *TwoLevel) UpdateKey(e *Entry, key float64, flag int32) bool {
 	lo := t.lowerOf(e)
-	if lo == nil || e.pos < 0 || e.pos >= lo.heap.Len() || lo.heap.es[e.pos] != e {
+	if lo == nil || !lo.heap.holds(e) {
 		return false
 	}
 	e.Key = key
@@ -441,19 +388,15 @@ func (t *TwoLevel) UpdateKey(e *Entry, key float64, flag int) bool {
 	return true
 }
 
-// RestorePair rebuilds dense pair p's lower heap to hold exactly es
-// (whose Keys the caller has already set), replacing whatever the pair
-// held before — including nothing: unlike Add, RestorePair may
-// reactivate a pair dropped wholesale by DeletePairOf, because it
-// replaces every entry rather than resurrecting stale ones. An empty es
-// deactivates the pair. Entry storage reuses the pair's carved backing
-// window, so len(es) must not exceed the pair's construction-time cap.
-// Dense mode only.
+// RestorePair rebuilds pair p's lower heap to hold exactly es (whose
+// Keys the caller has already set), replacing whatever the pair held
+// before — including nothing: unlike Add, RestorePair may reactivate a
+// pair dropped wholesale by DeletePairOf, because it replaces every entry
+// rather than resurrecting stale ones. An empty es deactivates the pair.
+// Entry storage reuses the pair's carved backing window, so len(es) must
+// not exceed the pair's construction-time cap.
 func (t *TwoLevel) RestorePair(p int32, es []*Entry) {
-	if t.dense == nil {
-		panic("pqueue: RestorePair requires a dense two-level heap")
-	}
-	lo := &t.dense[p]
+	lo := &t.lowers[p]
 	oldActive := 0
 	if lo.pos >= 0 {
 		oldActive = lo.heap.Len()
@@ -461,7 +404,7 @@ func (t *TwoLevel) RestorePair(p int32, es []*Entry) {
 	h := &lo.heap
 	h.es = h.es[:0]
 	for k, e := range es {
-		e.pos = k
+		e.pos = int32(k)
 		h.es = append(h.es, e)
 	}
 	for j := len(h.es)/2 - 1; j >= 0; j-- {
@@ -475,7 +418,6 @@ func (t *TwoLevel) RestorePair(p int32, es []*Entry) {
 			t.removeUpper(lo.pos)
 		}
 	case lo.pos < 0:
-		lo.key = PairKey{es[0].Triple.U, es[0].Triple.I}
 		lo.pos = len(t.upper)
 		t.upper = append(t.upper, lo)
 		if t.built {
@@ -488,19 +430,11 @@ func (t *TwoLevel) RestorePair(p int32, es []*Entry) {
 	}
 }
 
-// DeletePair removes the whole (u, i) lower heap from consideration
-// (Algorithm 1, line 26: an infeasible pair is dropped wholesale).
-// Map-addressed; dense-mode callers use DeletePairOf.
-func (t *TwoLevel) DeletePair(u model.UserID, i model.ItemID) {
-	t.deleteLower(t.lowers[PairKey{u, i}])
-}
-
-// DeletePairOf is DeletePair addressed through an entry.
+// DeletePairOf removes e's whole (user, item) lower heap from
+// consideration (Algorithm 1, line 26: an infeasible pair is dropped
+// wholesale).
 func (t *TwoLevel) DeletePairOf(e *Entry) {
-	t.deleteLower(t.lowerOf(e))
-}
-
-func (t *TwoLevel) deleteLower(lo *lower) {
+	lo := t.lowerOf(e)
 	if lo == nil {
 		return
 	}
@@ -513,9 +447,6 @@ func (t *TwoLevel) removeUpper(i int) {
 	last := len(t.upper) - 1
 	t.swapUpper(i, last)
 	t.upper = t.upper[:last]
-	if t.dense == nil {
-		delete(t.lowers, lo.key)
-	}
 	lo.pos = -1
 	if i < last {
 		t.fixUpper(i)

@@ -3,16 +3,23 @@ package pqueue_test
 import (
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/pqueue"
 )
 
-func entry(u, i, t int, key float64) *pqueue.Entry {
-	return &pqueue.Entry{
-		Triple: model.Triple{U: model.UserID(u), I: model.ItemID(i), T: model.TimeStep(t)},
-		Key:    key,
+// entry returns a heap entry for candidate id in (user, item) pair p.
+func entry(p int32, id model.CandID, key float64) *pqueue.Entry {
+	return &pqueue.Entry{ID: id, Pair: p, Key: key}
+}
+
+// TestEntryFootprint pins the heap entry at 24 bytes: every G-Greedy
+// solve and every incremental session holds one per candidate.
+func TestEntryFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(pqueue.Entry{}); got != 24 {
+		t.Fatalf("pqueue.Entry is %d bytes, want 24", got)
 	}
 }
 
@@ -20,7 +27,7 @@ func TestMaxHeapOrdering(t *testing.T) {
 	var h pqueue.Max
 	keys := []float64{3, 1, 4, 1.5, 9, 2.6, 5}
 	for i, k := range keys {
-		h.Push(entry(0, i, 1, k))
+		h.Push(entry(0, model.CandID(i), k))
 	}
 	sorted := append([]float64(nil), keys...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
@@ -37,7 +44,7 @@ func TestMaxHeapOrdering(t *testing.T) {
 
 func TestMaxHeapPeekDoesNotRemove(t *testing.T) {
 	var h pqueue.Max
-	h.Push(entry(0, 0, 1, 5))
+	h.Push(entry(0, 0, 5))
 	if h.Peek() == nil || h.Len() != 1 {
 		t.Fatal("Peek removed the entry")
 	}
@@ -45,9 +52,9 @@ func TestMaxHeapPeekDoesNotRemove(t *testing.T) {
 
 func TestMaxHeapFixAfterKeyChange(t *testing.T) {
 	var h pqueue.Max
-	a := entry(0, 0, 1, 10)
-	b := entry(0, 1, 1, 5)
-	c := entry(0, 2, 1, 1)
+	a := entry(0, 0, 10)
+	b := entry(0, 1, 5)
+	c := entry(0, 2, 1)
 	h.Push(a)
 	h.Push(b)
 	h.Push(c)
@@ -55,13 +62,13 @@ func TestMaxHeapFixAfterKeyChange(t *testing.T) {
 	a.Key = 0
 	h.Fix(a)
 	if got := h.Pop(); got != b {
-		t.Fatalf("after decrease, max = %v, want b", got.Triple)
+		t.Fatalf("after decrease, max = cand %d, want b", got.ID)
 	}
 	// Increase the min above everything.
 	c.Key = 100
 	h.Fix(c)
 	if got := h.Pop(); got != c {
-		t.Fatalf("after increase, max = %v, want c", got.Triple)
+		t.Fatalf("after increase, max = cand %d, want c", got.ID)
 	}
 }
 
@@ -73,7 +80,7 @@ func TestMaxHeapRandomizedAgainstSort(t *testing.T) {
 		keys := make([]float64, n)
 		for i := range keys {
 			keys[i] = rng.Float64() * 1000
-			h.Push(entry(0, i, 1, keys[i]))
+			h.Push(entry(0, model.CandID(i), keys[i]))
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(keys)))
 		for _, want := range keys {
@@ -85,12 +92,12 @@ func TestMaxHeapRandomizedAgainstSort(t *testing.T) {
 }
 
 func TestTwoLevelBasicOrdering(t *testing.T) {
-	tl := pqueue.NewTwoLevel()
-	// Pairs (u, i) with several times each.
-	tl.Add(entry(0, 0, 1, 5))
-	tl.Add(entry(0, 0, 2, 9))
-	tl.Add(entry(0, 1, 1, 7))
-	tl.Add(entry(1, 0, 1, 3))
+	tl := pqueue.NewTwoLevelDense(3, nil)
+	// Pairs with several entries each.
+	tl.Add(entry(0, 0, 5))
+	tl.Add(entry(0, 1, 9))
+	tl.Add(entry(1, 2, 7))
+	tl.Add(entry(2, 3, 3))
 	tl.Build()
 	want := []float64{9, 7, 5, 3}
 	for _, w := range want {
@@ -107,17 +114,17 @@ func TestTwoLevelBasicOrdering(t *testing.T) {
 func TestTwoLevelRandomizedAgainstSort(t *testing.T) {
 	rng := dist.NewRNG(10)
 	for trial := 0; trial < 20; trial++ {
-		tl := pqueue.NewTwoLevel()
 		var keys []float64
 		users := 1 + rng.Intn(5)
 		items := 1 + rng.Intn(5)
-		for u := 0; u < users; u++ {
-			for i := 0; i < items; i++ {
-				for tt := 1; tt <= 1+rng.Intn(7); tt++ {
-					k := rng.Float64() * 100
-					keys = append(keys, k)
-					tl.Add(entry(u, i, tt, k))
-				}
+		tl := pqueue.NewTwoLevelDense(users*items, nil)
+		id := model.CandID(0)
+		for p := 0; p < users*items; p++ {
+			for tt := 1; tt <= 1+rng.Intn(7); tt++ {
+				k := rng.Float64() * 100
+				keys = append(keys, k)
+				tl.Add(entry(int32(p), id, k))
+				id++
 			}
 		}
 		tl.Build()
@@ -134,27 +141,28 @@ func TestTwoLevelRandomizedAgainstSort(t *testing.T) {
 }
 
 func TestTwoLevelDeletePair(t *testing.T) {
-	tl := pqueue.NewTwoLevel()
-	tl.Add(entry(0, 0, 1, 100))
-	tl.Add(entry(0, 0, 2, 90))
-	tl.Add(entry(0, 1, 1, 50))
+	tl := pqueue.NewTwoLevelDense(3, nil)
+	a := entry(0, 0, 100)
+	tl.Add(a)
+	tl.Add(entry(0, 1, 90))
+	tl.Add(entry(1, 2, 50))
 	tl.Build()
-	tl.DeletePair(0, 0)
+	tl.DeletePairOf(a)
 	if tl.Len() != 1 {
-		t.Fatalf("Len after DeletePair = %d, want 1", tl.Len())
+		t.Fatalf("Len after DeletePairOf = %d, want 1", tl.Len())
 	}
 	if got := tl.DeleteMax().Key; got != 50 {
 		t.Fatalf("remaining max = %v, want 50", got)
 	}
-	// Deleting a missing pair is a no-op.
-	tl.DeletePair(9, 9)
+	// Deleting a pair that never held an entry is a no-op.
+	tl.DeletePairOf(entry(2, 9, 0))
 }
 
 func TestTwoLevelDeleteEntry(t *testing.T) {
-	tl := pqueue.NewTwoLevel()
-	a := entry(0, 0, 1, 100)
-	b := entry(0, 0, 2, 90)
-	c := entry(0, 1, 1, 95)
+	tl := pqueue.NewTwoLevelDense(2, nil)
+	a := entry(0, 0, 100)
+	b := entry(0, 1, 90)
+	c := entry(1, 2, 95)
 	tl.Add(a)
 	tl.Add(b)
 	tl.Add(c)
@@ -164,7 +172,7 @@ func TestTwoLevelDeleteEntry(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", tl.Len())
 	}
 	if got := tl.PeekMax(); got != c {
-		t.Fatalf("PeekMax = %v, want c", got.Triple)
+		t.Fatalf("PeekMax = cand %d, want c", got.ID)
 	}
 	// Double-delete is a no-op.
 	tl.DeleteEntry(a)
@@ -174,22 +182,22 @@ func TestTwoLevelDeleteEntry(t *testing.T) {
 }
 
 func TestTwoLevelFixPairAfterKeyUpdates(t *testing.T) {
-	tl := pqueue.NewTwoLevel()
-	a := entry(0, 0, 1, 100)
-	b := entry(0, 0, 2, 90)
-	c := entry(0, 1, 1, 95)
+	tl := pqueue.NewTwoLevelDense(2, nil)
+	a := entry(0, 0, 100)
+	b := entry(0, 1, 90)
+	c := entry(1, 2, 95)
 	tl.Add(a)
 	tl.Add(b)
 	tl.Add(c)
 	tl.Build()
-	// Stale-root scenario: (0,0)'s keys collapse; after FixPair, (0,1)
+	// Stale-root scenario: pair 0's keys collapse; after FixPairOf, pair 1
 	// must surface.
-	for _, e := range tl.PairEntries(0, 0) {
+	for _, e := range tl.PairEntriesOf(a) {
 		e.Key = 1
 	}
-	tl.FixPair(0, 0)
+	tl.FixPairOf(a)
 	if got := tl.PeekMax(); got != c {
-		t.Fatalf("PeekMax after FixPair = %v, want c", got.Triple)
+		t.Fatalf("PeekMax after FixPairOf = cand %d, want c", got.ID)
 	}
 	order := []float64{95, 1, 1}
 	for _, w := range order {
@@ -200,15 +208,18 @@ func TestTwoLevelFixPairAfterKeyUpdates(t *testing.T) {
 }
 
 func TestTwoLevelPairEntriesUnknownPair(t *testing.T) {
-	tl := pqueue.NewTwoLevel()
-	if tl.PairEntries(1, 1) != nil {
+	tl := pqueue.NewTwoLevelDense(2, nil)
+	tl.Add(entry(0, 0, 1))
+	tl.Build()
+	never := entry(1, 1, 1) // pair 1 never held an entry
+	if tl.PairEntriesOf(never) != nil {
 		t.Fatal("unknown pair should return nil")
 	}
-	tl.FixPair(1, 1) // no-op, no panic
+	tl.FixPairOf(never) // no-op, no panic
 }
 
 func TestTwoLevelEmptyPeek(t *testing.T) {
-	tl := pqueue.NewTwoLevel()
+	tl := pqueue.NewTwoLevelDense(0, nil)
 	tl.Build()
 	if tl.PeekMax() != nil || tl.DeleteMax() != nil {
 		t.Fatal("empty heap returned an entry")
@@ -216,24 +227,27 @@ func TestTwoLevelEmptyPeek(t *testing.T) {
 }
 
 func TestTwoLevelInterleavedOperations(t *testing.T) {
-	// Stress: random interleaving of Add (pre-Build only), DeleteMax,
-	// FixPair with random key rewrites; compare against a model "bag".
+	// Stress: random interleaving of DeleteMax, FixPairOf with random key
+	// rewrites and DeleteEntry after a Build; compare against a model "bag".
 	rng := dist.NewRNG(11)
+	const pairs = 9
 	for trial := 0; trial < 10; trial++ {
-		tl := pqueue.NewTwoLevel()
-		type slot struct{ e *pqueue.Entry }
+		tl := pqueue.NewTwoLevelDense(pairs, nil)
 		var live []*pqueue.Entry
-		for u := 0; u < 3; u++ {
-			for i := 0; i < 3; i++ {
-				for tt := 1; tt <= 4; tt++ {
-					e := entry(u, i, tt, rng.Float64()*100)
-					tl.Add(e)
-					live = append(live, e)
+		var first [pairs]*pqueue.Entry
+		id := model.CandID(0)
+		for p := int32(0); p < pairs; p++ {
+			for tt := 1; tt <= 4; tt++ {
+				e := entry(p, id, rng.Float64()*100)
+				id++
+				tl.Add(e)
+				live = append(live, e)
+				if first[p] == nil {
+					first[p] = e
 				}
 			}
 		}
 		tl.Build()
-		_ = slot{}
 		for step := 0; step < 60 && !tl.Empty(); step++ {
 			switch rng.Intn(3) {
 			case 0: // DeleteMax and verify it is the true maximum
@@ -254,12 +268,11 @@ func TestTwoLevelInterleavedOperations(t *testing.T) {
 					}
 				}
 			case 1: // rewrite a random pair's keys
-				u := model.UserID(rng.Intn(3))
-				i := model.ItemID(rng.Intn(3))
-				for _, e := range tl.PairEntries(u, i) {
-					e.Key = rng.Float64() * 100
+				e := first[rng.Intn(pairs)]
+				for _, sib := range tl.PairEntriesOf(e) {
+					sib.Key = rng.Float64() * 100
 				}
-				tl.FixPair(u, i)
+				tl.FixPairOf(e)
 			case 2: // delete a random live entry
 				if len(live) == 0 {
 					continue
@@ -275,29 +288,22 @@ func TestTwoLevelInterleavedOperations(t *testing.T) {
 	}
 }
 
-func denseEntry(u, i, tt int, pair int32, id model.CandID, key float64) *pqueue.Entry {
-	e := entry(u, i, tt, key)
-	e.Pair = pair
-	e.ID = id
-	return e
-}
-
 // Regression: a post-Build Add with a new global maximum must re-sift
 // the upper heap. Before the fix, Add only refreshed the lower's cached
 // root, so PeekMax/DeleteMax returned a non-maximal entry.
-func TestTwoLevelAddAfterBuildNewMaximumMapMode(t *testing.T) {
-	tl := pqueue.NewTwoLevel()
-	tl.Add(entry(0, 0, 1, 10))
-	tl.Add(entry(1, 0, 1, 50)) // upper root after Build
-	tl.Add(entry(2, 0, 1, 30))
+func TestTwoLevelAddAfterBuildNewMaximumDenseMode(t *testing.T) {
+	tl := pqueue.NewTwoLevelDense(4, nil)
+	tl.Add(entry(0, 0, 10))
+	tl.Add(entry(1, 1, 50)) // upper root after Build
+	tl.Add(entry(2, 2, 30))
 	tl.Build()
 	// New maximum into an existing non-root pair.
-	tl.Add(entry(0, 0, 2, 99))
+	tl.Add(entry(0, 3, 99))
 	if got := tl.PeekMax(); got == nil || got.Key != 99 {
 		t.Fatalf("PeekMax after post-Build Add = %v, want key 99", got)
 	}
 	// New maximum as a brand-new pair (appended at the upper tail).
-	tl.Add(entry(3, 0, 1, 200))
+	tl.Add(entry(3, 4, 200))
 	want := []float64{200, 99, 50, 30, 10}
 	for _, w := range want {
 		e := tl.DeleteMax()
@@ -307,57 +313,34 @@ func TestTwoLevelAddAfterBuildNewMaximumMapMode(t *testing.T) {
 	}
 }
 
-func TestTwoLevelAddAfterBuildNewMaximumDenseMode(t *testing.T) {
-	tl := pqueue.NewTwoLevelDense(4, nil)
-	tl.Add(denseEntry(0, 0, 1, 0, 0, 10))
-	tl.Add(denseEntry(1, 0, 1, 1, 1, 50))
-	tl.Add(denseEntry(2, 0, 1, 2, 2, 30))
-	tl.Build()
-	tl.Add(denseEntry(0, 0, 2, 0, 3, 99))
-	if got := tl.PeekMax(); got == nil || got.Key != 99 {
-		t.Fatalf("PeekMax after post-Build Add = %v, want key 99", got)
-	}
-	tl.Add(denseEntry(3, 0, 1, 3, 4, 200))
-	want := []float64{200, 99, 50, 30, 10}
-	for _, w := range want {
-		e := tl.DeleteMax()
-		if e == nil || e.Key != w {
-			t.Fatalf("DeleteMax = %v, want key %v", e, w)
-		}
-	}
-}
-
-// Regression: dense-mode Add to a pair dropped wholesale by DeletePairOf
-// must panic instead of silently resurrecting the dropped entries.
+// Regression: Add to a pair dropped wholesale by DeletePairOf must panic
+// instead of silently resurrecting the dropped entries.
 func TestTwoLevelDenseReAddDroppedPairPanics(t *testing.T) {
 	tl := pqueue.NewTwoLevelDense(2, nil)
-	a := denseEntry(0, 0, 1, 0, 0, 100)
-	b := denseEntry(0, 0, 2, 0, 1, 90)
-	c := denseEntry(0, 1, 1, 1, 2, 50)
+	a := entry(0, 0, 100)
 	tl.Add(a)
-	tl.Add(b)
-	tl.Add(c)
+	tl.Add(entry(0, 1, 90))
+	tl.Add(entry(1, 2, 50))
 	tl.Build()
 	tl.DeletePairOf(a)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Add to a dropped dense pair did not panic")
+			t.Fatal("Add to a dropped pair did not panic")
 		}
 	}()
-	tl.Add(denseEntry(0, 0, 3, 0, 3, 1))
+	tl.Add(entry(0, 3, 1))
 }
 
-// Re-adding to a dense pair whose lower heap was fully drained entry by
-// entry (not dropped wholesale) stays supported: no stale entries exist.
+// Re-adding to a pair whose lower heap was fully drained entry by entry
+// (not dropped wholesale) stays supported: no stale entries exist.
 func TestTwoLevelDenseReAddDrainedPairOK(t *testing.T) {
 	tl := pqueue.NewTwoLevelDense(2, nil)
-	a := denseEntry(0, 0, 1, 0, 0, 100)
-	c := denseEntry(0, 1, 1, 1, 1, 50)
+	a := entry(0, 0, 100)
 	tl.Add(a)
-	tl.Add(c)
+	tl.Add(entry(1, 1, 50))
 	tl.Build()
 	tl.DeleteEntry(a) // drains pair 0, removing it from the upper heap
-	tl.Add(denseEntry(0, 0, 2, 0, 2, 75))
+	tl.Add(entry(0, 2, 75))
 	want := []float64{75, 50}
 	for _, w := range want {
 		e := tl.DeleteMax()
@@ -368,42 +351,30 @@ func TestTwoLevelDenseReAddDrainedPairOK(t *testing.T) {
 }
 
 // Double deletes after DeletePairOf must hit the lowerOf nil guards and
-// stay no-ops in both addressing modes.
+// stay no-ops.
 func TestTwoLevelDoubleDeleteGuards(t *testing.T) {
-	build := func(denseMode bool) (*pqueue.TwoLevel, *pqueue.Entry, *pqueue.Entry) {
-		var tl *pqueue.TwoLevel
-		if denseMode {
-			tl = pqueue.NewTwoLevelDense(2, nil)
-		} else {
-			tl = pqueue.NewTwoLevel()
-		}
-		a := denseEntry(0, 0, 1, 0, 0, 100)
-		b := denseEntry(0, 0, 2, 0, 1, 90)
-		c := denseEntry(0, 1, 1, 1, 2, 50)
-		tl.Add(a)
-		tl.Add(b)
-		tl.Add(c)
-		tl.Build()
-		return tl, a, b
+	tl := pqueue.NewTwoLevelDense(2, nil)
+	a := entry(0, 0, 100)
+	b := entry(0, 1, 90)
+	tl.Add(a)
+	tl.Add(b)
+	tl.Add(entry(1, 2, 50))
+	tl.Build()
+	tl.DeletePairOf(a)
+	if tl.Len() != 1 {
+		t.Fatalf("Len after DeletePairOf = %d, want 1", tl.Len())
 	}
-	for _, denseMode := range []bool{false, true} {
-		tl, a, b := build(denseMode)
-		tl.DeletePairOf(a)
-		if tl.Len() != 1 {
-			t.Fatalf("dense=%v: Len after DeletePairOf = %d, want 1", denseMode, tl.Len())
-		}
-		tl.DeletePairOf(a) // repeat: nil lower, no-op
-		tl.DeleteEntry(a)  // entry of a dropped pair: no-op
-		tl.DeleteEntry(b)
-		if tl.Len() != 1 {
-			t.Fatalf("dense=%v: deletes after DeletePairOf changed Len to %d", denseMode, tl.Len())
-		}
-		if got := tl.DeleteMax(); got == nil || got.Key != 50 {
-			t.Fatalf("dense=%v: surviving max = %v, want 50", denseMode, got)
-		}
-		if !tl.Empty() {
-			t.Fatalf("dense=%v: heap not empty at end", denseMode)
-		}
+	tl.DeletePairOf(a) // repeat: nil lower, no-op
+	tl.DeleteEntry(a)  // entry of a dropped pair: no-op
+	tl.DeleteEntry(b)
+	if tl.Len() != 1 {
+		t.Fatalf("deletes after DeletePairOf changed Len to %d", tl.Len())
+	}
+	if got := tl.DeleteMax(); got == nil || got.Key != 50 {
+		t.Fatalf("surviving max = %v, want 50", got)
+	}
+	if !tl.Empty() {
+		t.Fatal("heap not empty at end")
 	}
 }
 
@@ -412,11 +383,8 @@ func TestTwoLevelDoubleDeleteGuards(t *testing.T) {
 // heap. This is what pins parallel G-Greedy to the sequential output.
 func TestDeterministicTieBreakByID(t *testing.T) {
 	var h pqueue.Max
-	ids := []model.CandID{7, 3, 9, 1, 5}
-	for _, id := range ids {
-		e := entry(0, int(id), 1, 42)
-		e.ID = id
-		h.Push(e)
+	for _, id := range []model.CandID{7, 3, 9, 1, 5} {
+		h.Push(entry(0, id, 42))
 	}
 	for _, want := range []model.CandID{1, 3, 5, 7, 9} {
 		if got := h.Pop(); got.ID != want {
@@ -425,10 +393,10 @@ func TestDeterministicTieBreakByID(t *testing.T) {
 	}
 
 	tl := pqueue.NewTwoLevelDense(3, nil)
-	tl.Add(denseEntry(0, 0, 1, 0, 4, 42))
-	tl.Add(denseEntry(0, 0, 2, 0, 2, 42))
-	tl.Add(denseEntry(1, 0, 1, 1, 0, 42))
-	tl.Add(denseEntry(2, 0, 1, 2, 3, 42))
+	tl.Add(entry(0, 4, 42))
+	tl.Add(entry(0, 2, 42))
+	tl.Add(entry(1, 0, 42))
+	tl.Add(entry(2, 3, 42))
 	tl.Build()
 	for _, want := range []model.CandID{0, 2, 3, 4} {
 		e := tl.DeleteMax()

@@ -26,9 +26,11 @@ type groupKey struct {
 }
 
 // entry is one chosen triple inside a group, with its primitive
-// probability cached.
+// probability cached. A group is one (user, class), so (item, time)
+// identifies an entry and the user is not stored.
 type entry struct {
-	z model.Triple
+	i model.ItemID
+	t model.TimeStep
 	q float64
 }
 
@@ -43,20 +45,20 @@ type group struct {
 func (g *group) insert(e entry) {
 	i := sort.Search(len(g.entries), func(k int) bool {
 		ek := g.entries[k]
-		if ek.z.T != e.z.T {
-			return ek.z.T > e.z.T
+		if ek.t != e.t {
+			return ek.t > e.t
 		}
-		return ek.z.I >= e.z.I
+		return ek.i >= e.i
 	})
 	g.entries = append(g.entries, entry{})
 	copy(g.entries[i+1:], g.entries[i:])
 	g.entries[i] = e
 }
 
-func (g *group) remove(z model.Triple) bool {
-	for i, e := range g.entries {
-		if e.z == z {
-			g.entries = append(g.entries[:i], g.entries[i+1:]...)
+func (g *group) remove(i model.ItemID, t model.TimeStep) bool {
+	for k, e := range g.entries {
+		if e.i == i && e.t == t {
+			g.entries = append(g.entries[:k], g.entries[k+1:]...)
 			return true
 		}
 	}
@@ -70,8 +72,8 @@ func (g *group) remove(z model.Triple) bool {
 func memoryOf(entries []entry, t model.TimeStep) float64 {
 	m := 0.0
 	for _, e := range entries {
-		if e.z.T < t {
-			m += 1 / float64(t-e.z.T)
+		if e.t < t {
+			m += 1 / float64(t-e.t)
 		}
 	}
 	return m
@@ -82,21 +84,21 @@ func memoryOf(entries []entry, t model.TimeStep) float64 {
 // factor beta for that item. The entries must contain the triple itself.
 func dynamicProb(in *model.Instance, entries []entry, idx int) float64 {
 	e := entries[idx]
-	t := e.z.T
-	beta := in.Beta(e.z.I)
+	t := e.t
+	beta := in.Beta(e.i)
 	mem := memoryOf(entries, t)
 	p := e.q
 	if mem > 0 {
 		p *= math.Pow(beta, mem)
 	}
 	for _, o := range entries {
-		if o.z == e.z {
+		if o.i == e.i && o.t == e.t {
 			continue
 		}
 		switch {
-		case o.z.T < t:
+		case o.t < t:
 			p *= 1 - o.q
-		case o.z.T == t && o.z.I != e.z.I:
+		case o.t == t && o.i != e.i:
 			p *= 1 - o.q
 		}
 	}
@@ -108,7 +110,7 @@ func dynamicProb(in *model.Instance, entries []entry, idx int) float64 {
 func groupRevenue(in *model.Instance, entries []entry) float64 {
 	rev := 0.0
 	for idx, e := range entries {
-		rev += in.Price(e.z.I, e.z.T) * dynamicProb(in, entries, idx)
+		rev += in.Price(e.i, e.t) * dynamicProb(in, entries, idx)
 	}
 	return rev
 }
@@ -247,7 +249,7 @@ type Scratch struct {
 func (ev *Evaluator) marginalWith(g *group, e entry, buf *[]entry) float64 {
 	if len(g.entries) == 0 {
 		// Singleton group: gain is just p·q (no saturation, no competition).
-		return ev.in.Price(e.z.I, e.z.T) * e.q
+		return ev.in.Price(e.i, e.t) * e.q
 	}
 	need := len(g.entries) + 1
 	if cap(*buf) < need {
@@ -271,14 +273,14 @@ func (ev *Evaluator) MarginalGain(z model.Triple, q float64) float64 {
 	if g == nil {
 		return ev.in.Price(z.I, z.T) * q
 	}
-	return ev.marginalInto(g, entry{z, q})
+	return ev.marginalInto(g, entry{z.I, z.T, q})
 }
 
 // MarginalGainID is MarginalGain addressed by candidate ID; the
 // candidate's primitive probability comes from the instance.
 func (ev *Evaluator) MarginalGainID(id model.CandID) float64 {
 	c := ev.in.CandAt(id)
-	return ev.marginalInto(&ev.groups[ev.in.GroupOf(id)], entry{c.Triple, c.Q})
+	return ev.marginalInto(&ev.groups[ev.in.GroupOf(id)], entry{c.I, c.T, c.Q})
 }
 
 // MarginalGainIDScratch is MarginalGainID evaluated through a
@@ -290,7 +292,7 @@ func (ev *Evaluator) MarginalGainID(id model.CandID) float64 {
 // settle dispatches.
 func (ev *Evaluator) MarginalGainIDScratch(id model.CandID, sc *Scratch) float64 {
 	c := ev.in.CandAt(id)
-	return ev.marginalWith(&ev.groups[ev.in.GroupOf(id)], entry{c.Triple, c.Q}, &sc.buf)
+	return ev.marginalWith(&ev.groups[ev.in.GroupOf(id)], entry{c.I, c.T, c.Q}, &sc.buf)
 }
 
 // addTo inserts e into g and returns the realized gain.
@@ -308,18 +310,18 @@ func (ev *Evaluator) addTo(g *group, e entry) float64 {
 // Adding a triple that is already present is a programming error and
 // corrupts the total; callers guard with their own membership tracking.
 func (ev *Evaluator) Add(z model.Triple, q float64) float64 {
-	return ev.addTo(ev.groupAt(z.U, ev.in.Class(z.I), true), entry{z, q})
+	return ev.addTo(ev.groupAt(z.U, ev.in.Class(z.I), true), entry{z.I, z.T, q})
 }
 
 // AddID is Add addressed by candidate ID.
 func (ev *Evaluator) AddID(id model.CandID) float64 {
 	c := ev.in.CandAt(id)
-	return ev.addTo(&ev.groups[ev.in.GroupOf(id)], entry{c.Triple, c.Q})
+	return ev.addTo(&ev.groups[ev.in.GroupOf(id)], entry{c.I, c.T, c.Q})
 }
 
 // removeFrom deletes z from g and returns the revenue change.
 func (ev *Evaluator) removeFrom(g *group, z model.Triple) float64 {
-	if g == nil || !g.remove(z) {
+	if g == nil || !g.remove(z.I, z.T) {
 		return 0
 	}
 	old := g.revenue
@@ -377,7 +379,7 @@ func DynamicProb(in *model.Instance, s *model.Strategy, z model.Triple) float64 
 	groups := collectGroups(in, s)
 	g := groups[groupKey{z.U, in.Class(z.I)}]
 	for idx, e := range g {
-		if e.z == z {
+		if e.i == z.I && e.t == z.T {
 			return dynamicProb(in, g, idx)
 		}
 	}
@@ -408,14 +410,14 @@ func collectGroups(in *model.Instance, s *model.Strategy) map[groupKey][]entry {
 	groups := make(map[groupKey][]entry)
 	for _, z := range s.Triples() {
 		key := groupKey{z.U, in.Class(z.I)}
-		groups[key] = append(groups[key], entry{z, in.Q(z.U, z.I, z.T)})
+		groups[key] = append(groups[key], entry{z.I, z.T, in.Q(z.U, z.I, z.T)})
 	}
 	for key, g := range groups {
 		sort.Slice(g, func(a, b int) bool {
-			if g[a].z.T != g[b].z.T {
-				return g[a].z.T < g[b].z.T
+			if g[a].t != g[b].t {
+				return g[a].t < g[b].t
 			}
-			return g[a].z.I < g[b].z.I
+			return g[a].i < g[b].i
 		})
 		groups[key] = g
 	}
@@ -473,8 +475,8 @@ func EffectiveRevenue(in *model.Instance, s *model.Strategy, oracle CapacityOrac
 			if qs == 0 {
 				continue
 			}
-			b := capacityFactor(in, byItem[e.z.I], key.u, e.z, oracle)
-			total += in.Price(e.z.I, e.z.T) * qs * b
+			b := capacityFactor(in, byItem[e.i], key.u, model.Triple{U: key.u, I: e.i, T: e.t}, oracle)
+			total += in.Price(e.i, e.t) * qs * b
 		}
 	}
 	return total

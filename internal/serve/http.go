@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -74,8 +75,12 @@ func Handler(e *Engine) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/recommend/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad batch request: "+err.Error())
+		if code, err := DecodeRequest(w, r, &req); err != nil {
+			httpError(w, code, "bad batch request: "+err.Error())
+			return
+		}
+		if err := CheckBatch(len(req.Users)); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		ctx, sp := traceContext(e.Tracer(), w, r, "http.recommend-batch")
@@ -93,8 +98,8 @@ func Handler(e *Engine) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/adopt", func(w http.ResponseWriter, r *http.Request) {
 		var ev Event
-		if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
-			httpError(w, http.StatusBadRequest, "bad adoption event: "+err.Error())
+		if code, err := DecodeRequest(w, r, &ev); err != nil {
+			httpError(w, code, "bad adoption event: "+err.Error())
 			return
 		}
 		ctx, sp := traceContext(e.Tracer(), w, r, "http.adopt")
@@ -112,8 +117,8 @@ func Handler(e *Engine) http.Handler {
 		var req struct {
 			Now model.TimeStep `json:"now"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad advance request: "+err.Error())
+		if code, err := DecodeRequest(w, r, &req); err != nil {
+			httpError(w, code, "bad advance request: "+err.Error())
 			return
 		}
 		ctx, sp := traceContext(e.Tracer(), w, r, "http.advance")
@@ -172,6 +177,37 @@ func ErrorStatus(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
+}
+
+// Limits on /v1 requests, shared by the engine and cluster muxes.
+const (
+	// MaxRequestBytes bounds every /v1 request body; a larger one is
+	// answered 413. A batch of MaxBatchUsers IDs needs well under it.
+	MaxRequestBytes = 1 << 20
+	// MaxBatchUsers bounds the users of one /v1/recommend/batch request; a
+	// longer list is answered 400.
+	MaxBatchUsers = 4096
+)
+
+// DecodeRequest decodes the JSON body of a /v1 request into v, reading at
+// most MaxRequestBytes of it. On failure it also returns the status to
+// answer with: 413 for an oversize body, 400 for a malformed one.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
+// CheckBatch rejects a /v1/recommend/batch request naming more than
+// MaxBatchUsers users.
+func CheckBatch(users int) error {
+	if users > MaxBatchUsers {
+		return fmt.Errorf("batch of %d users exceeds the limit of %d", users, MaxBatchUsers)
+	}
+	return nil
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -331,3 +331,32 @@ func TestHTTPClosedEngineStatus(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPRequestLimits: every /v1 body is read through MaxRequestBytes
+// (413 beyond it) and a batch names at most MaxBatchUsers users (400
+// beyond it); requests at the limits still succeed.
+func TestHTTPRequestLimits(t *testing.T) {
+	_, srv := newTestServer(t)
+	pad := strings.Repeat(" ", MaxRequestBytes)
+	users := func(n int) string { return strings.TrimSuffix(strings.Repeat("1,", n), ",") }
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversize batch", "/v1/recommend/batch", `{"users":[1],` + pad + `"t":1}`, 413},
+		{"oversize adopt", "/v1/adopt", `{"user":1,"item":0,"t":1,` + pad + `"adopted":false}`, 413},
+		{"oversize advance", "/v1/advance", pad + `{"now":1}`, 413},
+		{"too many users", "/v1/recommend/batch", `{"users":[` + users(MaxBatchUsers+1) + `],"t":1}`, 400},
+		{"users at the limit", "/v1/recommend/batch", `{"users":[` + users(MaxBatchUsers) + `],"t":1}`, 200},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %d %.200s, want %d", tc.name, resp.StatusCode, body, tc.want)
+		}
+	}
+}
