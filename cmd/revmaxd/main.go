@@ -126,7 +126,7 @@ func run(args []string, stdout io.Writer) error {
 	users := fs.Int("users", 2000, "user count (synthetic dataset only)")
 	algoName := fs.String("algo", "GG", "planning algorithm: any solver-registry name or alias")
 	perms := fs.Int("perms", 5, "RL-Greedy permutations")
-	workers := fs.Int("workers", 0, "parallel-algorithm workers (g-greedy-parallel, rl-greedy-parallel; 0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "rl-greedy-parallel workers (0 = GOMAXPROCS)")
 	cuts := fs.String("cuts", "", "staged variants: comma-separated sub-horizon cut-offs, e.g. 2,4")
 	loadInstance := fs.String("load-instance", "", "load the instance from a JSON file instead of generating one")
 	snapshot := fs.String("snapshot", "", "legacy snapshot file: restore from it at boot if present, write it on shutdown (mutually exclusive with -data-dir)")
@@ -148,11 +148,16 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Resolve the algorithm up front: a typo in -algo must fail in
-	// milliseconds with the registry's name list, not after dataset
-	// generation.
+	// Resolve the algorithm up front: a typo in -algo, or an -algo that
+	// cannot replan incrementally, must fail in milliseconds with the
+	// registry's name list, not after dataset generation.
 	if _, err := solver.Lookup(*algoName); err != nil {
 		return err
+	}
+	if *incremental {
+		if err := solver.CheckSession(*algoName); err != nil {
+			return fmt.Errorf("-incremental: %w", err)
+		}
 	}
 	if *dataDir != "" && *snapshot != "" {
 		return errors.New("-snapshot and -data-dir are mutually exclusive (the data dir already snapshots on shutdown)")

@@ -17,7 +17,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/solver"
 	"repro/internal/testgen"
 )
 
@@ -71,13 +70,16 @@ func TestBadWALSyncPolicyFailsFast(t *testing.T) {
 	}
 }
 
-// TestIncrementalRequiresGGreedy: -incremental reaches the serving
-// layer's config validation, which demands a registry G-Greedy
-// algorithm (the persistent session replays its exact selection loop).
+// TestIncrementalRequiresGGreedy: -incremental demands g-greedy (the
+// persistent session replays its exact selection loop), and the check
+// runs with the up-front flag checks — before a bad -dataset could fail
+// dataset generation.
 func TestIncrementalRequiresGGreedy(t *testing.T) {
-	err := run([]string{"-dataset", "synthetic", "-users", "40", "-algo", "rl-greedy", "-incremental"}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "Incremental") {
-		t.Fatalf("-incremental with rl-greedy not rejected: %v", err)
+	for _, dataset := range []string{"synthetic", "nosuch"} {
+		err := run([]string{"-dataset", dataset, "-users", "40", "-algo", "rl-greedy", "-incremental"}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "Incremental") {
+			t.Fatalf("-dataset %s: -incremental with rl-greedy not rejected first: %v", dataset, err)
+		}
 	}
 }
 
@@ -225,32 +227,6 @@ func TestWorkersAndCutsFlagsDocumented(t *testing.T) {
 		if !strings.Contains(buf.String(), flagName) {
 			t.Fatalf("usage output missing %s:\n%s", flagName, buf.String())
 		}
-	}
-}
-
-// TestParallelPlannerMatchesSequential boots an engine with
-// g-greedy-parallel and verifies the initial plan is identical to the
-// sequential g-greedy engine's — the registry contract, end to end
-// through the daemon's config plumbing.
-func TestParallelPlannerMatchesSequential(t *testing.T) {
-	in := daemonInstance(t)
-	seqEng, err := serve.Open(in, serve.Config{Algorithm: "g-greedy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seqEng.Close()
-	parEng, err := serve.Open(in, serve.Config{
-		Algorithm: "g-greedy-parallel",
-		Solver:    solver.Options{Workers: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parEng.Close()
-	seqStats, parStats := seqEng.Stats(), parEng.Stats()
-	if parStats.PlanRevenue != seqStats.PlanRevenue || parStats.PlannedTriples != seqStats.PlannedTriples {
-		t.Fatalf("parallel plan (rev %v, %d triples) != sequential (rev %v, %d triples)",
-			parStats.PlanRevenue, parStats.PlannedTriples, seqStats.PlanRevenue, seqStats.PlannedTriples)
 	}
 }
 

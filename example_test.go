@@ -46,7 +46,6 @@ func ExampleList() {
 	// Output:
 	// g-greedy
 	// g-greedy-no
-	// g-greedy-parallel
 	// g-greedy-staged
 	// local-search
 	// naive-greedy

@@ -88,9 +88,9 @@ type Config struct {
 	// journal and only the candidates it invalidated are re-keyed
 	// before the solve. Output stays byte-identical to the
 	// non-incremental coordinator (cold or warm per WarmStart).
-	// Requires a registry G-Greedy algorithm ("g-greedy" or
-	// "g-greedy-parallel"); incompatible with a custom Planner. Shard
-	// engines are unaffected — they never solve.
+	// Requires the registry's "g-greedy" (solver.CheckSession);
+	// incompatible with a custom Planner. Shard engines are unaffected —
+	// they never solve.
 	Incremental bool
 	// ReplanEvery is passed through to shard engines. Engine-local
 	// replans only re-fetch the shard's slice, so this mostly controls
@@ -286,13 +286,8 @@ func newShell(cfg Config, items int, capacity func(int) int64) (*Cluster, error)
 		if custom != nil {
 			return nil, errors.New("cluster: Incremental is incompatible with a custom Planner (needs a registry G-Greedy algorithm)")
 		}
-		a, err := solver.Lookup(opts.Algorithm)
-		if err != nil {
+		if err := solver.CheckSession(opts.Algorithm); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		if n := a.Name(); n != solver.NameGGreedy && n != solver.NameGGreedyParallel {
-			return nil, fmt.Errorf("cluster: Incremental requires %q or %q, not %q",
-				solver.NameGGreedy, solver.NameGGreedyParallel, n)
 		}
 	}
 	c := &Cluster{

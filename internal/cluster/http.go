@@ -97,8 +97,9 @@ func Handler(c *Cluster) http.Handler {
 		writeJSON(w, clusterHealth(c))
 	})
 	mux.HandleFunc("GET /v1/recommend", func(w http.ResponseWriter, r *http.Request) {
-		user, err1 := strconv.Atoi(r.URL.Query().Get("user"))
-		t, err2 := strconv.Atoi(r.URL.Query().Get("t"))
+		q := r.URL.Query()
+		user, err1 := strconv.Atoi(q.Get("user"))
+		t, err2 := strconv.Atoi(q.Get("t"))
 		if err1 != nil || err2 != nil {
 			httpError(w, http.StatusBadRequest, "user and t must be integers")
 			return

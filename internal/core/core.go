@@ -98,11 +98,6 @@ type SolveStats struct {
 	// candidate-scan/heap-build phase and the selection loop.
 	ScanNanos   int64
 	SelectNanos int64
-	// Workers is the goroutine count a parallel solve ran with (0 for
-	// sequential algorithms); WorkerSettleNanos is each worker
-	// partition's total heap-settling time, indexed by partition.
-	Workers           int
-	WorkerSettleNanos []int64
 }
 
 // state carries everything a greedy run mutates: the growing plan (which

@@ -1,122 +1,5 @@
 package model
 
-import "math/bits"
-
-// This file holds the bit-parallel kernels on Plan: word-at-a-time
-// popcount over contiguous CandID ranges instead of per-candidate
-// counter walks. Every dense sub-index the constraints care about —
-// a user's candidates, a pair's candidates — occupies one contiguous
-// run of the flat array, so a masked popcount over the bitset answers
-// "how many selected?" 64 candidates per instruction.
-
-// CountRange returns the number of chosen candidates with lo <= id < hi
-// via masked word popcounts.
-func (p *Plan) CountRange(lo, hi CandID) int {
-	if lo >= hi {
-		return 0
-	}
-	wLo, wHi := int(lo>>6), int((hi-1)>>6)
-	maskLo := ^uint64(0) << (uint(lo) & 63)
-	maskHi := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if wLo == wHi {
-		return bits.OnesCount64(p.bits[wLo] & maskLo & maskHi)
-	}
-	n := bits.OnesCount64(p.bits[wLo] & maskLo)
-	for w := wLo + 1; w < wHi; w++ {
-		n += bits.OnesCount64(p.bits[w])
-	}
-	return n + bits.OnesCount64(p.bits[wHi]&maskHi)
-}
-
-// AnyInRange reports whether any candidate with lo <= id < hi is chosen.
-// Same masking as CountRange but short-circuits on the first non-zero
-// word.
-func (p *Plan) AnyInRange(lo, hi CandID) bool {
-	if lo >= hi {
-		return false
-	}
-	wLo, wHi := int(lo>>6), int((hi-1)>>6)
-	maskLo := ^uint64(0) << (uint(lo) & 63)
-	maskHi := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if wLo == wHi {
-		return p.bits[wLo]&maskLo&maskHi != 0
-	}
-	if p.bits[wLo]&maskLo != 0 {
-		return true
-	}
-	for w := wLo + 1; w < wHi; w++ {
-		if p.bits[w] != 0 {
-			return true
-		}
-	}
-	return p.bits[wHi]&maskHi != 0
-}
-
-// CountMasked returns the number of chosen candidates whose bit is also
-// set in mask (an arbitrary candidate subset encoded as a bitset of the
-// same word length as the plan's).
-func (p *Plan) CountMasked(mask []uint64) int {
-	n := 0
-	for w, word := range p.bits {
-		n += bits.OnesCount64(word & mask[w])
-	}
-	return n
-}
-
-// UserSelected returns the number of chosen candidates belonging to
-// user u — a single masked popcount over the user's contiguous CandID
-// span.
-func (p *Plan) UserSelected(u UserID) int {
-	lo, hi := p.in.UserCandSpan(u)
-	return p.CountRange(lo, hi)
-}
-
-// PairSelected returns the number of chosen candidates of capacity pair
-// pr. Equals pairCount[pr], recomputed from the bitset — the word-level
-// cross-check the property tests pin against the incremental counters.
-func (p *Plan) PairSelected(pr int32) int {
-	lo, hi := p.in.PairCandSpan(pr)
-	return p.CountRange(lo, hi)
-}
-
-// DistinctRecipients returns the number of distinct users item i is
-// recommended to — the quantity the capacity constraint bounds. Each
-// recipient pair is one contiguous CandID run, probed with a word-level
-// any-set test.
-func (p *Plan) DistinctRecipients(i ItemID) int {
-	ids := p.in.ItemCandIDs(i)
-	n := 0
-	for k := 0; k < len(ids); {
-		pr := p.in.PairOf(ids[k])
-		lo, hi := p.in.PairCandSpan(pr)
-		if p.AnyInRange(lo, hi) {
-			n++
-		}
-		// Skip the rest of this pair's run within the item list.
-		for k < len(ids) && p.in.PairOf(ids[k]) == pr {
-			k++
-		}
-	}
-	return n
-}
-
-// CheckSlot is the partition-local half of Check: it classifies only
-// the display-slot constraint (slot full ⇒ PlanDisplay) and never
-// consults membership or item capacity. The parallel G-Greedy workers
-// use it to prune their own partitions concurrently with the
-// coordinator mutating other partitions — every datum it reads (the
-// slot counter of a candidate owned by the caller's user range) is
-// written only between that partition's settle dispatches, so the read
-// is exact and race-free. Membership and capacity, which cross
-// partition boundaries, are re-checked authoritatively by the plan's
-// owner before any selection.
-func (p *Plan) CheckSlot(id CandID) PlanViolation {
-	if int(p.slotCount[p.in.ix.slotOf[id]]) >= p.in.K {
-		return PlanDisplay
-	}
-	return PlanOK
-}
-
 // UpperBoundKeys fills dst[k] with the saturation-free revenue bound
 // p(i,t)·q for the candidates lo+k in [lo, hi) — the branch-free bulk
 // kernel behind heap-key initialization. dst must have length hi-lo.

@@ -8,114 +8,6 @@ import (
 	"repro/internal/testgen"
 )
 
-// TestPlanWordKernelsMatchScalarCounters runs random Add/Remove
-// sequences and after every mutation cross-checks each word-level
-// kernel against a scalar per-candidate recount: CountRange and
-// CountMasked against brute-force membership walks, UserSelected /
-// PairSelected / DistinctRecipients against the quota quantities the
-// constraints are defined over, and CheckSlot against Check's
-// display-slot verdict.
-func TestPlanWordKernelsMatchScalarCounters(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		in := planInstance(t, 300+seed)
-		rng := dist.NewRNG(seed)
-		p := in.NewPlan()
-		n := in.NumCands()
-
-		scalarCount := func(lo, hi model.CandID) int {
-			c := 0
-			for id := lo; id < hi; id++ {
-				if p.Contains(id) {
-					c++
-				}
-			}
-			return c
-		}
-
-		for op := 0; op < 600; op++ {
-			id := model.CandID(rng.Intn(n))
-			if rng.Intn(3) == 0 {
-				p.Remove(id)
-			} else {
-				p.Add(id)
-			}
-
-			// Random [lo, hi) ranges, including word-boundary straddles.
-			for trial := 0; trial < 4; trial++ {
-				a := model.CandID(rng.Intn(n + 1))
-				b := model.CandID(rng.Intn(n + 1))
-				if a > b {
-					a, b = b, a
-				}
-				if got, want := p.CountRange(a, b), scalarCount(a, b); got != want {
-					t.Fatalf("seed %d op %d: CountRange(%d,%d) = %d, want %d", seed, op, a, b, got, want)
-				}
-				if got, want := p.AnyInRange(a, b), scalarCount(a, b) > 0; got != want {
-					t.Fatalf("seed %d op %d: AnyInRange(%d,%d) = %v, want %v", seed, op, a, b, got, want)
-				}
-			}
-
-			if op%10 != 0 {
-				continue
-			}
-			mask := make([]uint64, (n+63)/64)
-			want := 0
-			for id := 0; id < n; id++ {
-				if rng.Intn(2) == 0 {
-					mask[id>>6] |= 1 << (uint(id) & 63)
-					if p.Contains(model.CandID(id)) {
-						want++
-					}
-				}
-			}
-			if got := p.CountMasked(mask); got != want {
-				t.Fatalf("seed %d op %d: CountMasked = %d, want %d", seed, op, got, want)
-			}
-
-			for u := model.UserID(0); int(u) < in.NumUsers; u++ {
-				lo, hi := in.UserCandSpan(u)
-				if got, want := p.UserSelected(u), scalarCount(lo, hi); got != want {
-					t.Fatalf("seed %d op %d: UserSelected(%d) = %d, want %d", seed, op, u, got, want)
-				}
-			}
-			for pr := int32(0); pr < int32(in.NumPairs()); pr++ {
-				lo, hi := in.PairCandSpan(pr)
-				if got, want := p.PairSelected(pr), scalarCount(lo, hi); got != want {
-					t.Fatalf("seed %d op %d: PairSelected(%d) = %d, want %d", seed, op, pr, got, want)
-				}
-			}
-			for i := model.ItemID(0); int(i) < in.NumItems(); i++ {
-				users := map[model.UserID]bool{}
-				p.Each(func(id model.CandID) bool {
-					if in.CandAt(id).I == i {
-						users[in.CandAt(id).U] = true
-					}
-					return true
-				})
-				if got, want := p.DistinctRecipients(i), len(users); got != want {
-					t.Fatalf("seed %d op %d: DistinctRecipients(%d) = %d, want %d", seed, op, i, got, want)
-				}
-			}
-			for trial := 0; trial < 32; trial++ {
-				cid := model.CandID(rng.Intn(n))
-				selectedInSlot := 0
-				for _, sib := range in.SlotCandIDs(in.SlotOf(cid)) {
-					if p.Contains(sib) {
-						selectedInSlot++
-					}
-				}
-				want := model.PlanOK
-				if selectedInSlot >= in.K {
-					want = model.PlanDisplay
-				}
-				if got := p.CheckSlot(cid); got != want {
-					t.Fatalf("seed %d op %d: CheckSlot(%d) = %v, want %v (slot has %d/%d)", seed, op, cid, got, want, selectedInSlot, in.K)
-				}
-			}
-		}
-	}
-}
-
 // TestUpperBoundKeysMatchScalar pins the bulk key kernel to the scalar
 // p·q computation, bit for bit.
 func TestUpperBoundKeysMatchScalar(t *testing.T) {

@@ -67,6 +67,9 @@ func TestPlanMatchesStrategyProperty(t *testing.T) {
 			if p.Len() != s.Len() {
 				t.Fatalf("seed %d op %d: plan len %d, strategy len %d", seed, op, p.Len(), s.Len())
 			}
+			if op%50 == 0 {
+				checkPlanCounters(t, in, p, s)
+			}
 		}
 
 		// Final state: canonical orders identical, conversions round-trip.
@@ -93,6 +96,40 @@ func TestPlanMatchesStrategyProperty(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// checkPlanCounters recounts the plan's incremental counters by brute
+// force from the reference strategy: an unchosen candidate's Check is
+// PlanDisplay exactly when its display slot already holds ≥ K chosen
+// candidates, and ItemUsers is the number of distinct recipients.
+func checkPlanCounters(t *testing.T, in *model.Instance, p *model.Plan, s *model.Strategy) {
+	t.Helper()
+	for id := model.CandID(0); int(id) < in.NumCands(); id++ {
+		if s.Contains(in.CandAt(id).Triple) {
+			continue
+		}
+		inSlot := 0
+		for _, sib := range in.SlotCandIDs(in.SlotOf(id)) {
+			if s.Contains(in.CandAt(sib).Triple) {
+				inSlot++
+			}
+		}
+		if full := p.Check(id) == model.PlanDisplay; full != (inSlot >= in.K) {
+			t.Fatalf("candidate %d: Check says slot full = %v, slot holds %d/%d", id, full, inSlot, in.K)
+		}
+	}
+	recipients := make([]map[model.UserID]bool, in.NumItems())
+	for _, z := range s.Triples() {
+		if recipients[z.I] == nil {
+			recipients[z.I] = map[model.UserID]bool{}
+		}
+		recipients[z.I][z.U] = true
+	}
+	for i := range recipients {
+		if got, want := p.ItemUsers(model.ItemID(i)), len(recipients[i]); got != want {
+			t.Fatalf("item %d: ItemUsers = %d, want %d distinct recipients", i, got, want)
+		}
 	}
 }
 

@@ -232,38 +232,23 @@ func (ev *Evaluator) GroupSizeID(id model.CandID) int {
 	return len(ev.groups[ev.in.GroupOf(id)].entries)
 }
 
-// Scratch is a reusable arena for marginal-gain evaluation. The
-// evaluator's built-in scratch makes MarginalGain single-threaded; the
-// parallel G-Greedy workers each own a Scratch and call
-// MarginalGainIDScratch concurrently instead. The zero value is ready
-// to use and grows to the largest group evaluated through it.
-type Scratch struct {
-	buf []entry
-}
-
-// marginalWith computes the gain of adding e to g using the given
+// marginalInto computes the gain of adding e to g in the evaluator's
 // scratch buffer (no allocation once warm). The arithmetic — entry
-// order, operation sequence — is exactly the map-era computation, so
-// results are bit-identical regardless of which scratch is used: the
+// order, operation sequence — is exactly the map-era computation; the
 // buffer's prior content never influences the value.
-func (ev *Evaluator) marginalWith(g *group, e entry, buf *[]entry) float64 {
+func (ev *Evaluator) marginalInto(g *group, e entry) float64 {
 	if len(g.entries) == 0 {
 		// Singleton group: gain is just p·q (no saturation, no competition).
 		return ev.in.Price(e.i, e.t) * e.q
 	}
 	need := len(g.entries) + 1
-	if cap(*buf) < need {
-		*buf = make([]entry, 0, need*2)
+	if cap(ev.scratch) < need {
+		ev.scratch = make([]entry, 0, need*2)
 	}
-	tmp := (*buf)[:len(g.entries)]
+	tmp := ev.scratch[:len(g.entries)]
 	copy(tmp, g.entries)
 	tmp = append(tmp, e)
 	return groupRevenue(ev.in, tmp) - g.revenue
-}
-
-// marginalInto is marginalWith on the evaluator's own scratch.
-func (ev *Evaluator) marginalInto(g *group, e entry) float64 {
-	return ev.marginalWith(g, e, &ev.scratch)
 }
 
 // MarginalGain returns Rev(S ∪ {z}) − Rev(S) (Definition 3) without
@@ -281,18 +266,6 @@ func (ev *Evaluator) MarginalGain(z model.Triple, q float64) float64 {
 func (ev *Evaluator) MarginalGainID(id model.CandID) float64 {
 	c := ev.in.CandAt(id)
 	return ev.marginalInto(&ev.groups[ev.in.GroupOf(id)], entry{c.I, c.T, c.Q})
-}
-
-// MarginalGainIDScratch is MarginalGainID evaluated through a
-// caller-owned Scratch, bit-identical to MarginalGainID. Concurrent
-// calls with distinct Scratches are safe provided nothing concurrently
-// mutates the candidate's (user, class) group — the invariant the
-// parallel solver's user partitioning provides: a group never spans
-// partitions, and a partition's groups are only mutated between its own
-// settle dispatches.
-func (ev *Evaluator) MarginalGainIDScratch(id model.CandID, sc *Scratch) float64 {
-	c := ev.in.CandAt(id)
-	return ev.marginalWith(&ev.groups[ev.in.GroupOf(id)], entry{c.I, c.T, c.Q}, &sc.buf)
 }
 
 // addTo inserts e into g and returns the realized gain.

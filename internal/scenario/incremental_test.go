@@ -6,24 +6,18 @@ import (
 	"testing"
 )
 
-// incrSuiteScenario pins the registry algorithm for one matrix cell:
-// workers=1 plans with sequential G-Greedy, workers>1 with the
-// parallel variant (whose output is byte-identical at any worker
-// count). Both runs of a cell share the scenario, so the declared name
-// lands identically in the canonical Outcome JSON.
-func incrSuiteScenario(sc Scenario, workers int) Scenario {
+// incrSuiteScenario pins the registry algorithm the persistent session
+// replays, G-Greedy. Both runs of a cell share the scenario, so the
+// declared name lands identically in the canonical Outcome JSON.
+func incrSuiteScenario(sc Scenario) Scenario {
 	sc = crashSuiteScenario(sc)
-	if workers > 1 {
-		sc.Algorithm = "g-greedy-parallel"
-	} else {
-		sc.Algorithm = "g-greedy"
-	}
+	sc.Algorithm = "g-greedy"
 	return sc
 }
 
 // TestIncrementalEquivalenceMatrix is the acceptance gate of the
-// persistent-session replan path: for every catalog archetype, seed,
-// and worker count, a closed-loop run whose engine replans through a
+// persistent-session replan path: for every catalog archetype and
+// seed, a closed-loop run whose engine replans through a
 // core.Session (Config.Incremental) must produce canonical Outcome
 // JSON byte-identical to the non-incremental run — against cold
 // G-Greedy without warm starts, and against the warm-started solver
@@ -37,39 +31,37 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 	}
 	for _, arch := range Catalog() {
 		for seed := uint64(1); seed <= 3; seed++ {
-			for _, workers := range []int{1, 2, 8} {
-				arch, seed, workers := arch, seed, workers
-				for _, warm := range []bool{false, true} {
-					warm := warm
-					mode := "cold"
-					if warm {
-						mode = "warm"
-					}
-					t.Run(fmt.Sprintf("%s/seed%d/w%d/%s", arch.Name, seed, workers, mode), func(t *testing.T) {
-						t.Parallel()
-						sc := incrSuiteScenario(arch, workers)
-						base, err := Runner{Workers: workers, WarmStart: warm}.Run(sc, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						baseJSON, err := base.CanonicalJSON()
-						if err != nil {
-							t.Fatal(err)
-						}
-						incr, err := Runner{Workers: workers, WarmStart: warm, Incremental: true}.Run(sc, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						incrJSON, err := incr.CanonicalJSON()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(baseJSON, incrJSON) {
-							t.Fatalf("incremental outcome diverged from %s baseline\nbaseline:\n%s\nincremental:\n%s",
-								mode, baseJSON, incrJSON)
-						}
-					})
+			arch, seed := arch, seed
+			for _, warm := range []bool{false, true} {
+				warm := warm
+				mode := "cold"
+				if warm {
+					mode = "warm"
 				}
+				t.Run(fmt.Sprintf("%s/seed%d/%s", arch.Name, seed, mode), func(t *testing.T) {
+					t.Parallel()
+					sc := incrSuiteScenario(arch)
+					base, err := Runner{WarmStart: warm}.Run(sc, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					baseJSON, err := base.CanonicalJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					incr, err := Runner{WarmStart: warm, Incremental: true}.Run(sc, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					incrJSON, err := incr.CanonicalJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(baseJSON, incrJSON) {
+						t.Fatalf("incremental outcome diverged from %s baseline\nbaseline:\n%s\nincremental:\n%s",
+							mode, baseJSON, incrJSON)
+					}
+				})
 			}
 		}
 	}
@@ -90,8 +82,8 @@ func TestIncrementalCrashEquivalence(t *testing.T) {
 		t.Run(arch.Name, func(t *testing.T) {
 			t.Parallel()
 			const seed = uint64(2)
-			sc := incrSuiteScenario(arch, 2)
-			base, err := Runner{Workers: 2, WarmStart: true}.Run(sc, seed)
+			sc := incrSuiteScenario(arch)
+			base, err := Runner{WarmStart: true}.Run(sc, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +92,6 @@ func TestIncrementalCrashEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			crashed, err := Runner{
-				Workers:      2,
 				WarmStart:    true,
 				Incremental:  true,
 				DataDir:      t.TempDir(),
@@ -135,8 +126,8 @@ func TestIncrementalClusterEquivalence(t *testing.T) {
 		t.Run(arch.Name, func(t *testing.T) {
 			t.Parallel()
 			const seed = uint64(3)
-			sc := incrSuiteScenario(arch, 1)
-			base, err := Runner{Shards: 3, WarmStart: true, Workers: 1}.Run(sc, seed)
+			sc := incrSuiteScenario(arch)
+			base, err := Runner{Shards: 3, WarmStart: true}.Run(sc, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +135,7 @@ func TestIncrementalClusterEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			incr, err := Runner{Shards: 3, WarmStart: true, Workers: 1, Incremental: true}.Run(sc, seed)
+			incr, err := Runner{Shards: 3, WarmStart: true, Incremental: true}.Run(sc, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

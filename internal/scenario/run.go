@@ -48,23 +48,14 @@ type Runner struct {
 	// any shard count — the equivalence CI asserts. 0 or 1 keeps the
 	// single-engine path.
 	Shards int
-	// WarmStart, Workers, and Incremental configure the closed-loop
-	// serving side's registry planning path. Setting any of them moves
-	// trajectory engines (and clusters) off the Planner-closure shortcut
-	// onto a registry config — Scenario.Algorithm plus these options —
-	// which is required for Incremental (the persistent-session replan
-	// path demands a registry G-Greedy algorithm). The open-loop path
-	// and the planning seed are unchanged, so runs differing only in
+	// WarmStart and Incremental are the serving configs' switches of the
+	// same names. Closed-loop trajectories always plan through a registry
+	// config — Scenario.Algorithm plus a seed derived from (scenario,
+	// seed) — exactly as revmaxd does; Incremental needs g-greedy. The
+	// planning seed is the open loop's, so runs differing only in
 	// Incremental stay byte-comparable.
 	WarmStart   bool
-	Workers     int
 	Incremental bool
-}
-
-// registryMode reports whether closed-loop planning goes through the
-// solver registry instead of a Planner closure.
-func (r Runner) registryMode() bool {
-	return r.WarmStart || r.Workers > 0 || r.Incremental
 }
 
 // sharded reports whether closed-loop trajectories run on a cluster.
@@ -94,24 +85,17 @@ type crashFn func(cur engineLike) (engineLike, error)
 
 // engineConfig builds the serving config for one closed-loop
 // trajectory; with DataDir set the engine is durable.
-func (r Runner) engineConfig(sc Scenario, algo planner.Algorithm, seed uint64, k int) serve.Config {
+func (r Runner) engineConfig(sc Scenario, seed uint64, k int) serve.Config {
 	cfg := serve.Config{
-		Planner: algo,
-		Shards:  4,
+		Algorithm:   sc.Algorithm,
+		Solver:      solver.Options{Seed: instanceSeed(sc.Name, seed) ^ 0x5F5E},
+		WarmStart:   r.WarmStart,
+		Incremental: r.Incremental,
+		Shards:      4,
 		// Replans happen only at step boundaries (SetNow forces one;
 		// Flush covers pending adoptions), keeping trajectories
 		// independent of feedback-queue timing.
 		ReplanEvery: 1 << 30,
-	}
-	if r.registryMode() {
-		cfg.Planner = nil
-		cfg.Algorithm = sc.Algorithm
-		cfg.Solver = solver.Options{
-			Seed:    instanceSeed(sc.Name, seed) ^ 0x5F5E,
-			Workers: r.Workers,
-		}
-		cfg.WarmStart = r.WarmStart
-		cfg.Incremental = r.Incremental
 	}
 	if r.DataDir != "" {
 		cfg.Durability = &serve.Durability{
@@ -125,21 +109,14 @@ func (r Runner) engineConfig(sc Scenario, algo planner.Algorithm, seed uint64, k
 // clusterConfig is engineConfig's sharded twin: same planning policy
 // and per-trajectory durable root, but the barrier replan happens in
 // the coordinator and the lock stripes live inside each shard engine.
-func (r Runner) clusterConfig(sc Scenario, algo planner.Algorithm, seed uint64, k int) cluster.Config {
+func (r Runner) clusterConfig(sc Scenario, seed uint64, k int) cluster.Config {
 	cfg := cluster.Config{
 		Shards:      r.Shards,
-		Planner:     algo,
+		Algorithm:   sc.Algorithm,
+		Solver:      solver.Options{Seed: instanceSeed(sc.Name, seed) ^ 0x5F5E},
+		WarmStart:   r.WarmStart,
+		Incremental: r.Incremental,
 		ReplanEvery: 1 << 30,
-	}
-	if r.registryMode() {
-		cfg.Planner = nil
-		cfg.Algorithm = sc.Algorithm
-		cfg.Solver = solver.Options{
-			Seed:    instanceSeed(sc.Name, seed) ^ 0x5F5E,
-			Workers: r.Workers,
-		}
-		cfg.WarmStart = r.WarmStart
-		cfg.Incremental = r.Incremental
 	}
 	if r.DataDir != "" {
 		cfg.Durability = &serve.Durability{
@@ -234,7 +211,7 @@ func (r Runner) Run(sc Scenario, seed uint64) (Outcome, error) {
 	out.Timing.OpenLoopMillis = float64(time.Since(openStart).Microseconds()) / 1000
 
 	closedStart := time.Now()
-	if err := r.closedLoop(sc, seed, algo, in, prices, shocks, totalCap, &out); err != nil {
+	if err := r.closedLoop(sc, seed, in, prices, shocks, totalCap, &out); err != nil {
 		return Outcome{}, err
 	}
 	out.Timing.ClosedLoopMillis = float64(time.Since(closedStart).Microseconds()) / 1000
@@ -286,7 +263,7 @@ func (r Runner) openLoop(sc Scenario, seed uint64, algo planner.Algorithm, in *m
 // the outcomes back, applies due timeline mutations, and advances the
 // clock with a forced replan — the Recommend/Adopt/Advance cycle of a
 // deployed system, made deterministic by flushing at step boundaries.
-func (r Runner) closedLoop(sc Scenario, seed uint64, algo planner.Algorithm, pristine *model.Instance,
+func (r Runner) closedLoop(sc Scenario, seed uint64, pristine *model.Instance,
 	prices [][]float64, shocks map[model.TimeStep][]Mutation, totalCap int, out *Outcome) error {
 	users := make([]model.UserID, pristine.NumUsers)
 	for u := range users {
@@ -299,7 +276,7 @@ func (r Runner) closedLoop(sc Scenario, seed uint64, algo planner.Algorithm, pri
 		// applied mid-run must not leak into the pristine instance or
 		// sibling trajectories.
 		world := pristine.Clone()
-		eng, crash, err := r.openServing(sc, algo, seed, k, world)
+		eng, crash, err := r.openServing(sc, seed, k, world)
 		if err != nil {
 			return fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
@@ -337,10 +314,10 @@ func (r Runner) closedLoop(sc Scenario, seed uint64, algo planner.Algorithm, pri
 // trajectory's directory is cleared first: Open prefers recovery over
 // the fresh clone, so a leftover directory would silently replay a
 // finished world.
-func (r Runner) openServing(sc Scenario, algo planner.Algorithm, seed uint64, k int,
+func (r Runner) openServing(sc Scenario, seed uint64, k int,
 	world *model.Instance) (engineLike, crashFn, error) {
 	if r.sharded() {
-		ccfg := r.clusterConfig(sc, algo, seed, k)
+		ccfg := r.clusterConfig(sc, seed, k)
 		if d := ccfg.Durability; d != nil {
 			if err := os.RemoveAll(d.Dir); err != nil {
 				return nil, nil, fmt.Errorf("clearing trajectory dir: %w", err)
@@ -363,7 +340,7 @@ func (r Runner) openServing(sc Scenario, algo planner.Algorithm, seed uint64, k 
 		}
 		return cl, crash, nil
 	}
-	cfg := r.engineConfig(sc, algo, seed, k)
+	cfg := r.engineConfig(sc, seed, k)
 	if d := cfg.Durability; d != nil {
 		if err := os.RemoveAll(d.Dir); err != nil {
 			return nil, nil, fmt.Errorf("clearing trajectory dir: %w", err)

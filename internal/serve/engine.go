@@ -79,10 +79,9 @@ type Config struct {
 	// bounds for exactly the candidates those deltas invalidated.
 	// Output is byte-identical to the non-incremental path — cold
 	// solves without WarmStart, warm-started solves with it — so the
-	// switch is a pure latency/throughput trade. Requires a registry
-	// G-Greedy algorithm ("g-greedy" or "g-greedy-parallel");
-	// construction fails otherwise, and Planner overrides are
-	// incompatible.
+	// switch is a pure latency/throughput trade. Requires the registry's
+	// "g-greedy" (solver.CheckSession); construction fails otherwise,
+	// and Planner overrides are incompatible.
 	Incremental bool
 	// Shards overrides the shard count (rounded up to a power of two).
 	// 0 means next pow2 ≥ GOMAXPROCS.
@@ -156,13 +155,8 @@ func (c Config) planSetup() (planner.Algorithm, solver.Options, error) {
 		return nil, solver.Options{}, fmt.Errorf("serve: %w", err)
 	}
 	if c.Incremental {
-		a, err := solver.Lookup(opts.Algorithm)
-		if err != nil {
+		if err := solver.CheckSession(opts.Algorithm); err != nil {
 			return nil, solver.Options{}, fmt.Errorf("serve: %w", err)
-		}
-		if n := a.Name(); n != solver.NameGGreedy && n != solver.NameGGreedyParallel {
-			return nil, solver.Options{}, fmt.Errorf("serve: Incremental requires %q or %q, not %q",
-				solver.NameGGreedy, solver.NameGGreedyParallel, n)
 		}
 	}
 	return nil, opts, nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/solver"
 )
 
 // incrScript drives two engines through an identical feedback script —
@@ -84,7 +83,7 @@ func assertSamePlan(t *testing.T, tag string, a, b *Engine) {
 
 // TestIncrementalMatchesBaseline: an incremental engine's every
 // installed plan is byte-identical to a baseline engine's on the same
-// feedback script, across cold/warm and sequential/parallel configs.
+// feedback script, cold and warm.
 func TestIncrementalMatchesBaseline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -92,7 +91,6 @@ func TestIncrementalMatchesBaseline(t *testing.T) {
 	}{
 		{"cold", Config{}},
 		{"warm", Config{WarmStart: true}},
-		{"parallel-warm", Config{Algorithm: "g-greedy-parallel", WarmStart: true, Solver: solver.Options{Workers: 4}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := testInstance(t, 50, 8, 4, 2, 91)

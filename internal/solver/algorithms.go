@@ -17,7 +17,6 @@ import (
 // pre-registry CLI flags and configs keep resolving.
 const (
 	NameGGreedy          = "g-greedy"           // Global Greedy (Algorithm 1)
-	NameGGreedyParallel  = "g-greedy-parallel"  // G-Greedy with partitioned concurrent settling
 	NameGGreedyNo        = "g-greedy-no"        // G-Greedy ignoring saturation (GG-No, §6.1)
 	NameGGreedyStaged    = "g-greedy-staged"    // G-Greedy under gradual price reveal (§6.3)
 	NameSLGreedy         = "sl-greedy"          // Sequential Local Greedy (Algorithm 2)
@@ -40,20 +39,6 @@ func init() {
 			return core.GGreedyWarmCtx(ctx, in, o.Warm, o.progressFor(NameGGreedy))
 		}
 		return core.GGreedyCtx(ctx, in, o.progressFor(NameGGreedy))
-	}))
-	Register(Func(NameGGreedyParallel, func(ctx context.Context, in *model.Instance, o Options) (Result, error) {
-		// A session solve subsumes the partitioned settle: partitions with
-		// zero dirty candidates keep their heap pairs verbatim, so the
-		// incremental sequential scan does strictly less work than
-		// re-settling, with byte-identical output (the parallel variants
-		// are themselves byte-identical to the sequential ones).
-		if o.Session != nil {
-			return o.Session.SolveCtx(ctx, o.progressFor(NameGGreedyParallel))
-		}
-		if len(o.Warm) > 0 {
-			return core.GGreedyParallelWarmCtx(ctx, in, o.Warm, o.Workers, o.progressFor(NameGGreedyParallel))
-		}
-		return core.GGreedyParallelCtx(ctx, in, o.Workers, o.progressFor(NameGGreedyParallel))
 	}))
 	Register(Func(NameGGreedyNo, func(ctx context.Context, in *model.Instance, o Options) (Result, error) {
 		return core.GlobalNoCtx(ctx, in, o.progressFor(NameGGreedyNo))
@@ -91,8 +76,6 @@ func init() {
 	}))
 
 	RegisterAlias("gg", NameGGreedy)
-	RegisterAlias("ggp", NameGGreedyParallel)
-	RegisterAlias("gg-parallel", NameGGreedyParallel)
 	RegisterAlias("gg-no", NameGGreedyNo)
 	RegisterAlias("gg-staged", NameGGreedyStaged)
 	RegisterAlias("slg", NameSLGreedy)

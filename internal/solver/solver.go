@@ -71,9 +71,8 @@ type Options struct {
 	// Monte-Carlo capacity oracle). Fixed seed ⇒ deterministic output.
 	Seed uint64
 
-	// Workers is the concurrency of the parallel algorithms:
-	// rl-greedy-parallel's simultaneous permutation runs and
-	// g-greedy-parallel's settle goroutines (≤ 0 means GOMAXPROCS).
+	// Workers is rl-greedy-parallel's number of simultaneous
+	// permutation runs (≤ 0 means GOMAXPROCS).
 	Workers int
 
 	// Cuts are the sub-horizon cut-offs of the staged variants (§6.3):
@@ -92,8 +91,7 @@ type Options struct {
 	// which errors without one.
 	Rating core.RatingFn
 
-	// Warm seeds supporting algorithms (currently g-greedy and
-	// g-greedy-parallel) with a
+	// Warm seeds g-greedy, the one algorithm that supports it, with a
 	// previous plan's triples for incremental replanning: still-feasible
 	// seeds are re-validated and re-scored on the instance, invalidated
 	// ones (adopted class, depleted stock, repriced below profitability)
@@ -107,14 +105,12 @@ type Options struct {
 	// incremental core.Session instead of a from-scratch scan: the
 	// session already holds the instance, heap, plan, and evaluator
 	// from the previous replan, and only journal-dirtied candidates are
-	// recomputed. Only the G-Greedy family ("g-greedy" and
-	// "g-greedy-parallel") consumes it — the session's output is
-	// byte-identical to those algorithms on the equivalent residual
-	// instance, so the parallel variant delegates too (clean partitions
-	// reuse their heap pairs verbatim, subsuming the settle skip).
-	// Other algorithms ignore it. When set, the in argument to Solve is
-	// ignored in favor of Session.Instance(), and Warm is ignored — the
-	// session carries its own seed (SessionConfig.Seeded).
+	// recomputed. Only "g-greedy" consumes it (see CheckSession) — the
+	// session's output is byte-identical to g-greedy on the equivalent
+	// residual instance. Other algorithms ignore it. When set, the in
+	// argument to Solve is ignored in favor of Session.Instance(), and
+	// Warm is ignored — the session carries its own seed
+	// (SessionConfig.Seeded).
 	Session *core.Session
 
 	// Progress, when non-nil, receives in-flight reports from long
@@ -310,6 +306,22 @@ func ValidateOptions(opts Options) error {
 	return nil
 }
 
+// CheckSession reports whether the named algorithm (a name or alias;
+// empty means DefaultAlgorithm) can replan through a persistent
+// core.Session (Options.Session): only g-greedy replays the session's
+// selection loop. Serving configs with incremental replanning call it
+// at construction; revmaxd calls it before generating a dataset.
+func CheckSession(name string) error {
+	a, err := Lookup(name)
+	if err != nil {
+		return err
+	}
+	if a.Name() != NameGGreedy {
+		return fmt.Errorf("solver: Incremental requires %q, not %q", NameGGreedy, a.Name())
+	}
+	return nil
+}
+
 // Solve resolves opts.Algorithm through the registry and runs it on in
 // under ctx. It is the single dispatch point every execution path —
 // CLIs, the serving daemon, the scenario engine, the experiment harness
@@ -364,16 +376,5 @@ func annotateSolveSpan(sp *obs.Span, start time.Time, res Result, err error) {
 		scan := time.Duration(st.ScanNanos)
 		sp.ChildSpan("candidate-scan", start, scan)
 		sp.ChildSpan("selection", start.Add(scan), time.Duration(st.SelectNanos))
-	}
-	if st.Workers > 0 {
-		sp.SetInt("workers", int64(st.Workers))
-	}
-	// Per-partition settle time of a parallel solve. The spans share the
-	// selection phase's start: settling interleaves with coordination, so
-	// only the durations are meaningful, not the offsets.
-	for i, nanos := range st.WorkerSettleNanos {
-		if nanos > 0 {
-			sp.ChildSpan(fmt.Sprintf("settle-partition-%d", i), start.Add(time.Duration(st.ScanNanos)), time.Duration(nanos))
-		}
 	}
 }

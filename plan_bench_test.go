@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -445,80 +444,6 @@ func TestIncrementalReplanUnwindsFewCandidates(t *testing.T) {
 		plan.Len(), in.NumCands(), unwound, replayed)
 }
 
-// parallelSolveInstance is the selection-bound workload for the
-// sequential-vs-parallel solve comparison: enough users that the
-// partitioned scan has real spans to cut, enough candidates that the
-// lazy-forward selection loop dominates the build phase.
-func parallelSolveInstance(tb testing.TB) *model.Instance {
-	tb.Helper()
-	in := testgen.Random(dist.NewRNG(7), testgen.Params{
-		Users: 400, Items: 60, Classes: 6, T: 8, K: 3,
-		MaxCap: 30, CandProb: 0.3, MinPrice: 1, MaxPrice: 100,
-	})
-	if err := in.Validate(); err != nil {
-		tb.Fatal(err)
-	}
-	return in
-}
-
-// BenchmarkGGreedyParallel sweeps the worker count on the same
-// instance; workers=1 is the sequential in-line fallback, so the sweep
-// is the parallel scan's overhead/speedup curve. Output is
-// byte-identical at every point — only wall clock may differ.
-func BenchmarkGGreedyParallel(b *testing.B) {
-	in := parallelSolveInstance(b)
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.GGreedy(in)
-		}
-	})
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.GGreedyParallel(in, w)
-			}
-		})
-	}
-}
-
-// BenchmarkPlanWordOps compares the word-at-a-time Plan kernels against
-// their scalar per-candidate equivalents on a solved plan.
-func BenchmarkPlanWordOps(b *testing.B) {
-	f := newPlanOpsFixture(b)
-	n := model.CandID(f.in.NumCands())
-	b.Run("count-range/words", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if f.plan.CountRange(0, n) != f.plan.Len() {
-				b.Fatal("count mismatch")
-			}
-		}
-	})
-	b.Run("count-range/scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			count := 0
-			for id := model.CandID(0); id < n; id++ {
-				if f.plan.Contains(id) {
-					count++
-				}
-			}
-			if count != f.plan.Len() {
-				b.Fatal("count mismatch")
-			}
-		}
-	})
-	b.Run("distinct-recipients/words", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f.plan.DistinctRecipients(f.triples[i%len(f.triples)].I)
-		}
-	})
-	b.Run("upper-bound-keys/kernel", func(b *testing.B) {
-		dst := make([]float64, n)
-		for i := 0; i < b.N; i++ {
-			f.in.UpperBoundKeys(0, n, dst)
-		}
-	})
-}
-
 // TestPlanBenchReport, gated on BENCH_PLAN_OUT, measures the
 // representation and replanning workloads with testing.Benchmark and
 // writes BENCH_plan.json — the CI artifact for the planning-path bench
@@ -552,18 +477,6 @@ func TestPlanBenchReport(t *testing.T) {
 	replanCold := measure(func(i int) { core.GGreedy(wf.residual) })
 	replanWarm := measure(func(i int) { core.GGreedyWarm(wf.residual, wf.seeds) })
 	solveCold := measure(func(i int) { core.GGreedy(f.in) })
-
-	n64 := model.CandID(f.in.NumCands())
-	countWords := measure(func(i int) { f.plan.CountRange(0, n64) })
-	countScalar := measure(func(i int) {
-		count := 0
-		for id := model.CandID(0); id < n64; id++ {
-			if f.plan.Contains(id) {
-				count++
-			}
-		}
-		_ = count
-	})
 
 	// Incremental-session replans: sweep events-per-replan and record
 	// the replan (Solve) latency plus the dirty-candidate count of the
@@ -636,19 +549,6 @@ func TestPlanBenchReport(t *testing.T) {
 			incrPoints[1].dirty, sessionCands, 100*frac)
 	}
 
-	// Sequential vs parallel solve on the selection-bound instance. The
-	// parallel scan is byte-identical to the sequential one at every
-	// worker count, so this table is pure wall clock; cpus records how
-	// many cores the host actually had — worker counts beyond it measure
-	// scheduling overhead, not parallelism.
-	pin := parallelSolveInstance(t)
-	solveSeq := measure(func(i int) { core.GGreedy(pin) })
-	parallelNs := map[string]float64{}
-	workerCounts := []int{1, 2, 4, 8}
-	for _, w := range workerCounts {
-		parallelNs[fmt.Sprintf("solve_parallel_%dw_ns", w)] = measure(func(i int) { core.GGreedyParallel(pin, w) })
-	}
-
 	type row struct {
 		name         string
 		oldNs, newNs float64
@@ -659,7 +559,6 @@ func TestPlanBenchReport(t *testing.T) {
 		{"CheckValid (fresh maps → pooled dense)", checkLegacy, checkFlat},
 		{"replan (cold solve → warm-start)", replanCold, replanWarm},
 		{"replan (warm full-rebuild → incremental session)", replanWarmFull, incrPoints[16].ns},
-		{"count selected (scalar loop → word popcount)", countScalar, countWords},
 	}
 	t.Log("old-vs-new (flat plan representation):")
 	for _, r := range rows {
@@ -673,12 +572,6 @@ func TestPlanBenchReport(t *testing.T) {
 	}
 	t.Logf("  %-14s %12.0f ns  (incr 16ev: %.2fx faster)", "warm-full-16ev", replanWarmFull, replanWarmFull/incrPoints[16].ns)
 	t.Logf("  %-14s %12.0f ns  (eager invalidation, paid per event on the feed path)", "observe-event", eventObserve)
-	t.Logf("sequential-vs-parallel G-Greedy (cands=%d, cpus=%d):", pin.NumCands(), runtime.NumCPU())
-	t.Logf("  %-14s %12.0f ns", "sequential", solveSeq)
-	for _, w := range workerCounts {
-		ns := parallelNs[fmt.Sprintf("solve_parallel_%dw_ns", w)]
-		t.Logf("  %-14s %12.0f ns (%.2fx vs sequential)", fmt.Sprintf("workers=%d", w), ns, solveSeq/ns)
-	}
 
 	report := map[string]any{
 		"benchmark":            "PlanRepresentation",
@@ -704,15 +597,6 @@ func TestPlanBenchReport(t *testing.T) {
 		"dirty_cands_256ev":    incrPoints[256].dirty,
 		"session_num_cands":    sessionCands,
 		"ggreedy_solve_ns":     solveCold,
-		"count_words_ns":       countWords,
-		"count_scalar_ns":      countScalar,
-		"count_words_speedup":  countScalar / countWords,
-		"cpus":                 runtime.NumCPU(),
-		"solve_seq_ns":         solveSeq,
-		"parallel_speedup_8w":  solveSeq / parallelNs["solve_parallel_8w_ns"],
-	}
-	for k, v := range parallelNs {
-		report[k] = v
 	}
 	fh, err := os.Create(out)
 	if err != nil {
