@@ -16,8 +16,9 @@ func incrSuiteScenario(sc Scenario) Scenario {
 }
 
 // TestIncrementalEquivalenceMatrix is the acceptance gate of the
-// persistent-session replan path: for every catalog archetype and
-// seed, a closed-loop run whose engine replans through a
+// persistent-session replan path: for every catalog archetype, seed,
+// and solver worker count (revmaxd's -workers, which G-Greedy must
+// ignore), a closed-loop run whose engine replans through a
 // core.Session (Config.Incremental) must produce canonical Outcome
 // JSON byte-identical to the non-incremental run — against cold
 // G-Greedy without warm starts, and against the warm-started solver
@@ -31,37 +32,39 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 	}
 	for _, arch := range Catalog() {
 		for seed := uint64(1); seed <= 3; seed++ {
-			arch, seed := arch, seed
-			for _, warm := range []bool{false, true} {
-				warm := warm
-				mode := "cold"
-				if warm {
-					mode = "warm"
+			for _, workers := range []int{1, 2, 8} {
+				arch, seed, workers := arch, seed, workers
+				for _, warm := range []bool{false, true} {
+					warm := warm
+					mode := "cold"
+					if warm {
+						mode = "warm"
+					}
+					t.Run(fmt.Sprintf("%s/seed%d/w%d/%s", arch.Name, seed, workers, mode), func(t *testing.T) {
+						t.Parallel()
+						sc := incrSuiteScenario(arch)
+						base, err := Runner{Workers: workers, WarmStart: warm}.Run(sc, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						baseJSON, err := base.CanonicalJSON()
+						if err != nil {
+							t.Fatal(err)
+						}
+						incr, err := Runner{Workers: workers, WarmStart: warm, Incremental: true}.Run(sc, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						incrJSON, err := incr.CanonicalJSON()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(baseJSON, incrJSON) {
+							t.Fatalf("incremental outcome diverged from %s baseline\nbaseline:\n%s\nincremental:\n%s",
+								mode, baseJSON, incrJSON)
+						}
+					})
 				}
-				t.Run(fmt.Sprintf("%s/seed%d/%s", arch.Name, seed, mode), func(t *testing.T) {
-					t.Parallel()
-					sc := incrSuiteScenario(arch)
-					base, err := Runner{WarmStart: warm}.Run(sc, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					baseJSON, err := base.CanonicalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					incr, err := Runner{WarmStart: warm, Incremental: true}.Run(sc, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					incrJSON, err := incr.CanonicalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(baseJSON, incrJSON) {
-						t.Fatalf("incremental outcome diverged from %s baseline\nbaseline:\n%s\nincremental:\n%s",
-							mode, baseJSON, incrJSON)
-					}
-				})
 			}
 		}
 	}

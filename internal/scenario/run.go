@@ -49,12 +49,15 @@ type Runner struct {
 	// single-engine path.
 	Shards int
 	// WarmStart and Incremental are the serving configs' switches of the
-	// same names. Closed-loop trajectories always plan through a registry
-	// config — Scenario.Algorithm plus a seed derived from (scenario,
-	// seed) — exactly as revmaxd does; Incremental needs g-greedy. The
-	// planning seed is the open loop's, so runs differing only in
-	// Incremental stay byte-comparable.
+	// same names, and Workers is their solver.Options.Workers (revmaxd's
+	// -workers; only rl-greedy-parallel reads it). Closed-loop
+	// trajectories always plan through a registry config —
+	// Scenario.Algorithm plus a seed derived from (scenario, seed) —
+	// exactly as revmaxd does; Incremental needs g-greedy. The planning
+	// seed is the open loop's, so runs differing only in Incremental or
+	// Workers stay byte-comparable.
 	WarmStart   bool
+	Workers     int
 	Incremental bool
 }
 
@@ -88,7 +91,7 @@ type crashFn func(cur engineLike) (engineLike, error)
 func (r Runner) engineConfig(sc Scenario, seed uint64, k int) serve.Config {
 	cfg := serve.Config{
 		Algorithm:   sc.Algorithm,
-		Solver:      solver.Options{Seed: instanceSeed(sc.Name, seed) ^ 0x5F5E},
+		Solver:      solver.Options{Seed: instanceSeed(sc.Name, seed) ^ 0x5F5E, Workers: r.Workers},
 		WarmStart:   r.WarmStart,
 		Incremental: r.Incremental,
 		Shards:      4,
@@ -113,7 +116,7 @@ func (r Runner) clusterConfig(sc Scenario, seed uint64, k int) cluster.Config {
 	cfg := cluster.Config{
 		Shards:      r.Shards,
 		Algorithm:   sc.Algorithm,
-		Solver:      solver.Options{Seed: instanceSeed(sc.Name, seed) ^ 0x5F5E},
+		Solver:      solver.Options{Seed: instanceSeed(sc.Name, seed) ^ 0x5F5E, Workers: r.Workers},
 		WarmStart:   r.WarmStart,
 		Incremental: r.Incremental,
 		ReplanEvery: 1 << 30,
