@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -232,5 +234,102 @@ func TestReplansCountedWhenPlanVisible(t *testing.T) {
 	<-done
 	if got := cl.Stats().Replans; got != before+1 {
 		t.Errorf("replans = %d after the plan was installed, want %d", got, before+1)
+	}
+}
+
+// planningWork is what one shard engine has spent on planning: solver
+// runs, replans (an install counts as one) and the replan and install
+// spans in its trace ring.
+type planningWork struct {
+	solves, replans           int64
+	replanSpans, installSpans int
+}
+
+func shardPlanningWork(t *testing.T, e *serve.Engine) planningWork {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := planningWork{solves: -1, replans: e.Stats().Replans}
+	for _, s := range fams["revmaxd_solve_seconds"].Samples {
+		if s.Name == "revmaxd_solve_seconds_count" {
+			w.solves = int64(s.Value)
+		}
+	}
+	for _, sp := range e.Tracer().Traces() {
+		switch sp.Name {
+		case "replan":
+			w.replanSpans++
+		case "install":
+			w.installSpans++
+		}
+	}
+	return w
+}
+
+// TestShardsDoNoPlanningWork: a shard engine never plans on its own —
+// not after ReplanEvery adoptions, not on a clock advance — and one
+// coordinated barrier costs exactly one global solve and one install
+// per shard. The adoptions go straight to the shard's engine, so the
+// cluster's own adoption cadence schedules no barrier behind the test's
+// back.
+func TestShardsDoNoPlanningWork(t *testing.T) {
+	in := testInstance(t, 48, 23)
+	const cadence = 4
+	cl, err := New(in.Clone(), Config{Shards: 2, ReplanEvery: cadence})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	booted := planningWork{solves: 0, replans: 1, installSpans: 1}
+	for k := 0; k < cl.Shards(); k++ {
+		if got := shardPlanningWork(t, cl.Engine(k)); got != booted {
+			t.Fatalf("shard %d after boot: %+v, want %+v (one install, nothing else)", k, got, booted)
+		}
+	}
+
+	shard := cl.Engine(0)
+	fed := 0
+	for u := 0; u < in.NumUsers && fed < 3*cadence; u += cl.Shards() {
+		for _, cand := range in.UserCandidates(model.UserID(u)) {
+			ev := serve.Event{User: localID(model.UserID(u), cl.Shards()), Item: cand.I, T: cand.T, Adopted: true}
+			if cand.T != 1 || shard.Feed(ev) != nil {
+				continue
+			}
+			fed++
+			break
+		}
+	}
+	if fed < 3*cadence {
+		t.Fatalf("instance too sparse: %d step-1 adoptions for shard 0, need %d", fed, 3*cadence)
+	}
+	shard.Flush()
+	if err := shard.SetNow(2); err != nil {
+		t.Fatal(err)
+	}
+	shard.Flush()
+	if got := shardPlanningWork(t, shard); got != booted {
+		t.Fatalf("shard 0 after %d adoptions and an advance: %+v, want %+v (no planning until a barrier)", fed, got, booted)
+	}
+	if got := cl.CoordinatorStats().Replans; got != 1 {
+		t.Fatalf("coordinator replans = %d before any barrier, want 1 (boot)", got)
+	}
+
+	if err := cl.SetNow(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.CoordinatorStats().Replans; got != 2 {
+		t.Errorf("coordinator replans = %d after one barrier, want 2 (boot + one coordinated solve)", got)
+	}
+	barrier := planningWork{solves: 0, replans: 2, installSpans: 2}
+	for k := 0; k < cl.Shards(); k++ {
+		if got := shardPlanningWork(t, cl.Engine(k)); got != barrier {
+			t.Errorf("shard %d after one barrier: %+v, want %+v (one more install, nothing else)", k, got, barrier)
+		}
 	}
 }

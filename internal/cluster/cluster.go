@@ -20,14 +20,15 @@
 // adoptions or an exogenous change, the coordinator gathers every
 // shard's feedback into one global view, solves the global residual
 // instance ONCE with the configured algorithm, and installs per-shard
-// slices of the resulting strategy. Shard engines are configured with
-// a planner closure that returns their current slice, so engine-local
-// replans (boot recovery, advance-forced replans) are cheap fetches of
-// coordinator output rather than independent solves. The payoff is
-// exact equivalence: a cluster of any shard count runs the same
-// algorithm-invocation sequence on the same residual instances as a
-// single engine and therefore produces byte-identical outcomes —
-// which internal/scenario asserts across the whole archetype catalog.
+// slices of the resulting candidate-indexed plan. Shard engines run
+// install-only (serve.Config.InstallOnly): they never solve or replan,
+// and a slice reaches them through serve.Engine.InstallPlan already in
+// their own CandID space, so a shard's planning work is indexing it for
+// serving. The payoff is exact equivalence: a cluster of any shard
+// count runs the same algorithm-invocation sequence on the same
+// residual instances as a single engine and therefore produces
+// byte-identical outcomes — which internal/scenario asserts across the
+// whole archetype catalog.
 package cluster
 
 import (
@@ -77,7 +78,9 @@ type Config struct {
 	// Solver carries the named algorithm's options.
 	Solver solver.Options
 	// Planner, when non-nil, bypasses the registry with a custom global
-	// planning function (same contract as serve.Config.Planner).
+	// planning function: it receives each barrier's residual instance
+	// and returns a strategy, which the coordinator trims to the
+	// cluster-wide constraints (admitQuota) before slicing it to shards.
 	Planner planner.Algorithm
 	// WarmStart seeds each coordinated replan with the previous global
 	// plan's triples.
@@ -92,9 +95,10 @@ type Config struct {
 	// incompatible with a custom Planner. Shard engines are unaffected —
 	// they never solve.
 	Incremental bool
-	// ReplanEvery is passed through to shard engines. Engine-local
-	// replans only re-fetch the shard's slice, so this mostly controls
-	// how often engines refresh conditional probabilities mid-barrier.
+	// ReplanEvery is the adoption cadence of the self-driving barrier:
+	// every ReplanEvery-th adoption fed schedules a coordinated replan
+	// (≤ 0 means 32, serve.Config's default). Shard engines never plan,
+	// so it is not passed to them.
 	ReplanEvery int
 	// QueueDepth is each shard's feedback-queue buffer.
 	QueueDepth int
@@ -117,28 +121,27 @@ type Config struct {
 	SLO serve.SLOConfig
 }
 
-// engineConfig builds shard k's serve.Config: the cluster's planning
-// is replaced by a closure handing out the shard's current slice, and
-// the observability plane is threaded through — shard k's tracer mints
-// span IDs with origin k+1 so its spans correlate collision-free with
-// the coordinator's in the merged /debug/traces view, and its logger
-// carries a shard=<k> attribute.
-func (c *Cluster) engineConfig(k int) serve.Config {
-	cfg := serve.Config{
-		Planner:       func(*model.Instance) *model.Strategy { return c.sliceFor(k) },
-		ReplanEvery:   c.cfg.ReplanEvery,
-		QueueDepth:    c.cfg.QueueDepth,
-		Logger:        shardLogger(c.cfg.Logger, k),
-		SlowThreshold: c.cfg.SlowThreshold,
-		SLO:           c.cfg.SLO,
+// shardConfig builds shard k's serve.Config — the one builder behind
+// boot, full recovery and RecoverShard. The engine is install-only: the
+// coordinator plans for it. The observability plane is threaded through
+// — shard k's tracer mints span IDs with origin k+1 so its spans
+// correlate collision-free with the coordinator's in the merged
+// /debug/traces view, and its logger carries a shard=<k> attribute.
+func shardConfig(cfg Config, k int) serve.Config {
+	sc := serve.Config{
+		InstallOnly:   true,
+		QueueDepth:    cfg.QueueDepth,
+		Logger:        shardLogger(cfg.Logger, k),
+		SlowThreshold: cfg.SlowThreshold,
+		SLO:           cfg.SLO,
 		TraceOrigin:   uint16(k + 1),
 	}
-	if d := c.cfg.Durability; d != nil && d.Dir != "" {
+	if d := cfg.Durability; d != nil && d.Dir != "" {
 		sd := *d
 		sd.Dir = filepath.Join(d.Dir, fmt.Sprintf("shard-%d", k))
-		cfg.Durability = &sd
+		sc.Durability = &sd
 	}
-	return cfg
+	return sc
 }
 
 // shardLogger decorates the cluster logger with the shard index every
@@ -183,11 +186,11 @@ type Cluster struct {
 	engMu   sync.RWMutex
 	engines []*serve.Engine
 
-	// strat is the live global strategy; slices[k] is shard k's portion
-	// re-keyed to local user IDs, read by the shard's planner closure.
-	strat   atomic.Pointer[model.Strategy]
-	slices  []atomic.Pointer[model.Strategy]
-	revBits atomic.Uint64 // global plan revenue, float64 bits
+	// plan is the live global plan, published once every shard serves
+	// it. off[u] maps global user u's CandIDs to its shard's
+	// (candOffsets); the candidate sets never change, so it is built once.
+	plan atomic.Pointer[globalPlan]
+	off  []model.CandID
 
 	co *coordinator
 
@@ -267,8 +270,9 @@ func Open(in *model.Instance, cfg Config) (*Cluster, error) {
 }
 
 // newShell resolves the planning config and allocates the cluster
-// skeleton shared by fresh boot and recovery.
-func newShell(cfg Config, items int, capacity func(int) int64) (*Cluster, error) {
+// skeleton shared by fresh boot and recovery around the global
+// instance g.
+func newShell(cfg Config, g *model.Instance) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d out of range (want ≥ 1)", cfg.Shards)
 	}
@@ -300,11 +304,14 @@ func newShell(cfg Config, items int, capacity func(int) int64) (*Cluster, error)
 		replanEvery: cfg.ReplanEvery,
 		flushCh:     make(chan struct{}, 1),
 		quitCh:      make(chan struct{}),
-		slices:      make([]atomic.Pointer[model.Strategy], cfg.Shards),
-		co:          newCoordinator(cfg.Shards, items, capacity),
-		logger:      cfg.Logger,
-		tracer:      obs.NewTracer(64),
+		off:         candOffsets(g, cfg.Shards),
+		co: newCoordinator(cfg.Shards, g.NumItems(), func(i int) int64 {
+			return int64(g.Capacity(model.ItemID(i)))
+		}),
+		logger: cfg.Logger,
+		tracer: obs.NewTracer(64),
 	}
+	c.global.Store(g)
 	c.tracer.SetOrigin(coordTraceOrigin)
 	c.slo = newClusterSLO(c)
 	if c.replanEvery <= 0 {
@@ -353,8 +360,9 @@ func (c *Cluster) stopFlusher() {
 	c.flushWG.Wait()
 }
 
-// boot is the cold-start path: initial global solve, then one engine
-// per shard (durable engines stamp base snapshots under their dirs).
+// boot is the cold-start path: one engine per shard (durable engines
+// stamp base snapshots under their dirs), then the initial global solve
+// installed on all of them.
 func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -362,33 +370,23 @@ func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 	if cfg.Shards > in.NumUsers {
 		return nil, fmt.Errorf("cluster: shard count %d exceeds user count %d (an empty shard would serve nobody)", cfg.Shards, in.NumUsers)
 	}
-	c, err := newShell(cfg, in.NumItems(), func(i int) int64 {
-		return int64(in.Capacity(model.ItemID(i)))
-	})
+	c, err := newShell(cfg, in)
 	if err != nil {
 		return nil, err
 	}
-	c.global.Store(in)
-	// Initial plan mirrors a single engine's boot: solve the raw
-	// instance (not a residual) so the first strategy matches what
-	// serve.NewEngine would install. The quota trim is a no-op for
-	// valid solver output (same-pointer fast path).
-	s := c.solveGlobal(in, nil)
-	s, denied := admitQuota(in, s)
-	if denied > 0 {
-		c.co.denials.Add(int64(denied))
-	}
-	c.installGlobal(in, s)
 	c.engines = make([]*serve.Engine, c.n)
 	for k := 0; k < c.n; k++ {
-		sub := subInstance(in, c.n, k)
-		eng, err := serve.Open(sub, c.engineConfig(k))
+		eng, err := serve.Open(subInstance(in, c.n, k), shardConfig(cfg, k))
 		if err != nil {
 			c.closeEngines()
 			return nil, fmt.Errorf("cluster: shard %d: %w", k, err)
 		}
 		c.engines[k] = eng
 	}
+	// Initial plan mirrors a single engine's boot: solve the raw
+	// instance (not a residual) so the first plan matches what
+	// serve.NewEngine would install.
+	c.solveAndInstall(in, nil)
 	if err := c.openCoordStore(); err != nil {
 		c.closeEngines()
 		return nil, err
@@ -413,7 +411,6 @@ func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 // reconcile measures each recovered shard's view against the recovered
 // remainder, so stock can only be released late, never over-granted.
 func recoverCluster(cfg Config) (*Cluster, error) {
-	d := cfg.Durability
 	engines := make([]*serve.Engine, cfg.Shards)
 	closeAll := func() {
 		for _, e := range engines {
@@ -422,31 +419,11 @@ func recoverCluster(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	// The shell (and with it the planner closures and coordinator) needs
-	// the item count, which lives in the shard snapshots; recover shard
-	// engines first against a placeholder closure via a late-bound ref.
-	var c *Cluster
-	ref := &c
+	// The shell needs the global instance, which lives in the shard
+	// snapshots: recover the shard engines first. They serve their
+	// snapshotted slices until the coordinated replan below.
 	for k := 0; k < cfg.Shards; k++ {
-		k := k
-		ecfg := serve.Config{
-			Planner: func(*model.Instance) *model.Strategy {
-				if cl := *ref; cl != nil {
-					return cl.sliceFor(k)
-				}
-				return model.NewStrategy()
-			},
-			ReplanEvery:   cfg.ReplanEvery,
-			QueueDepth:    cfg.QueueDepth,
-			Logger:        shardLogger(cfg.Logger, k),
-			SlowThreshold: cfg.SlowThreshold,
-			SLO:           cfg.SLO,
-			TraceOrigin:   uint16(k + 1),
-		}
-		sd := *d
-		sd.Dir = filepath.Join(d.Dir, fmt.Sprintf("shard-%d", k))
-		ecfg.Durability = &sd
-		eng, err := serve.Open(nil, ecfg)
+		eng, err := serve.Open(nil, shardConfig(cfg, k))
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("cluster: recover shard %d: %w", k, err)
@@ -462,37 +439,33 @@ func recoverCluster(cfg Config) (*Cluster, error) {
 		closeAll()
 		return nil, err
 	}
-	shell, err := newShell(cfg, global.NumItems(), func(i int) int64 {
-		return int64(global.Capacity(model.ItemID(i)))
-	})
+	c, err := newShell(cfg, global)
 	if err != nil {
 		closeAll()
 		return nil, err
 	}
-	shell.global.Store(global)
-	shell.engines = engines
-	if err := shell.openCoordStore(); err != nil {
+	c.engines = engines
+	if err := c.openCoordStore(); err != nil {
 		closeAll()
 		return nil, err
 	}
-	if shell.co.st.HasState() {
-		if err := shell.co.recoverLedger(); err != nil {
+	if c.co.st.HasState() {
+		if err := c.co.recoverLedger(); err != nil {
 			closeAll()
-			shell.co.st.Close()
+			c.co.st.Close()
 			return nil, err
 		}
 	}
 	// Resume the clock at the furthest point any shard reached; lagging
 	// shards (killed before logging an advance) are pulled forward by
-	// the coordinated replan below.
+	// the coordinated replan's install below.
 	clock := model.TimeStep(1)
 	for _, e := range engines {
 		if now := e.Now(); now > clock {
 			clock = now
 		}
 	}
-	shell.clock.Store(int64(clock))
-	c = shell // arm the planner closures before the replan needs them
+	c.clock.Store(int64(clock))
 	c.force.Store(true)
 	c.Flush()
 	if err := c.co.snapshot(); err != nil {
@@ -532,16 +505,6 @@ func (c *Cluster) closeEngines() {
 	}
 }
 
-// sliceFor returns shard k's portion of the live global strategy (an
-// empty strategy before the first install — only reachable during
-// recovery boot, before the forced coordinated replan).
-func (c *Cluster) sliceFor(k int) *model.Strategy {
-	if s := c.slices[k].Load(); s != nil {
-		return s
-	}
-	return model.NewStrategy()
-}
-
 // Shards returns the cluster's shard count.
 func (c *Cluster) Shards() int { return c.n }
 
@@ -565,8 +528,25 @@ func (c *Cluster) inst() *model.Instance { return c.global.Load() }
 // Now returns the cluster clock.
 func (c *Cluster) Now() model.TimeStep { return model.TimeStep(c.clock.Load()) }
 
-// Strategy returns the live global strategy.
-func (c *Cluster) Strategy() *model.Strategy { return c.strat.Load() }
+// Strategy returns the live global strategy (do not mutate). The
+// serving path never needs the map-backed form, so it is built here,
+// once per plan, on first request.
+func (c *Cluster) Strategy() *model.Strategy {
+	if gp := c.plan.Load(); gp != nil {
+		return gp.strategy()
+	}
+	return nil
+}
+
+// Engine returns shard k's serving engine, for inspection (stats,
+// traces, its served plan). Route requests, feedback and exogenous
+// changes through the cluster, never through the engine: the
+// coordinator owns stock, clock and plan.
+func (c *Cluster) Engine(k int) *serve.Engine {
+	c.engMu.RLock()
+	defer c.engMu.RUnlock()
+	return c.engines[k]
+}
 
 // owner validates u and returns its shard and local ID.
 func (c *Cluster) owner(u model.UserID) (int, model.UserID, error) {
@@ -851,7 +831,7 @@ func (c *Cluster) Flush() {
 // named "barrier" (joining ref's trace when the barrier was caused by a
 // traced request, e.g. an /v1/advance carrying X-Trace-Id) with drain,
 // reconcile, gather/merge/solve/trim/slice, and install children. Every
-// shard's replan span joins the same trace remotely, so the merged
+// shard's install span joins the same trace remotely, so the merged
 // /debug/traces view shows one coordinated timeline. Barriers that find
 // no work drop their span unpublished — the 1s background ticks of an
 // idle cluster never reach the ring, the histogram, or the log.
@@ -882,23 +862,9 @@ func (c *Cluster) flushLocked(ref obs.TraceRef) {
 	replanned := dirty || force
 	if replanned {
 		c.pendingAdopt.Store(0)
+		// Each shard's install is queued behind the grants above, so the
+		// installs also wait for them.
 		c.replanLocked(sp)
-		// Advance every engine to the cluster clock; equal-time advances
-		// are allowed and force the engine to fetch its fresh slice. The
-		// trace rides along as a goroutine-shareable ref: each shard's
-		// forced replan opens its own remote span under the install span.
-		clock := model.TimeStep(c.clock.Load())
-		install := sp.Child("install")
-		ctx := obs.ContextWithTraceRef(context.Background(),
-			obs.TraceRef{TraceID: sp.TraceID(), ParentID: install.SpanID()})
-		c.engMu.RLock()
-		for _, e := range c.engines {
-			_ = e.SetNowCtx(ctx, clock)
-		}
-		c.engMu.RUnlock()
-		// Barrier 2: wait for grants, advances, and slice installs.
-		c.flushEngines()
-		install.End()
 	} else if granted {
 		// No replan, but reconciliation re-granted stock views; apply
 		// them before returning.
@@ -1007,9 +973,9 @@ func (c *Cluster) reconcileLocked() (granted, charged bool) {
 
 // replanLocked runs one coordinated global replan: gather every
 // shard's feedback, merge into the global view (stock from the
-// coordinator ledger, clock from the cluster), solve the residual
-// instance once, trim any quota violation, and install the slices.
-// Each phase is recorded as a child of the caller's barrier span.
+// coordinator ledger, clock from the cluster), then solve the residual
+// instance once and install its slices (solveAndInstall). Each phase is
+// recorded as a child of the caller's barrier span.
 func (c *Cluster) replanLocked(sp *obs.Span) {
 	gather := sp.Child("gather")
 	fb, err := c.gatherFeedback()
@@ -1052,7 +1018,22 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 		residual = planner.Residual(c.inst(), fb)
 	}
 	merge.End()
-	s := c.solveGlobal(residual, sp)
+	gp, denied := c.solveAndInstall(residual, sp)
+	if c.logger != nil {
+		obs.WithTrace(c.logger, sp).Info("coordinated replan",
+			"revenue", gp.revenue, "triples", len(gp.ids), "denied", denied,
+			"now", c.clock.Load())
+	}
+}
+
+// solveAndInstall is the planning half of every coordinated replan,
+// boot's included: solve residual once ("solve"), admit the output as a
+// CandID plan ("trim"), map it to the global CandID space and split its
+// revenue by shard ("slice"), and install it on every shard ("install")
+// — children of sp, which may be nil. It returns the published plan and
+// the number of triples the admission denied.
+func (c *Cluster) solveAndInstall(residual *model.Instance, sp *obs.Span) (*globalPlan, int) {
+	res := c.solveGlobal(residual, sp)
 	if c.sess != nil {
 		st := c.sess.LastStats()
 		sp.SetInt("dirty_cands", int64(st.DirtyCands))
@@ -1061,20 +1042,16 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 		sp.SetInt("replayed_groups", int64(st.ReplayedGroups))
 	}
 	trim := sp.Child("trim")
-	s, denied := admitQuota(residual, s)
+	fp, ev, denied := admit(residual, res)
 	trim.End()
 	if denied > 0 {
 		c.co.denials.Add(int64(denied))
 	}
 	slice := sp.Child("slice")
-	c.installGlobal(residual, s)
+	gp := c.slicePlan(fp, ev)
 	slice.End()
-	if c.logger != nil {
-		obs.WithTrace(c.logger, sp).Info("coordinated replan",
-			"revenue", math.Float64frombits(c.revBits.Load()),
-			"triples", s.Len(), "denied", denied,
-			"now", c.clock.Load())
-	}
+	c.installGlobal(gp, sp)
+	return gp, denied
 }
 
 // gatherFeedback merges the shards' consistent feedback exports into
@@ -1111,14 +1088,15 @@ func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 
 // solveGlobal runs the configured algorithm on the global residual —
 // the single planning invocation per coordinated replan. A non-nil sp
-// receives the solver's own "solve" child span with phase breakdown.
-func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Strategy {
+// receives the solver's own "solve" child span with phase breakdown. A
+// failed solve degrades to an empty plan, like a single engine's.
+func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) solver.Result {
 	if c.custom != nil {
 		s := c.custom(residual)
 		if s == nil {
 			s = model.NewStrategy()
 		}
-		return s
+		return solver.Result{Strategy: s}
 	}
 	o := c.opts
 	o.Span = sp
@@ -1130,23 +1108,56 @@ func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Str
 		o.Warm = c.warmPrev
 	}
 	res, err := solver.Solve(context.Background(), residual, o)
-	s := res.Strategy
-	if s == nil && res.Plan != nil {
-		// Session solves leave the map view to the caller.
-		s = res.Plan.Strategy()
+	if err != nil || (res.Plan == nil && res.Strategy == nil) {
+		return solver.Result{Strategy: model.NewStrategy()}
 	}
-	if err != nil || s == nil {
-		s = model.NewStrategy()
-	}
-	return s
+	return res
 }
 
-// admitQuota enforces the cluster-wide constraints on a freshly solved
-// strategy: ≤ K displays per user per step and ≤ capacity distinct
-// users per item. Registered solvers always emit valid strategies, so
-// the fast path is a validity check and zero copies; a hostile custom
-// planner gets deterministically trimmed (triples admitted in
-// canonical order) with the number of denials reported.
+// admit turns one solve's output into a CandID plan over in, the
+// instance it was solved on, and the evaluator whose group partials are
+// that plan's revenue terms. A registry solve's plan and evaluator pass
+// straight through: registered solvers emit valid plans. A strategy — a
+// custom Planner's, or a plan-less baseline's — is trimmed to the
+// cluster-wide constraints by admitQuota and mapped to CandIDs; a triple
+// that is not a candidate of in (q = 0 there) cannot be served from a
+// CandID plan and is denied too. It returns the number of denials.
+func admit(in *model.Instance, res solver.Result) (*model.Plan, *revenue.Evaluator, int) {
+	if res.Plan != nil {
+		ev := res.Evaluator
+		if ev == nil {
+			ev = evaluate(res.Plan)
+		}
+		return res.Plan, ev, 0
+	}
+	s, denied := admitQuota(in, res.Strategy)
+	fp := in.NewPlan()
+	for _, z := range s.Triples() {
+		if id, ok := in.CandIDOf(z); ok {
+			fp.Add(id)
+		} else {
+			denied++
+		}
+	}
+	return fp, evaluate(fp), denied
+}
+
+// evaluate scores fp from scratch: an evaluator holding exactly its
+// candidates, whose group partials are revenue.Revenue's terms.
+func evaluate(fp *model.Plan) *revenue.Evaluator {
+	ev := revenue.NewEvaluator(fp.Instance())
+	fp.Each(func(id model.CandID) bool {
+		ev.AddID(id)
+		return true
+	})
+	return ev
+}
+
+// admitQuota enforces the cluster-wide constraints on a strategy: ≤ K
+// displays per user per step and ≤ capacity distinct users per item. The
+// fast path is a validity check and zero copies; a hostile custom
+// planner gets deterministically trimmed (triples admitted in canonical
+// order) with the number of denials reported.
 func admitQuota(in *model.Instance, s *model.Strategy) (*model.Strategy, int) {
 	if in.CheckValid(s) == nil {
 		return s, 0
@@ -1177,23 +1188,132 @@ func admitQuota(in *model.Instance, s *model.Strategy) (*model.Strategy, int) {
 	return out, denied
 }
 
-// installGlobal publishes s as the live global plan: revenue is
-// evaluated against the residual it was solved on, the strategy is
-// sliced by owning shard, and the slices are swapped in for the
-// engines' planner closures to pick up. The replan is counted only
-// then, so Stats moves replans and plan revenue together.
-func (c *Cluster) installGlobal(residual *model.Instance, s *model.Strategy) {
-	c.revBits.Store(math.Float64bits(revenue.Revenue(residual, s)))
-	c.strat.Store(s)
-	c.lastReplan.Store(time.Now().UnixNano())
-	if c.warm {
-		c.warmPrev = s.Triples()
+// globalPlan is one coordinated solve as the cluster serves it:
+// immutable once published.
+type globalPlan struct {
+	// ids are the chosen candidates, ascending, as CandIDs of the
+	// global instance in.
+	in  *model.Instance
+	ids []model.CandID
+	// shards[k] is shard k's slice in its own CandID space, and
+	// shardRev[k] its share of revenue, the plan's expected revenue on
+	// the residual it was solved for. from is the clock it plans from.
+	shards   []*model.Plan
+	shardRev []float64
+	revenue  float64
+	from     model.TimeStep
+
+	stratOnce sync.Once
+	strat     *model.Strategy
+}
+
+// triples returns the plan's triples in canonical order.
+func (gp *globalPlan) triples() []model.Triple {
+	out := make([]model.Triple, len(gp.ids))
+	for i, id := range gp.ids {
+		out[i] = gp.in.CandAt(id).Triple
 	}
-	for k, sl := range sliceStrategy(s, c.n) {
-		c.slices[k].Store(sl)
+	return out
+}
+
+// strategy materializes the map-backed strategy on first use. Safe for
+// concurrent callers.
+func (gp *globalPlan) strategy() *model.Strategy {
+	gp.stratOnce.Do(func() {
+		fp := gp.in.NewPlan()
+		for _, id := range gp.ids {
+			fp.Add(id)
+		}
+		gp.strat = fp.Strategy()
+	})
+	return gp.strat
+}
+
+// slicePlan turns an admitted plan into the cluster's form: its
+// candidates in the global CandID space, one slice per shard in that
+// shard's CandID space (shard k holds the users u ≡ k mod n, and
+// subInstance copies each one's candidates in order, so a global CandID
+// moves by the per-user span offset c.off[u]), and the revenue split the
+// same way. The plan's revenue is ev's CanonicalTotal; shard k's is the
+// ascending-group-ID sum of its own groups' partials. A shard's groups
+// are its users' (user, class) pairs in the same order, a subsequence of
+// the global order, so that sum is revenue.Revenue on the shard's
+// residual bit for bit.
+func (c *Cluster) slicePlan(fp *model.Plan, ev *revenue.Evaluator) *globalPlan {
+	g := c.inst()
+	gp := &globalPlan{
+		in:       g,
+		ids:      globalIDs(g, fp),
+		shards:   make([]*model.Plan, c.n),
+		shardRev: make([]float64, c.n),
+		revenue:  ev.CanonicalTotal(),
+		from:     model.TimeStep(c.clock.Load()),
+	}
+	c.engMu.RLock()
+	for k, e := range c.engines {
+		gp.shards[k] = e.Instance().NewPlan()
+	}
+	c.engMu.RUnlock()
+	for _, id := range gp.ids {
+		u := g.CandAt(id).U
+		gp.shards[shardOf(u, c.n)].Add(id + c.off[u])
+	}
+	x := fp.Instance()
+	for grp := int32(0); grp < int32(x.NumGroups()); grp++ {
+		// An empty group's partial is an exact 0, which adds nothing.
+		if r := ev.GroupPartial(grp); r != 0 {
+			u := x.CandAt(x.GroupCandIDs(grp)[0]).U
+			gp.shardRev[shardOf(u, c.n)] += r
+		}
+	}
+	return gp
+}
+
+// installGlobal installs gp on every shard concurrently — each shard
+// its slice, its revenue share and the plan's clock, through
+// serve.Engine.InstallPlan — and only then publishes it as the cluster's
+// plan: Stats shows a plan's revenue, size and replan count once every
+// shard serves it. A killed shard misses the install; RecoverShard
+// installs the current plan when it comes back. Each shard's "install"
+// span joins sp's trace under the barrier's install child.
+func (c *Cluster) installGlobal(gp *globalPlan, sp *obs.Span) {
+	install := sp.Child("install")
+	ctx := obs.ContextWithTraceRef(context.Background(),
+		obs.TraceRef{TraceID: sp.TraceID(), ParentID: install.SpanID()})
+	c.engMu.RLock()
+	var wg sync.WaitGroup
+	for k, e := range c.engines {
+		wg.Add(1)
+		go func(k int, e *serve.Engine) {
+			defer wg.Done()
+			if err := c.installShard(ctx, gp, k, e); err != nil &&
+				!errors.Is(err, serve.ErrClosed) && !errors.Is(err, serve.ErrKilled) {
+				c.setErr(err)
+			}
+		}(k, e)
+	}
+	wg.Wait()
+	c.engMu.RUnlock()
+	install.End()
+	c.plan.Store(gp)
+	c.lastReplan.Store(time.Now().UnixNano())
+	if c.warm && c.sess == nil {
+		c.warmPrev = gp.triples()
 	}
 	c.replans.Add(1)
 	c.co.replansC.Inc()
+}
+
+// installShard puts shard k's engine e on gp. An engine behind the
+// plan's clock (recovered from a log that missed the last advance) is
+// advanced first; the install queues behind the advance.
+func (c *Cluster) installShard(ctx context.Context, gp *globalPlan, k int, e *serve.Engine) error {
+	if e.Now() < gp.from {
+		if err := e.SetNow(gp.from); err != nil {
+			return err
+		}
+	}
+	return e.InstallPlan(ctx, gp.shards[k], gp.shardRev[k], gp.from)
 }
 
 // Sync flushes the cluster and reports the first durability error any
@@ -1297,8 +1417,9 @@ func (c *Cluster) KillShard(k int) error {
 // swaps it back into the router. The recovered engine replays its WAL
 // — including every reservation grant the coordinator logged through
 // it — so its stock view and user state are exactly the pre-crash
-// flushed state; its boot replan fetches the current plan slice from
-// the (still live) coordinator.
+// flushed state. It does not plan: RecoverShard installs the shard's
+// slice of the (still live) coordinator's current plan before
+// returning, so the shard serves the fleet's plan again.
 func (c *Cluster) RecoverShard(k int) error {
 	if k < 0 || k >= c.n {
 		return fmt.Errorf("cluster: shard %d out of range [0,%d)", k, c.n)
@@ -1312,9 +1433,15 @@ func (c *Cluster) RecoverShard(k int) error {
 	if c.closed {
 		return errors.New("cluster: closed")
 	}
-	eng, err := serve.Open(nil, c.engineConfig(k))
+	eng, err := serve.Open(nil, shardConfig(c.cfg, k))
 	if err != nil {
 		return fmt.Errorf("cluster: recover shard %d: %w", k, err)
+	}
+	if gp := c.plan.Load(); gp != nil {
+		if err := c.installShard(context.Background(), gp, k, eng); err != nil {
+			eng.Close()
+			return fmt.Errorf("cluster: recover shard %d: install: %w", k, err)
+		}
 	}
 	c.engMu.Lock()
 	c.engines[k] = eng
@@ -1340,9 +1467,9 @@ func (c *Cluster) Stats() serve.Stats {
 	st.Shards = c.n
 	st.Now = int(c.clock.Load())
 	st.Replans = c.replans.Load()
-	st.PlanRevenue = math.Float64frombits(c.revBits.Load())
-	if s := c.strat.Load(); s != nil {
-		st.PlannedTriples = s.Len()
+	if gp := c.plan.Load(); gp != nil {
+		st.PlanRevenue = gp.revenue
+		st.PlannedTriples = len(gp.ids)
 	}
 	return st
 }

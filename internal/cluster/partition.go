@@ -95,16 +95,53 @@ func assembleGlobal(subs []*model.Instance) (*model.Instance, error) {
 	return g, nil
 }
 
-// sliceStrategy splits a global strategy by owning shard, re-keying
-// users to their local IDs. The union of slices is exactly s.
-func sliceStrategy(s *model.Strategy, n int) []*model.Strategy {
-	slices := make([]*model.Strategy, n)
-	for k := range slices {
-		slices[k] = model.NewStrategy()
+// candOffsets returns, per global user u of g, the distance from u's
+// CandIDs in g to the same candidates' CandIDs in its shard's
+// subInstance: candidates are numbered user by user in canonical order,
+// and a shard's local users are its global users in the same order, so
+// the shard's span of u starts after the candidates of the shard's
+// earlier users.
+func candOffsets(g *model.Instance, n int) []model.CandID {
+	off := make([]model.CandID, g.NumUsers)
+	next := make([]model.CandID, n)
+	for u := range off {
+		lo, hi := g.UserCandSpan(model.UserID(u))
+		k := shardOf(model.UserID(u), n)
+		off[u] = next[k] - lo
+		next[k] += hi - lo
 	}
-	for _, z := range s.Triples() {
-		k := shardOf(z.U, n)
-		slices[k].Add(model.Triple{U: localID(z.U, n), I: z.I, T: z.T})
+	return off
+}
+
+// globalIDs lists fp's candidates, ascending, as CandIDs of the global
+// instance g. A plan over g, over a clone of it (an incremental
+// session's instance), or over a residual that dropped no candidate
+// already lives in g's CandID space. Any other residual keeps a
+// subsequence of each user's candidates in the same canonical order, so
+// one merge walk per user maps it.
+func globalIDs(g *model.Instance, fp *model.Plan) []model.CandID {
+	x := fp.Instance()
+	ids := make([]model.CandID, 0, fp.Len())
+	if x.NumCands() == g.NumCands() {
+		fp.Each(func(id model.CandID) bool {
+			ids = append(ids, id)
+			return true
+		})
+		return ids
 	}
-	return slices
+	prev, j := model.UserID(-1), model.CandID(0)
+	fp.Each(func(id model.CandID) bool {
+		c := x.CandAt(id)
+		if c.U != prev {
+			prev = c.U
+			j, _ = g.UserCandSpan(c.U)
+		}
+		for gc := g.CandAt(j); gc.I != c.I || gc.T != c.T; gc = g.CandAt(j) {
+			j++
+		}
+		ids = append(ids, j)
+		j++
+		return true
+	})
+	return ids
 }

@@ -19,7 +19,7 @@ type TraceSpan struct {
 }
 
 // TraceGroup collects every retained root span sharing one trace ID —
-// a coordinated barrier's coordinator span plus each shard's replan
+// a coordinated barrier's coordinator span plus each shard's install
 // span, or an X-Trace-Id request's spans across the fleet — into a
 // single timeline.
 type TraceGroup struct {

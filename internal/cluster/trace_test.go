@@ -33,8 +33,8 @@ func barrierGroup(t *testing.T, cl *Cluster) TraceGroup {
 // correlated observability plane: after an adoption-driven barrier on a
 // 3-shard cluster, the merged trace view must hold ONE group in which
 // the coordinator's barrier span (with its gather→merge→solve→trim→
-// slice phase children) and every shard's replan span share a single
-// trace ID.
+// slice phase children) and every shard's install span share a single
+// trace ID. Shards never plan, so no shard replan span appears.
 func TestClusterBarrierTraceCorrelation(t *testing.T) {
 	in := testInstance(t, 24, 13)
 	cl, err := New(in, Config{Shards: 3, ReplanEvery: 1 << 30})
@@ -68,7 +68,7 @@ func TestClusterBarrierTraceCorrelation(t *testing.T) {
 		t.Fatal("barrier group has no trace id")
 	}
 	var barrier *TraceSpan
-	replans := map[string]TraceSpan{}
+	installs := map[string]TraceSpan{}
 	for i, s := range g.Spans {
 		if s.TraceID != g.TraceID {
 			t.Errorf("span %s/%s carries trace %s, group is %s", s.Shard, s.Name, s.TraceID, g.TraceID)
@@ -76,8 +76,10 @@ func TestClusterBarrierTraceCorrelation(t *testing.T) {
 		switch {
 		case s.Shard == "coord" && s.Name == "barrier":
 			barrier = &g.Spans[i]
+		case s.Name == "install":
+			installs[s.Shard] = s
 		case s.Name == "replan":
-			replans[s.Shard] = s
+			t.Errorf("shard %s replanned inside the barrier trace", s.Shard)
 		}
 	}
 	if barrier == nil {
@@ -93,18 +95,18 @@ func TestClusterBarrierTraceCorrelation(t *testing.T) {
 			t.Errorf("barrier span missing %q child (has %v)", want, barrier.Children)
 		}
 	}
-	// Every shard joined the trace with a parented remote replan span.
+	// Every shard joined the trace with a parented remote install span.
 	for _, shard := range []string{"0", "1", "2"} {
-		sp, ok := replans[shard]
+		sp, ok := installs[shard]
 		if !ok {
-			t.Errorf("shard %s has no replan span in the barrier trace", shard)
+			t.Errorf("shard %s has no install span in the barrier trace", shard)
 			continue
 		}
 		if sp.ParentID == "" {
-			t.Errorf("shard %s replan span has no remote parent", shard)
+			t.Errorf("shard %s install span has no remote parent", shard)
 		}
 		if sp.SpanID == barrier.SpanID {
-			t.Errorf("shard %s replan reused the coordinator's span id", shard)
+			t.Errorf("shard %s install reused the coordinator's span id", shard)
 		}
 	}
 	// Span IDs are unique across tracers (distinct origins).
@@ -183,7 +185,7 @@ func TestClusterDebugTracesEndpoint(t *testing.T) {
 
 // TestClusterAdvanceTraceHeader: an /v1/advance carrying X-Trace-Id
 // must put the HTTP span, the coordinated barrier, and every shard's
-// replan under the caller's trace ID.
+// install under the caller's trace ID.
 func TestClusterAdvanceTraceHeader(t *testing.T) {
 	in := testInstance(t, 24, 13)
 	cl, err := New(in, Config{Shards: 3, ReplanEvery: 1 << 30})
@@ -226,7 +228,7 @@ func TestClusterAdvanceTraceHeader(t *testing.T) {
 	shards := map[string]bool{}
 	for _, s := range group.Spans {
 		names[s.Shard+"/"+s.Name] = true
-		if s.Name == "replan" {
+		if s.Name == "install" {
 			shards[s.Shard] = true
 		}
 	}
@@ -237,7 +239,7 @@ func TestClusterAdvanceTraceHeader(t *testing.T) {
 	}
 	for _, k := range []string{"0", "1", "2"} {
 		if !shards[k] {
-			t.Errorf("shard %s replan did not join trace %s", k, traceID)
+			t.Errorf("shard %s install did not join trace %s", k, traceID)
 		}
 	}
 }

@@ -60,6 +60,14 @@ type Result struct {
 	// running sum and may differ from it in the last bits. Valid exactly
 	// when Plan != nil.
 	CanonicalRevenue float64
+	// Evaluator is the evaluator the run scored Plan with: its group
+	// partials (GroupPartial, ascending group ID) are the terms
+	// CanonicalRevenue sums, so a caller can split the plan's revenue by
+	// user without re-evaluating it. nil for algorithms that do not keep
+	// one (exhaustive and local search, the loose-state baselines). A
+	// Session's evaluator is live: read it before the session's next
+	// event or solve.
+	Evaluator *revenue.Evaluator
 
 	// Selections counts triples added; Recomputations counts lazy-forward
 	// marginal-revenue recomputations (a measure of how much work lazy
@@ -171,6 +179,7 @@ func (st *state) planResult(selections, recomputations int) Result {
 		Plan:             st.p,
 		Revenue:          st.ev.Total(),
 		CanonicalRevenue: st.ev.CanonicalTotal(),
+		Evaluator:        st.ev,
 		Selections:       selections,
 		Recomputations:   recomputations,
 		Curve:            st.curve,

@@ -141,11 +141,13 @@ func recoverFrom(st *store.Store, lsn store.LSN, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: replay from %d: %w", lsn, err)
 	}
-	if stats.Records > 0 {
+	if stats.Records > 0 && !e.installOnly {
 		// The tail moved state past the snapshotted plan; replan once at
 		// boot so the served plan reflects what was recovered. The replan
 		// is synchronous — the engine never serves a stale plan — and
 		// traced, so /debug/traces shows the recovery replan right away.
+		// An install-only engine serves the snapshotted plan until its
+		// planner installs the next one.
 		e.replanWith(e.collectFeedback(), nil, e.met.tracer.Start("replan"))
 	}
 	e.start()

@@ -52,24 +52,29 @@ type Config struct {
 	// replanning ("g-greedy", "rl-greedy", ...; solver.List()
 	// enumerates, legacy aliases like "GG" resolve). Empty falls back
 	// to Solver.Algorithm, then to solver.DefaultAlgorithm. Ignored
-	// when Planner is set.
+	// when InstallOnly is set.
 	Algorithm string
 	// Solver carries the named algorithm's options (permutations, seed,
 	// workers, cuts). When both name fields are set, Algorithm wins
 	// over Solver.Algorithm.
 	Solver solver.Options
-	// Planner, when non-nil, is a planning-function override that
-	// bypasses the registry; incompatible with Incremental. The cluster
-	// installs each shard's slice of the global plan through it until
-	// ROADMAP item 4 gives the engine an install seam.
-	Planner planner.Algorithm
+	// InstallOnly makes the engine a server of plans computed elsewhere:
+	// it never plans. There is no boot solve (the engine starts on an
+	// empty plan), adoptions, ReplanEvery, SetNow, SetStock, ScalePrice
+	// and Flush trigger no replan, and recovery skips its boot replan
+	// (the snapshotted plan serves until the next install). Plans arrive
+	// through InstallPlan only. A cluster runs its shard engines this
+	// way, installing each shard's slice of the coordinator's global
+	// plan. The planning fields (Algorithm, Solver, WarmStart) are
+	// ignored; Incremental is rejected.
+	InstallOnly bool
 	// WarmStart enables incremental replanning: each replan seeds the
 	// solver with the previous plan's still-feasible triples
 	// (Options.Warm) instead of solving from scratch, cutting replan
 	// latency when feedback batches invalidate only a small part of the
 	// plan. Warm-started plans generally differ from cold ones — leave
 	// it off when byte-identity with open-loop solves matters (the
-	// scenario goldens do). Ignored when Planner is set.
+	// scenario goldens do). Ignored when InstallOnly is set.
 	WarmStart bool
 	// Incremental replans through a persistent core.Session instead of
 	// rebuilding the residual instance from a full feedback snapshot:
@@ -81,7 +86,7 @@ type Config struct {
 	// solves without WarmStart, warm-started solves with it — so the
 	// switch is a pure latency/throughput trade. Requires the registry's
 	// "g-greedy" (solver.CheckSession); construction fails otherwise,
-	// and Planner overrides are incompatible.
+	// and so does combining it with InstallOnly.
 	Incremental bool
 	// Shards overrides the shard count (rounded up to a power of two).
 	// 0 means next pow2 ≥ GOMAXPROCS.
@@ -133,33 +138,33 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// planSetup resolves the configured planning algorithm: the
-// Planner override verbatim, otherwise the named registry algorithm's
-// options, validated once here — an unknown name or a missing required
-// option fails engine construction with solver's actionable error
-// instead of failing a replan. Registry configs return (nil, opts);
-// the engine dispatches solver.Solve itself so every solve can carry a
-// trace span and report its phase counters to the meter.
-func (c Config) planSetup() (planner.Algorithm, solver.Options, error) {
-	if c.Planner != nil {
+// planSetup resolves the configured planning algorithm: the named
+// registry algorithm's options, validated once here — an unknown name or
+// a missing required option fails engine construction with solver's
+// actionable error instead of failing a replan. The engine dispatches
+// solver.Solve itself so every solve can carry a trace span and report
+// its phase counters to the meter. An install-only engine never solves,
+// so it resolves nothing.
+func (c Config) planSetup() (solver.Options, error) {
+	if c.InstallOnly {
 		if c.Incremental {
-			return nil, solver.Options{}, errors.New("serve: Incremental is incompatible with a custom Planner (needs a registry G-Greedy algorithm)")
+			return solver.Options{}, errors.New("serve: Incremental is incompatible with InstallOnly (an install-only engine never solves)")
 		}
-		return c.Planner, solver.Options{}, nil
+		return solver.Options{}, nil
 	}
 	opts := c.Solver
 	if c.Algorithm != "" {
 		opts.Algorithm = c.Algorithm
 	}
 	if err := solver.ValidateOptions(opts); err != nil {
-		return nil, solver.Options{}, fmt.Errorf("serve: %w", err)
+		return solver.Options{}, fmt.Errorf("serve: %w", err)
 	}
 	if c.Incremental {
 		if err := solver.CheckSession(opts.Algorithm); err != nil {
-			return nil, solver.Options{}, fmt.Errorf("serve: %w", err)
+			return solver.Options{}, fmt.Errorf("serve: %w", err)
 		}
 	}
-	return nil, opts, nil
+	return opts, nil
 }
 
 // ErrClosed is returned by mutating calls (Feed, SetStock, ScalePrice)
@@ -207,6 +212,18 @@ type feedbackMsg struct {
 	stock   *stockSet             // non-nil: exogenous inventory override
 	price   *priceOp              // non-nil: exogenous price rescale
 	fb      chan planner.Feedback // non-nil: export a consistent feedback view
+	install *installOp            // non-nil: publish a plan computed elsewhere
+}
+
+// installOp is one InstallPlan call, carried to the feedback loop so the
+// index build reads prices no rescale is writing and the plan-swap
+// marker lands in log order. done receives the outcome.
+type installOp struct {
+	fp      *model.Plan
+	revenue float64
+	from    model.TimeStep
+	span    *obs.Span
+	done    chan error
 }
 
 // stockSet is an exogenous stock override (supplier shortfall, warehouse
@@ -254,11 +271,11 @@ type priceOp struct {
 type Engine struct {
 	in  *model.Instance
 	cfg Config
-	// custom is the Config.Planner override; nil for registry
-	// configs, which solve through opts (resolved once by planSetup).
-	custom planner.Algorithm
-	opts   solver.Options
-	// warm (Config.WarmStart on a registry config) seeds each replan's
+	// opts is the resolved registry algorithm (planSetup); installOnly
+	// (Config.InstallOnly) means the engine never solves at all.
+	opts        solver.Options
+	installOnly bool
+	// warm (Config.WarmStart on a planning engine) seeds each replan's
 	// solve with warmPrev — the live plan's triples — until an incremental
 	// session exists, which keeps its own seed from then on. warmPrev is
 	// written by installPlan and read by solve; both run either on
@@ -343,18 +360,18 @@ func NewEngine(in *model.Instance, cfg Config) (*Engine, error) {
 // first. Both NewEngine and Open build on it; boot invariants live in
 // exactly one place.
 func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
-	custom, opts, err := cfg.planSetup()
+	opts, err := cfg.planSetup()
 	if err != nil {
 		return nil, err
 	}
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	e := newEngineShell(in, cfg)
-	e.custom = custom
-	e.opts = opts
-	e.warm = cfg.WarmStart && custom == nil
-	e.incr = cfg.Incremental
+	e := newEngineShell(in, cfg, opts)
+	if e.installOnly {
+		e.installPlan(buildPlanFlat(in, in.NewPlan(), nil, 1, 0))
+		return e, nil
+	}
 	span := e.met.tracer.Start("plan")
 	p := e.planFrom(in, e.solve(in, span), 1, span)
 	span.SetFloat("revenue", p.revenue)
@@ -370,9 +387,6 @@ func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
 // span (nil span: no tracing, zero cost). The result always selects
 // something to install: a Strategy, a candidate-indexed Plan, or both.
 func (e *Engine) solve(residual *model.Instance, span *obs.Span) solver.Result {
-	if e.custom != nil {
-		return solver.Result{Strategy: e.custom(residual)}
-	}
 	o := e.opts
 	if e.sess != nil {
 		// Incremental replan: the session carries the residual instance,
@@ -397,11 +411,11 @@ func (e *Engine) solve(residual *model.Instance, span *obs.Span) solver.Result {
 // indexed result carries its revenue under residual (CanonicalRevenue,
 // bit-identical to revenue.Revenue), and a plan living in the engine's
 // CandID space — solved on e.in itself or on the session's clone of it —
-// is indexed straight from its CandIDs. Everything else (custom
-// planners, non-candidate outputs, plans over a rebuilt residual
-// instance) goes through the strategy: revenue.Revenue, and buildPlan's
-// triple → CandID lookups. Only session solves come without a Strategy,
-// and a session's plan always shares the engine's CandID space.
+// is indexed straight from its CandIDs. Everything else (non-candidate
+// outputs, plans over a rebuilt residual instance) goes through the
+// strategy: revenue.Revenue, and buildPlan's triple → CandID lookups.
+// Only session solves come without a Strategy, and a session's plan
+// always shares the engine's CandID space.
 func (e *Engine) planFrom(residual *model.Instance, res solver.Result, from model.TimeStep, span *obs.Span) *plan {
 	rsp := span.Child("revenue")
 	rev, source := res.CanonicalRevenue, "carried"
@@ -420,19 +434,24 @@ func (e *Engine) planFrom(residual *model.Instance, res solver.Result, from mode
 }
 
 // newEngineShell allocates an engine with store state but no plan and no
-// running feedback loop; NewEngine and Restore finish the setup.
-func newEngineShell(in *model.Instance, cfg Config) *Engine {
+// running feedback loop; NewEngine and Restore finish the setup. opts is
+// cfg's resolved algorithm (planSetup).
+func newEngineShell(in *model.Instance, cfg Config, opts solver.Options) *Engine {
 	cfg = cfg.withDefaults()
 	n := shardCount(cfg.Shards)
 	e := &Engine{
-		in:       in,
-		cfg:      cfg,
-		shards:   make([]shard, n),
-		mask:     uint32(n - 1),
-		stock:    make([]atomic.Int64, in.NumItems()),
-		feedback: make(chan feedbackMsg, cfg.QueueDepth),
-		met:      newMeter(cfg.obsReg, cfg.obsTracer),
-		logger:   cfg.Logger,
+		in:          in,
+		cfg:         cfg,
+		opts:        opts,
+		installOnly: cfg.InstallOnly,
+		warm:        cfg.WarmStart && !cfg.InstallOnly,
+		incr:        cfg.Incremental,
+		shards:      make([]shard, n),
+		mask:        uint32(n - 1),
+		stock:       make([]atomic.Int64, in.NumItems()),
+		feedback:    make(chan feedbackMsg, cfg.QueueDepth),
+		met:         newMeter(cfg.obsReg, cfg.obsTracer),
+		logger:      cfg.Logger,
 	}
 	if cfg.TraceOrigin != 0 {
 		e.met.tracer.SetOrigin(cfg.TraceOrigin)
@@ -482,15 +501,15 @@ func (e *Engine) Now() model.TimeStep { return model.TimeStep(e.now.Load()) }
 
 // SetNow advances the engine clock to t (monotonically, within [1, T])
 // and requests an asynchronous replan, since the residual horizon
-// changed. Past feedback is unaffected.
+// changed (an InstallOnly engine only logs the advance). Past feedback
+// is unaffected.
 func (e *Engine) SetNow(t model.TimeStep) error {
 	return e.SetNowCtx(context.Background(), t)
 }
 
 // SetNowCtx is SetNow carrying trace context: when ctx holds a span or
-// TraceRef (a cluster barrier, an X-Trace-Id'd /v1/advance), the replan
-// this advance triggers joins that trace as a remote span, so a
-// coordinator's barrier and every shard's replan share one TraceID.
+// TraceRef (an X-Trace-Id'd /v1/advance), the replan this advance
+// triggers joins that trace as a remote span.
 func (e *Engine) SetNowCtx(ctx context.Context, t model.TimeStep) error {
 	if t < 1 || int(t) > e.in.T {
 		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", t, e.in.T)
@@ -985,8 +1004,8 @@ func (e *Engine) loop() {
 		// replan trace's queue-wait child span (tracing only).
 		waitStart time.Time
 		// pendingTrace is the trace the next replan should join — set by a
-		// clock advance that carried trace context (a cluster barrier, a
-		// traced /v1/advance) and consumed by the next started replan.
+		// clock advance that carried trace context (a traced /v1/advance)
+		// and consumed by the next started replan.
 		pendingTrace obs.TraceRef
 	)
 	trigger := func() {
@@ -1047,6 +1066,11 @@ func (e *Engine) loop() {
 		}()
 	}
 	progress := func() {
+		// An install-only engine never replans: its triggers cover nothing,
+		// so barriers only wait for the applies queued before them.
+		if e.installOnly {
+			dirty, force = 0, false
+		}
 		if inFlight == nil && (force || dirty >= e.cfg.ReplanEvery || (dirty > 0 && len(waiters) > 0)) {
 			start()
 		}
@@ -1077,7 +1101,7 @@ func (e *Engine) loop() {
 					<-inFlight
 				}
 				applyPrices()
-				if dirty > 0 || force {
+				if !e.installOnly && (dirty > 0 || force) {
 					span := e.met.tracer.StartRemote("replan", pendingTrace.TraceID, pendingTrace.ParentID)
 					fb, delta := capture(span)
 					e.replanWith(fb, delta, span)
@@ -1100,6 +1124,10 @@ func (e *Engine) loop() {
 				if msg.fb != nil {
 					msg.fb <- planner.Feedback{}
 				}
+				if msg.install != nil {
+					msg.install.span.Drop()
+					msg.install.done <- ErrKilled
+				}
 				continue
 			}
 			switch {
@@ -1109,6 +1137,8 @@ func (e *Engine) loop() {
 				msg.snap <- e.captureState()
 			case msg.fb != nil:
 				msg.fb <- e.collectFeedback()
+			case msg.install != nil:
+				e.install(msg.install)
 			case msg.advance > 0:
 				e.walAppend(store.Record{Type: store.RecAdvance, T: int32(msg.advance)})
 				force = true
@@ -1344,6 +1374,70 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 			"revision", p.revision, "triples", p.triples, "revenue", p.revenue,
 			"now", int64(fb.Now), "duration_ms", float64(d.Microseconds())/1e3)
 	}
+}
+
+// InstallPlan publishes a plan computed elsewhere — a cluster
+// coordinator's slice of its global solve — on an InstallOnly engine. fp
+// must address the engine's CandID space (a plan over Instance() or over
+// any instance with the same candidates; only its membership bits are
+// read) and is retained, so the caller must not mutate it afterwards.
+// revenue is the plan's expected revenue on the residual it was solved
+// for, from the step it plans from; both are published as given.
+//
+// The install runs on the feedback loop, after every event, advance,
+// stock override and price rescale queued before it: the loop indexes the
+// plan for serving (reading prices at that moment), swaps it in, writes
+// the plan-swap marker to the write-ahead log and counts one replan — it
+// is the engine's only planning step, so its duration feeds the replan
+// histogram. InstallPlan returns once the plan serves. A span or trace
+// ref in ctx makes the "install" span join the caller's trace.
+func (e *Engine) InstallPlan(ctx context.Context, fp *model.Plan, revenue float64, from model.TimeStep) error {
+	if !e.installOnly {
+		return errors.New("serve: InstallPlan needs an InstallOnly engine (a planning engine's replans would overwrite the install)")
+	}
+	if fp == nil || fp.Instance().NumCands() != e.in.NumCands() {
+		return errors.New("serve: InstallPlan plan does not address this engine's candidates")
+	}
+	if from < 1 || int(from) > e.in.T {
+		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", from, e.in.T)
+	}
+	ref := obs.TraceRefFromContext(ctx)
+	op := &installOp{fp: fp, revenue: revenue, from: from, done: make(chan error, 1),
+		span: e.met.tracer.StartRemote("install", ref.TraceID, ref.ParentID)}
+	e.closeMu.RLock()
+	if e.closed.Load() {
+		e.closeMu.RUnlock()
+		op.span.Drop()
+		return ErrClosed
+	}
+	e.feedback <- feedbackMsg{install: op}
+	e.closeMu.RUnlock()
+	return <-op.done
+}
+
+// install is InstallPlan's loop side.
+func (e *Engine) install(op *installOp) {
+	start := time.Now()
+	isp := op.span.Child("index")
+	p := buildPlanFlat(e.in, op.fp, nil, op.from, op.revenue)
+	isp.End()
+	ssp := op.span.Child("swap")
+	e.installPlan(p)
+	e.walAppend(store.Record{Type: store.RecPlanSwap, Revision: p.revision})
+	ssp.End()
+	e.replans.Add(1)
+	d := time.Since(start)
+	e.met.replanSec.Observe(d.Seconds())
+	op.span.SetInt("revision", p.revision)
+	op.span.SetInt("triples", int64(p.triples))
+	op.span.SetFloat("revenue", p.revenue)
+	op.span.End()
+	if e.logger != nil {
+		obs.WithTrace(e.logger, op.span).Info("plan installed",
+			"revision", p.revision, "triples", p.triples, "revenue", p.revenue,
+			"from", int64(op.from), "duration_ms", float64(d.Microseconds())/1e3)
+	}
+	op.done <- nil
 }
 
 // Strategy returns the live plan's strategy (do not mutate). The serving

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,8 +46,6 @@ func testInstance(t testing.TB, users, items, horizon, k int, seed uint64) *mode
 	}
 	return in
 }
-
-func ggAlgo(in *model.Instance) *model.Strategy { return core.GGreedy(in).Strategy }
 
 func newTestEngine(t testing.TB, in *model.Instance, cfg Config) *Engine {
 	t.Helper()
@@ -624,8 +625,8 @@ func ExampleEngine() {
 
 // TestConfigAlgorithmResolution: a named algorithm (alias spelling
 // included) resolves through the solver registry and plans exactly
-// what the deprecated Planner-func override plans; an unknown name
-// fails engine construction with an actionable error.
+// what a direct G-Greedy run plans; an unknown name fails engine
+// construction with an actionable error.
 func TestConfigAlgorithmResolution(t *testing.T) {
 	in := testInstance(t, 24, 6, 3, 1, 4)
 	named, err := NewEngine(in, Config{Algorithm: "GG", ReplanEvery: 1 << 30})
@@ -633,14 +634,9 @@ func TestConfigAlgorithmResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer named.Close()
-	override, err := NewEngine(in, Config{Planner: ggAlgo, ReplanEvery: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer override.Close()
-	a, b := named.Strategy().Triples(), override.Strategy().Triples()
+	a, b := named.Strategy().Triples(), core.GGreedy(in).Strategy.Triples()
 	if len(a) != len(b) {
-		t.Fatalf("named plan has %d triples, Planner override %d", len(a), len(b))
+		t.Fatalf("named plan has %d triples, direct G-Greedy %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -671,5 +667,81 @@ func TestConfigSolverAlgorithmFallback(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("triple %d: %v != %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestInstallOnlyEngine: an InstallOnly engine boots on an empty plan and
+// never plans — adoptions past ReplanEvery, an advance, a stock
+// override, a price rescale and Flush leave its replan count at zero and
+// its trace ring free of replans — then serves exactly the plan
+// InstallPlan hands it, counted as one replan under an "install" span.
+// InstallPlan is refused on a planning engine, for a plan over other
+// candidates, and once the engine is closed.
+func TestInstallOnlyEngine(t *testing.T) {
+	in := testInstance(t, 24, 6, 3, 1, 4)
+	e, err := NewEngine(in.Clone(), Config{InstallOnly: true, ReplanEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.PlannedTriples != 0 || st.Replans != 0 {
+		t.Fatalf("boot: %d planned triples, %d replans; want an empty plan and no replan", st.PlannedTriples, st.Replans)
+	}
+	for u := 0; u < 8; u++ {
+		if err := e.Feed(Event{User: model.UserID(u), Item: model.ItemID(u % 6), T: 1, Adopted: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.SetStock(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ScalePrice(1, 1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetNow(2); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if st := e.Stats(); st.Replans != 0 || st.Adoptions == 0 {
+		t.Fatalf("after feedback: %d replans, %d adoptions; want no replan and the adoptions applied", st.Replans, st.Adoptions)
+	}
+	for _, sp := range e.Tracer().Traces() {
+		if sp.Name == "replan" || sp.Name == "plan" {
+			t.Fatalf("install-only engine traced a %q", sp.Name)
+		}
+	}
+
+	res := core.GGreedy(in)
+	if err := e.InstallPlan(context.Background(), res.Plan, res.CanonicalRevenue, 2); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.Replans != 1 || st.PlannedTriples != res.Plan.Len() || st.PlanRevenue != res.CanonicalRevenue {
+		t.Fatalf("after install: %d replans, %d triples, revenue %v; want 1, %d, %v",
+			st.Replans, st.PlannedTriples, st.PlanRevenue, res.Plan.Len(), res.CanonicalRevenue)
+	}
+	if got, want := e.Strategy().Triples(), res.Strategy.Triples(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("installed strategy has %d triples, the solve %d", len(got), len(want))
+	}
+	var install *obs.SpanData
+	for _, sp := range e.Tracer().Traces() {
+		if sp.Name == "install" {
+			install = &sp
+		}
+	}
+	if install == nil || len(install.Children) != 2 || install.Children[0].Name != "index" || install.Children[1].Name != "swap" {
+		t.Fatalf("install span = %+v, want index and swap children", install)
+	}
+
+	planning := newTestEngine(t, in.Clone(), Config{ReplanEvery: 1 << 30})
+	if err := planning.InstallPlan(context.Background(), res.Plan, 0, 1); err == nil {
+		t.Error("InstallPlan accepted on a planning engine")
+	}
+	other := testInstance(t, 12, 6, 3, 1, 5)
+	if err := e.InstallPlan(context.Background(), other.NewPlan(), 0, 1); err == nil {
+		t.Error("InstallPlan accepted a plan over another instance's candidates")
+	}
+	e.Close()
+	if err := e.InstallPlan(context.Background(), res.Plan, 0, 1); !errors.Is(err, ErrClosed) {
+		t.Errorf("InstallPlan on a closed engine: %v, want ErrClosed", err)
 	}
 }

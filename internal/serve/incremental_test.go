@@ -111,14 +111,14 @@ func TestIncrementalMatchesBaseline(t *testing.T) {
 }
 
 // TestIncrementalConfigValidation: Incremental demands a registry
-// G-Greedy algorithm and no custom Planner.
+// G-Greedy algorithm and an engine that plans.
 func TestIncrementalConfigValidation(t *testing.T) {
 	in := testInstance(t, 10, 4, 2, 1, 7)
 	if _, err := NewEngine(in, Config{Incremental: true, Algorithm: "rl-greedy"}); err == nil {
 		t.Fatal("Incremental with rl-greedy must fail construction")
 	}
-	if _, err := NewEngine(in, Config{Incremental: true, Planner: ggAlgo}); err == nil {
-		t.Fatal("Incremental with a custom Planner must fail construction")
+	if _, err := NewEngine(in, Config{Incremental: true, InstallOnly: true}); err == nil {
+		t.Fatal("Incremental with InstallOnly must fail construction")
 	}
 	e, err := NewEngine(in, Config{Incremental: true, Algorithm: "gg"}) // alias resolves
 	if err != nil {

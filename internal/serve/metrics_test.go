@@ -133,7 +133,6 @@ func TestReplanTraceSpans(t *testing.T) {
 		// A live session replans from the delta journal: no state capture,
 		// and no scan/selection split inside its solve.
 		{"incremental", Config{Incremental: true}, []string{"delta-sync", "solve", "revenue", "index", "swap"}, "carried"},
-		{"custom-planner", Config{Planner: ggAlgo}, []string{"snapshot", "residual", "revenue", "index", "swap"}, "recomputed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			testReplanTraceSpans(t, tc.cfg, tc.children, tc.source)

@@ -31,8 +31,8 @@ type plan struct {
 	// the engine's CandID space; strat, the map-backed view of the same
 	// triples, is then built from it at most once, by the first caller
 	// that needs a Strategy (the serving path never does). Plans that
-	// arrive as a Strategy — custom planners, non-candidate outputs,
-	// snapshots, residual solves — carry strat from the start. A
+	// arrive as a Strategy — non-candidate outputs, snapshots, residual
+	// solves — carry strat from the start. A
 	// session's plan is bound to the session's instance, whose q′ keep
 	// moving; only membership bits and the immutable candidate triples
 	// are ever read through flat.

@@ -2,10 +2,16 @@ package serve_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/planner"
+	"repro/internal/revenue"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 )
@@ -34,10 +40,21 @@ func checkPlanRoutes(t *testing.T, tag string, e *serve.Engine, wantCandIDs bool
 	}
 }
 
+// server is what feedRound drives: a serve.Engine or a cluster.Cluster.
+type server interface {
+	Instance() *model.Instance
+	Now() model.TimeStep
+	Recommend(u model.UserID, t model.TimeStep) ([]serve.Recommendation, error)
+	Feed(ev serve.Event) error
+	ScalePrice(i model.ItemID, from model.TimeStep, factor float64) error
+	SetStock(i model.ItemID, n int) error
+	SetNow(t model.TimeStep) error
+}
+
 // feedRound adopts what a stride of users is currently served, rescales
 // one item's price, overrides one item's stock, and (every other round)
 // advances the clock — each a replan trigger of a different kind.
-func feedRound(t *testing.T, e *serve.Engine, round int) {
+func feedRound(t *testing.T, e server, round int) {
 	t.Helper()
 	in := e.Instance()
 	now := e.Now()
@@ -132,6 +149,112 @@ func TestPlanFromCandIDsMatchesStrategyRoute(t *testing.T) {
 				checkPlanRoutes(t, "restored", r, false)
 				feedRound(t, r, 4)
 				checkPlanRoutes(t, "restored replan", r, cfg.Incremental)
+			})
+		}
+	}
+}
+
+// checkShardRoutes holds a cluster's served plans to the Strategy route
+// after a barrier: every shard's index, revenue bits, planned-from step
+// and size are DeepEqual to buildPlan over its own sub-instance with
+// revenue.Revenue on its own residual, and the global plan revenue is
+// revenue.Revenue on the global residual of the merged shard feedback.
+func checkShardRoutes(t *testing.T, tag string, cl *cluster.Cluster) {
+	t.Helper()
+	cl.Flush()
+	n := cl.Shards()
+	merged := planner.Feedback{
+		AdoptedClass: map[model.UserID]map[model.ClassID]bool{},
+		Exposures:    map[model.UserID]map[model.ClassID][]model.TimeStep{},
+		Now:          cl.Now(),
+	}
+	for k := 0; k < n; k++ {
+		e := cl.Engine(k)
+		checkPlanRoutes(t, fmt.Sprintf("%s: shard %d", tag, k), e, true)
+		fb, err := e.Feedback()
+		if err != nil {
+			t.Fatalf("%s: shard %d: %v", tag, k, err)
+		}
+		for lu, classes := range fb.AdoptedClass {
+			merged.AdoptedClass[model.UserID(int(lu)*n+k)] = classes
+		}
+		for lu, exp := range fb.Exposures {
+			merged.Exposures[model.UserID(int(lu)*n+k)] = exp
+		}
+	}
+	in := cl.Instance()
+	for i := 0; i < in.NumItems(); i++ {
+		r, err := cl.Stock(model.ItemID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged.Stock = append(merged.Stock, r)
+	}
+	want := revenue.Revenue(planner.Residual(in, merged), cl.Strategy())
+	if got := cl.Stats().PlanRevenue; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: cluster plan_revenue %v (bits %x), revenue.Revenue on the global residual %v (bits %x)",
+			tag, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestClusterShardPlansMatchStrategyRoute is the cluster twin of
+// TestPlanFromCandIDsMatchesStrategyRoute: on every scenario archetype,
+// for a cold, an incremental and a custom-Planner coordinator, each
+// shard's installed slice — mapped to the shard's CandIDs by span
+// offsets, its revenue summed from the solve's group partials — equals
+// the Strategy route after every barrier, after a one-shard kill -9 and
+// RecoverShard, and after a whole-cluster kill -9 and Open.
+func TestClusterShardPlansMatchStrategyRoute(t *testing.T) {
+	gg := func(in *model.Instance) *model.Strategy { return core.GGreedy(in).Strategy }
+	for _, arch := range scenario.Catalog() {
+		for _, tc := range []struct {
+			name string
+			cfg  cluster.Config
+		}{
+			{"cold", cluster.Config{}},
+			{"incremental", cluster.Config{Incremental: true}},
+			{"custom-planner", cluster.Config{Planner: gg}},
+		} {
+			t.Run(arch.Name+"/"+tc.name, func(t *testing.T) {
+				in, err := scenario.Build(arch, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := tc.cfg
+				cfg.Shards = 2
+				cfg.Durability = &serve.Durability{Dir: t.TempDir()}
+
+				cl, err := cluster.Open(in, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkShardRoutes(t, "boot", cl)
+				for round := 0; round < 3; round++ {
+					feedRound(t, cl, round)
+					checkShardRoutes(t, fmt.Sprintf("round %d", round), cl)
+				}
+				if err := cl.KillShard(1); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.RecoverShard(1); err != nil {
+					t.Fatal(err)
+				}
+				checkShardRoutes(t, "shard recovered", cl)
+				feedRound(t, cl, 3)
+				checkShardRoutes(t, "shard recovered, round 3", cl)
+				if err := cl.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				cl.Kill()
+
+				cl, err = cluster.Open(nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				checkShardRoutes(t, "recovered", cl)
+				feedRound(t, cl, 4)
+				checkShardRoutes(t, "recovered, round 4", cl)
 			})
 		}
 	}

@@ -197,7 +197,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 // shell. The snapshotted plan is installed verbatim (with its revision,
 // so monitoring sees continuity).
 func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
-	custom, opts, err := cfg.planSetup()
+	opts, err := cfg.planSetup()
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +232,7 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: snapshot clock %d outside horizon [1,%d]", wire.Now, in.T)
 	}
 
-	e := newEngineShell(in, cfg)
-	e.custom = custom
-	e.opts = opts
-	e.warm = cfg.WarmStart && custom == nil
-	e.incr = cfg.Incremental
+	e := newEngineShell(in, cfg, opts)
 	e.now.Store(int64(wire.Now))
 	e.adoptions.Store(wire.Adoptions)
 	e.exposures.Store(wire.Exposures)
