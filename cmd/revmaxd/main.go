@@ -89,13 +89,13 @@ import (
 	"repro/internal/store"
 )
 
-// serving is the daemon-lifecycle surface shared by a single
-// serve.Engine and a sharded cluster.Cluster: everything run and
-// drainAndStop need after boot.
+// serving is what a single serve.Engine and a sharded cluster.Cluster
+// share: the serve.Backend the one HTTP mux serves, plus everything run
+// and drainAndStop need after boot.
 type serving interface {
+	serve.Backend
 	Stats() serve.Stats
 	Sync() error
-	Err() error
 	Close()
 }
 
@@ -204,7 +204,6 @@ func run(args []string, stdout io.Writer) error {
 
 	var (
 		svc        serving
-		handler    http.Handler
 		stopTicker func()
 	)
 	if *shards >= 2 {
@@ -226,7 +225,7 @@ func run(args []string, stdout io.Writer) error {
 		if *flushInterval > 0 {
 			stopTicker = startFlushTicker(cl, *flushInterval)
 		}
-		svc, handler = cl, cluster.Handler(cl)
+		svc = cl
 	} else {
 		cfg := serve.Config{
 			Algorithm:     *algoName,
@@ -242,9 +241,10 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		svc, handler = engine, serve.Handler(engine)
+		svc = engine
 	}
 	defer svc.Close()
+	handler := serve.Handler(svc)
 
 	st := svc.Stats()
 	fmt.Fprintf(stdout, "revmaxd: %d users, %d items, T=%d, k=%d; plan rev %d with %d triples (expected revenue %.2f), %d shards, algo %s\n",

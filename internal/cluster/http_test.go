@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -150,7 +151,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("recommend status %d", resp.StatusCode)
 	}
-	var rec recommendResponse
+	var rec struct {
+		User model.UserID `json:"user"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +170,11 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
-	var batch batchResponse
+	var batch struct {
+		Results []struct {
+			User model.UserID `json:"user"`
+		} `json:"results"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
 		t.Fatal(err)
 	}

@@ -55,29 +55,3 @@ func newClusterSLO(c *Cluster) *obs.SLOWatchdog {
 func sumShardStats(c *Cluster) serve.Stats {
 	return serve.MergeStats(c.StatsSamples()...)
 }
-
-// healthResponse is the cluster /healthz payload, shape-compatible with
-// a single engine's: always HTTP 200, status "degraded" plus the
-// failing objectives when the cluster watchdog or durability is
-// unhappy. Only the coordinator-level objectives are listed; per-shard
-// verdicts live on each shard's own registry in /metrics.
-type healthResponse struct {
-	Status string          `json:"status"` // "ok" | "degraded"
-	SLOs   []obs.SLOStatus `json:"slos,omitempty"`
-	Error  string          `json:"error,omitempty"` // first durability error
-}
-
-func clusterHealth(c *Cluster) healthResponse {
-	h := healthResponse{Status: "ok"}
-	if wd := c.slo; wd != nil {
-		h.SLOs = wd.Status()
-		if !wd.Healthy() {
-			h.Status = "degraded"
-		}
-	}
-	if err := c.Err(); err != nil {
-		h.Status = "degraded"
-		h.Error = err.Error()
-	}
-	return h
-}

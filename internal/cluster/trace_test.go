@@ -257,7 +257,11 @@ func TestClusterHealthzAndSLOMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h healthResponse
+	var h struct {
+		Status string          `json:"status"`
+		SLOs   []obs.SLOStatus `json:"slos"`
+		Error  string          `json:"error"`
+	}
 	err = json.NewDecoder(resp.Body).Decode(&h)
 	resp.Body.Close()
 	if err != nil {

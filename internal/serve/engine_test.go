@@ -505,7 +505,7 @@ func TestStatsAndMetricsRender(t *testing.T) {
 		t.Fatalf("bad shape in stats: %+v", st)
 	}
 	var buf bytes.Buffer
-	e.writeMetrics(&buf)
+	_ = e.WriteMetrics(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"revmaxd_recommend_total 30",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -12,12 +13,34 @@ import (
 	"repro/internal/obs"
 )
 
+// Backend is what Handler serves: the request surface a single Engine
+// and a sharded cluster.Cluster share, plus one writer for each of the
+// three bodies that differ between them.
+type Backend interface {
+	RecommendCtx(ctx context.Context, u model.UserID, t model.TimeStep) ([]Recommendation, error)
+	RecommendBatchCtx(ctx context.Context, users []model.UserID, t model.TimeStep) ([][]Recommendation, error)
+	FeedCtx(ctx context.Context, ev Event) error
+	SetNowCtx(ctx context.Context, t model.TimeStep) error
+	Now() model.TimeStep
+	// Tracer opens the root spans of X-Trace-Id requests.
+	Tracer() *obs.Tracer
+	// SLO and Err are the /healthz verdict.
+	SLO() *obs.SLOWatchdog
+	Err() error
+	// WriteStats writes the /v1/stats JSON body.
+	WriteStats(w io.Writer) error
+	// WriteMetrics writes the /metrics Prometheus text exposition.
+	WriteMetrics(w io.Writer) error
+	// WriteTraces writes the /debug/traces JSON document.
+	WriteTraces(w io.Writer) error
+}
+
 // traceContext reads the request's X-Trace-Id header (16 hex digits, as
 // rendered in /debug/traces and log records) and, when present and
 // valid, opens a root span on tr continuing that trace and returns a
 // context carrying it, echoing the normalized ID back on the response.
 // Requests without the header — the overwhelming majority — pay one
-// header lookup and keep the engine's head-sampling policy.
+// header lookup and keep the backend's head-sampling policy.
 func traceContext(tr *obs.Tracer, w http.ResponseWriter, r *http.Request, op string) (context.Context, *obs.Span) {
 	h := r.Header.Get("X-Trace-Id")
 	if h == "" {
@@ -35,27 +58,28 @@ func traceContext(tr *obs.Tracer, w http.ResponseWriter, r *http.Request, op str
 	return obs.ContextWithSpan(r.Context(), sp), sp
 }
 
-// Handler returns the HTTP/JSON API over e:
+// Handler returns the HTTP/JSON API over b — an Engine or a sharded
+// cluster; it is the one mux both serve:
 //
 //	GET  /healthz                  liveness + SLO verdicts (JSON)
 //	GET  /v1/recommend?user=U&t=T  one user's recommendations at T
 //	POST /v1/recommend/batch       {"users":[...],"t":T}
 //	POST /v1/adopt                 {"user":U,"item":I,"t":T,"adopted":B}
 //	POST /v1/advance               {"now":T} — move the serving clock
-//	GET  /v1/stats                 engine summary (JSON)
-//	GET  /metrics                  Prometheus text exposition
-//	GET  /debug/traces             recent traces (JSON)
+//	GET  /v1/stats                 summary (JSON), from b.WriteStats
+//	GET  /metrics                  Prometheus text, from b.WriteMetrics
+//	GET  /debug/traces             recent traces (JSON), from b.WriteTraces
 //
 // Request endpoints honor an X-Trace-Id header (16 hex digits): the
 // request is traced unconditionally under that trace ID, correlating
 // the /debug/traces timeline and log records with the caller's trace.
 //
-// Handler is stateless glue; all synchronization lives in the Engine,
+// Handler is stateless glue; all synchronization lives in the backend,
 // so the handler is safe under any number of server goroutines.
-func Handler(e *Engine) http.Handler {
+func Handler(b Backend) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, engineHealth(e))
+		writeJSON(w, health(b))
 	})
 	mux.HandleFunc("GET /v1/recommend", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -65,30 +89,30 @@ func Handler(e *Engine) http.Handler {
 			httpError(w, http.StatusBadRequest, "user and t must be integers")
 			return
 		}
-		ctx, sp := traceContext(e.Tracer(), w, r, "http.recommend")
-		recs, err := e.RecommendCtx(ctx, model.UserID(user), model.TimeStep(t))
+		ctx, sp := traceContext(b.Tracer(), w, r, "http.recommend")
+		recs, err := b.RecommendCtx(ctx, model.UserID(user), model.TimeStep(t))
 		sp.End()
 		if err != nil {
-			httpError(w, ErrorStatus(err), err.Error())
+			httpError(w, errorStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, recommendResponse{User: model.UserID(user), T: model.TimeStep(t), Items: recs})
 	})
 	mux.HandleFunc("POST /v1/recommend/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req batchRequest
-		if code, err := DecodeRequest(w, r, &req); err != nil {
+		if code, err := decodeRequest(w, r, &req); err != nil {
 			httpError(w, code, "bad batch request: "+err.Error())
 			return
 		}
-		if err := CheckBatch(len(req.Users)); err != nil {
+		if err := checkBatch(len(req.Users)); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		ctx, sp := traceContext(e.Tracer(), w, r, "http.recommend-batch")
-		results, err := e.RecommendBatchCtx(ctx, req.Users, req.T)
+		ctx, sp := traceContext(b.Tracer(), w, r, "http.recommend-batch")
+		results, err := b.RecommendBatchCtx(ctx, req.Users, req.T)
 		sp.End()
 		if err != nil {
-			httpError(w, ErrorStatus(err), err.Error())
+			httpError(w, errorStatus(err), err.Error())
 			return
 		}
 		resp := batchResponse{T: req.T, Results: make([]recommendResponse, len(req.Users))}
@@ -99,15 +123,15 @@ func Handler(e *Engine) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/adopt", func(w http.ResponseWriter, r *http.Request) {
 		var ev Event
-		if code, err := DecodeRequest(w, r, &ev); err != nil {
+		if code, err := decodeRequest(w, r, &ev); err != nil {
 			httpError(w, code, "bad adoption event: "+err.Error())
 			return
 		}
-		ctx, sp := traceContext(e.Tracer(), w, r, "http.adopt")
-		err := e.FeedCtx(ctx, ev)
+		ctx, sp := traceContext(b.Tracer(), w, r, "http.adopt")
+		err := b.FeedCtx(ctx, ev)
 		sp.End()
 		if err != nil {
-			httpError(w, ErrorStatus(err), err.Error())
+			httpError(w, errorStatus(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -118,31 +142,43 @@ func Handler(e *Engine) http.Handler {
 		var req struct {
 			Now model.TimeStep `json:"now"`
 		}
-		if code, err := DecodeRequest(w, r, &req); err != nil {
+		if code, err := decodeRequest(w, r, &req); err != nil {
 			httpError(w, code, "bad advance request: "+err.Error())
 			return
 		}
-		ctx, sp := traceContext(e.Tracer(), w, r, "http.advance")
-		err := e.SetNowCtx(ctx, req.Now)
+		ctx, sp := traceContext(b.Tracer(), w, r, "http.advance")
+		err := b.SetNowCtx(ctx, req.Now)
 		sp.End()
 		if err != nil {
-			httpError(w, ErrorStatus(err), err.Error())
+			httpError(w, errorStatus(err), err.Error())
 			return
 		}
-		writeJSON(w, map[string]int{"now": int(e.Now())})
+		writeJSON(w, map[string]int{"now": int(b.Now())})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, e.Stats())
+		w.Header().Set("Content-Type", "application/json")
+		_ = b.WriteStats(w)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		e.writeMetrics(w)
+		_ = b.WriteMetrics(w)
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = e.Tracer().WriteJSON(w)
+		_ = b.WriteTraces(w)
 	})
 	return mux
+}
+
+// WriteStats writes Stats as the /v1/stats JSON body.
+func (e *Engine) WriteStats(w io.Writer) error {
+	return json.NewEncoder(w).Encode(e.Stats())
+}
+
+// WriteTraces writes the tracer's ring as the /debug/traces JSON
+// document.
+func (e *Engine) WriteTraces(w io.Writer) error {
+	return e.Tracer().WriteJSON(w)
 }
 
 type recommendResponse struct {
@@ -168,19 +204,19 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// ErrorStatus maps an error returned by an Engine (or a cluster of them)
-// to the HTTP status its handler answers with: 503 for the lifecycle
-// conditions ErrClosed and ErrKilled — the request was fine, the server
-// cannot take it, retry elsewhere or later — and 400 for everything else,
-// which is input validation.
-func ErrorStatus(err error) int {
+// errorStatus maps an error returned by a Backend to the HTTP status its
+// handler answers with: 503 for the lifecycle conditions ErrClosed and
+// ErrKilled — the request was fine, the server cannot take it, retry
+// elsewhere or later — and 400 for everything else, which is input
+// validation.
+func errorStatus(err error) int {
 	if errors.Is(err, ErrClosed) || errors.Is(err, ErrKilled) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
 }
 
-// Limits on /v1 requests, shared by the engine and cluster muxes.
+// Limits on /v1 requests.
 const (
 	// MaxRequestBytes bounds every /v1 request body; a larger one is
 	// answered 413. A batch of MaxBatchUsers IDs needs well under it.
@@ -190,10 +226,10 @@ const (
 	MaxBatchUsers = 4096
 )
 
-// DecodeRequest decodes the JSON body of a /v1 request into v, reading at
+// decodeRequest decodes the JSON body of a /v1 request into v, reading at
 // most MaxRequestBytes of it. On failure it also returns the status to
 // answer with: 413 for an oversize body, 400 for a malformed one.
-func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -202,9 +238,9 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	return http.StatusBadRequest, err
 }
 
-// CheckBatch rejects a /v1/recommend/batch request naming more than
+// checkBatch rejects a /v1/recommend/batch request naming more than
 // MaxBatchUsers users.
-func CheckBatch(users int) error {
+func checkBatch(users int) error {
 	if users > MaxBatchUsers {
 		return fmt.Errorf("batch of %d users exceeds the limit of %d", users, MaxBatchUsers)
 	}

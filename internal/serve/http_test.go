@@ -292,12 +292,12 @@ func TestHTTPTraceHeader(t *testing.T) {
 // those stay 200; a malformed request is still a 400, closed or not.
 func TestHTTPClosedEngineStatus(t *testing.T) {
 	for _, err := range []error{ErrClosed, ErrKilled, fmt.Errorf("shard 2: %w", ErrClosed)} {
-		if got := ErrorStatus(err); got != http.StatusServiceUnavailable {
-			t.Errorf("ErrorStatus(%v) = %d, want 503", err, got)
+		if got := errorStatus(err); got != http.StatusServiceUnavailable {
+			t.Errorf("errorStatus(%v) = %d, want 503", err, got)
 		}
 	}
-	if got := ErrorStatus(errors.New("serve: unknown user 9")); got != http.StatusBadRequest {
-		t.Errorf("ErrorStatus(validation error) = %d, want 400", got)
+	if got := errorStatus(errors.New("serve: unknown user 9")); got != http.StatusBadRequest {
+		t.Errorf("errorStatus(validation error) = %d, want 400", got)
 	}
 
 	e, srv := newTestServer(t)

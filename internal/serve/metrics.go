@@ -248,9 +248,9 @@ func registerEngineMetrics(e *Engine) {
 		func() float64 { return float64(e.replans.Load()) })
 }
 
-// writeMetrics renders the engine's full registry — serve, solver, and
+// WriteMetrics renders the engine's full registry — serve, solver, and
 // (for durable engines) store families — in Prometheus text exposition
-// format.
-func (e *Engine) writeMetrics(w io.Writer) {
-	e.met.reg.WritePrometheus(w)
+// format: the /metrics body.
+func (e *Engine) WriteMetrics(w io.Writer) error {
+	return e.met.reg.WritePrometheus(w)
 }

@@ -103,7 +103,7 @@ func TestConcurrentScrapers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				var buf bytes.Buffer
-				e.writeMetrics(&buf)
+				_ = e.WriteMetrics(&buf)
 				if _, err := obs.ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Errorf("concurrent scrape fails conformance: %v", err)
 					return

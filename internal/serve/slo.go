@@ -82,22 +82,24 @@ func newEngineSLO(e *Engine) *obs.SLOWatchdog {
 
 // healthResponse is the /healthz payload: always HTTP 200 (liveness is
 // "the process answers"), with status "degraded" and the failing
-// objectives when the watchdog or durability is unhappy.
+// objectives when the watchdog or durability is unhappy. A cluster lists
+// its coordinator-level objectives; per-shard verdicts live on each
+// shard's registry in /metrics.
 type healthResponse struct {
 	Status string          `json:"status"` // "ok" | "degraded"
 	SLOs   []obs.SLOStatus `json:"slos,omitempty"`
 	Error  string          `json:"error,omitempty"` // first durability error
 }
 
-func engineHealth(e *Engine) healthResponse {
+func health(b Backend) healthResponse {
 	h := healthResponse{Status: "ok"}
-	if wd := e.SLO(); wd != nil {
+	if wd := b.SLO(); wd != nil {
 		h.SLOs = wd.Status()
 		if !wd.Healthy() {
 			h.Status = "degraded"
 		}
 	}
-	if err := e.Err(); err != nil {
+	if err := b.Err(); err != nil {
 		h.Status = "degraded"
 		h.Error = err.Error()
 	}

@@ -59,9 +59,10 @@ func RestoreServeEngine(r io.Reader, cfg ServeConfig) (*ServeEngine, error) {
 	return serve.Restore(r, cfg)
 }
 
-// ServeHandler returns the HTTP/JSON API over e (the routes revmaxd
-// mounts: /v1/recommend, /v1/recommend/batch, /v1/adopt, /v1/advance,
-// /v1/stats, /healthz, /metrics).
+// ServeHandler returns the HTTP/JSON API over e — the one mux revmaxd
+// mounts over an engine or a cluster: /v1/recommend,
+// /v1/recommend/batch, /v1/adopt, /v1/advance, /healthz, and the
+// engine's own /v1/stats, /metrics and /debug/traces bodies.
 func ServeHandler(e *ServeEngine) http.Handler { return serve.Handler(e) }
 
 // ResidualInstance builds the remaining-horizon instance induced by fb
@@ -102,7 +103,9 @@ func OpenCluster(in *Instance, cfg ClusterConfig) (*Cluster, error) {
 	return cluster.Open(in, cfg)
 }
 
-// ClusterHandler returns the HTTP/JSON API over c: the ServeHandler
-// routes plus fleet-aggregated /v1/stats and a merged /metrics
-// exposition with a shard label per series.
+// ClusterHandler returns the HTTP/JSON API over c: the same mux as
+// ServeHandler, routed through the cluster, with the cluster's own
+// /v1/stats (merged, coordinator and per-shard summaries), /metrics (a
+// shard label per engine series) and /debug/traces (spans grouped by
+// trace ID) bodies.
 func ClusterHandler(c *Cluster) http.Handler { return cluster.Handler(c) }
