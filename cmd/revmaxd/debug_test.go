@@ -8,22 +8,40 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// TestDebugHandler drives the -debug-addr mux: pprof index, the
+// TestDebugHandler drives the -debug-addr mux over each backend the API
+// mux serves — a single engine and a 2-shard cluster: pprof index, the
 // exposition-conformant /metrics mirror, and a /debug/traces payload
-// containing the boot plan trace.
+// holding the boot plan (the engine's plan trace, the shards' install
+// spans).
 func TestDebugHandler(t *testing.T) {
-	engine, err := serve.NewEngine(daemonInstance(t), serve.Config{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		open     func() (serving, error)
+		bootSpan string
+	}{
+		{"engine", func() (serving, error) { return serve.NewEngine(daemonInstance(t), serve.Config{}) }, "plan"},
+		{"cluster", func() (serving, error) { return cluster.New(daemonInstance(t), cluster.Config{Shards: 2}) }, "install"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			srv := httptest.NewServer(debugHandler(serve.Handler(svc)))
+			defer srv.Close()
+			checkDebugHandler(t, srv, tc.bootSpan)
+		})
 	}
-	defer engine.Close()
-	srv := httptest.NewServer(debugHandler(serve.Handler(engine)))
-	defer srv.Close()
+}
 
+func checkDebugHandler(t *testing.T, srv *httptest.Server, bootSpan string) {
+	t.Helper()
 	get := func(path string) (int, string) {
 		t.Helper()
 		resp, err := http.Get(srv.URL + path)
@@ -57,9 +75,13 @@ func TestDebugHandler(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/traces code %d", code)
 	}
+	// An engine lists root spans; a cluster lists trace groups of spans.
 	var payload struct {
-		Enabled bool           `json:"enabled"`
-		Traces  []obs.SpanData `json:"traces"`
+		Enabled bool `json:"enabled"`
+		Traces  []struct {
+			Name  string         `json:"name"`
+			Spans []obs.SpanData `json:"spans"`
+		} `json:"traces"`
 	}
 	if err := json.Unmarshal([]byte(body), &payload); err != nil {
 		t.Fatalf("/debug/traces is not JSON: %v\n%s", err, body)
@@ -69,11 +91,12 @@ func TestDebugHandler(t *testing.T) {
 	}
 	found := false
 	for _, tr := range payload.Traces {
-		if tr.Name == "plan" {
-			found = true
+		found = found || tr.Name == bootSpan
+		for _, sp := range tr.Spans {
+			found = found || sp.Name == bootSpan
 		}
 	}
 	if !found {
-		t.Fatalf("no plan trace in payload: %s", body)
+		t.Fatalf("no %s span in payload: %s", bootSpan, body)
 	}
 }

@@ -8,6 +8,9 @@ import (
 	"repro/internal/revenue"
 )
 
+// ErrorStatus exposes errorStatus to the backend-axis HTTP tests.
+var ErrorStatus = errorStatus
+
 // PlanView is everything a serving plan answers lookups and stats from,
 // in a form external tests can compare with reflect.DeepEqual.
 type PlanView struct {

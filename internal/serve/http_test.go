@@ -3,12 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -283,80 +280,5 @@ func TestHTTPTraceHeader(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusOK || r2.Header.Get("X-Trace-Id") != "" {
 		t.Fatalf("malformed trace header: %d %q", r2.StatusCode, r2.Header.Get("X-Trace-Id"))
-	}
-}
-
-// TestHTTPClosedEngineStatus: a closed engine's refusal is the server's
-// condition, not the client's mistake — 503, not 400. Reads keep being
-// answered from the last installed plan and the clock still stores, so
-// those stay 200; a malformed request is still a 400, closed or not.
-func TestHTTPClosedEngineStatus(t *testing.T) {
-	for _, err := range []error{ErrClosed, ErrKilled, fmt.Errorf("shard 2: %w", ErrClosed)} {
-		if got := errorStatus(err); got != http.StatusServiceUnavailable {
-			t.Errorf("errorStatus(%v) = %d, want 503", err, got)
-		}
-	}
-	if got := errorStatus(errors.New("serve: unknown user 9")); got != http.StatusBadRequest {
-		t.Errorf("errorStatus(validation error) = %d, want 400", got)
-	}
-
-	e, srv := newTestServer(t)
-	e.Close()
-	adopt := map[string]any{"user": 3, "item": 1, "t": 1, "adopted": true}
-	for _, tc := range []struct {
-		name    string
-		do      func() (int, []byte)
-		want    int
-		wantErr string
-	}{
-		{"recommend", func() (int, []byte) { return get(t, srv.URL+"/v1/recommend?user=3&t=1") }, http.StatusOK, ""},
-		{"batch", func() (int, []byte) {
-			return post(t, srv.URL+"/v1/recommend/batch", map[string]any{"users": []int{1, 2}, "t": 1})
-		}, http.StatusOK, ""},
-		{"adopt", func() (int, []byte) { return post(t, srv.URL+"/v1/adopt", adopt) }, http.StatusServiceUnavailable, ErrClosed.Error()},
-		{"advance", func() (int, []byte) { return post(t, srv.URL+"/v1/advance", map[string]int{"now": 1}) }, http.StatusOK, ""},
-		{"adopt-bad-user", func() (int, []byte) {
-			return post(t, srv.URL+"/v1/adopt", map[string]any{"user": 100000, "item": 1, "t": 1})
-		}, http.StatusBadRequest, "100000"},
-	} {
-		code, body := tc.do()
-		if code != tc.want {
-			t.Errorf("%s on a closed engine: %d %s, want %d", tc.name, code, body, tc.want)
-		}
-		if tc.wantErr != "" {
-			var msg map[string]string
-			if err := json.Unmarshal(body, &msg); err != nil || !strings.Contains(msg["error"], tc.wantErr) {
-				t.Errorf("%s: error body %s, want it to mention %q", tc.name, body, tc.wantErr)
-			}
-		}
-	}
-}
-
-// TestHTTPRequestLimits: every /v1 body is read through MaxRequestBytes
-// (413 beyond it) and a batch names at most MaxBatchUsers users (400
-// beyond it); requests at the limits still succeed.
-func TestHTTPRequestLimits(t *testing.T) {
-	_, srv := newTestServer(t)
-	pad := strings.Repeat(" ", MaxRequestBytes)
-	users := func(n int) string { return strings.TrimSuffix(strings.Repeat("1,", n), ",") }
-	for _, tc := range []struct {
-		name, path, body string
-		want             int
-	}{
-		{"oversize batch", "/v1/recommend/batch", `{"users":[1],` + pad + `"t":1}`, 413},
-		{"oversize adopt", "/v1/adopt", `{"user":1,"item":0,"t":1,` + pad + `"adopted":false}`, 413},
-		{"oversize advance", "/v1/advance", pad + `{"now":1}`, 413},
-		{"too many users", "/v1/recommend/batch", `{"users":[` + users(MaxBatchUsers+1) + `],"t":1}`, 400},
-		{"users at the limit", "/v1/recommend/batch", `{"users":[` + users(MaxBatchUsers) + `],"t":1}`, 200},
-	} {
-		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: %d %.200s, want %d", tc.name, resp.StatusCode, body, tc.want)
-		}
 	}
 }

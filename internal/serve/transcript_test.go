@@ -17,10 +17,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/testgen"
 )
 
 var updateTranscripts = flag.Bool("update", false, "rewrite the testdata/transcript goldens")
@@ -66,10 +64,7 @@ func sameErrorPrefix(text string) string {
 //
 //	go test ./internal/serve -run TestHTTPTranscripts -update
 func TestHTTPTranscripts(t *testing.T) {
-	in := testgen.Random(dist.NewRNG(7), testgen.Params{
-		Users: 24, Items: 8, Classes: 4, T: 5, K: 2,
-		MaxCap: 4, CandProb: 0.5, MinPrice: 1, MaxPrice: 100,
-	})
+	in := backendInstance()
 	// The watchdog never ticks on its own during the script: the
 	// script evaluates it explicitly.
 	slo := serve.SLOConfig{Interval: time.Hour}
