@@ -82,9 +82,11 @@ func Handler(b Backend) http.Handler {
 		writeJSON(w, health(b))
 	})
 	mux.HandleFunc("GET /v1/recommend", func(w http.ResponseWriter, r *http.Request) {
+		// model.UserID and model.TimeStep are int32: a wider value is
+		// out of range, not wrapped onto another user or step.
 		q := r.URL.Query()
-		user, err1 := strconv.Atoi(q.Get("user"))
-		t, err2 := strconv.Atoi(q.Get("t"))
+		user, err1 := strconv.ParseInt(q.Get("user"), 10, 32)
+		t, err2 := strconv.ParseInt(q.Get("t"), 10, 32)
 		if err1 != nil || err2 != nil {
 			httpError(w, http.StatusBadRequest, "user and t must be integers")
 			return
@@ -227,12 +229,22 @@ const (
 )
 
 // decodeRequest decodes the JSON body of a /v1 request into v, reading at
-// most MaxRequestBytes of it. On failure it also returns the status to
-// answer with: 413 for an oversize body, 400 for a malformed one.
+// most MaxRequestBytes of it. The body must hold exactly one JSON value:
+// anything but whitespace after it is rejected. On failure it also
+// returns the status to answer with: 413 for an oversize body, 400 for a
+// malformed one.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return http.StatusOK, nil
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
 		return http.StatusRequestEntityTooLarge, err
 	}
 	return http.StatusBadRequest, err

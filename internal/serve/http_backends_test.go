@@ -117,8 +117,10 @@ func TestHTTPClosedEngineStatus(t *testing.T) {
 }
 
 // TestHTTPRequestLimits: every /v1 body is read through MaxRequestBytes
-// (413 beyond it) and a batch names at most MaxBatchUsers users (400
-// beyond it); requests at the limits still succeed.
+// (413 beyond it) and holds one JSON value (400 for anything after it
+// but whitespace), a batch names at most MaxBatchUsers users (400 beyond
+// it), and query IDs are int32 (400 beyond, never wrapped); requests at
+// the limits still succeed.
 func TestHTTPRequestLimits(t *testing.T) {
 	pad := strings.Repeat(" ", serve.MaxRequestBytes)
 	users := func(n int) string { return strings.TrimSuffix(strings.Repeat("1,", n), ",") }
@@ -132,6 +134,15 @@ func TestHTTPRequestLimits(t *testing.T) {
 			{"oversize advance", "POST", "/v1/advance", pad + `{"now":1}`, 413},
 			{"too many users", "POST", "/v1/recommend/batch", `{"users":[` + users(serve.MaxBatchUsers+1) + `],"t":1}`, 400},
 			{"users at the limit", "POST", "/v1/recommend/batch", `{"users":[` + users(serve.MaxBatchUsers) + `],"t":1}`, 200},
+			{"two JSON values", "POST", "/v1/advance", `{"now":1}{"now":3}`, 400},
+			{"trailing garbage", "POST", "/v1/advance", `{"now":1} garbage`, 400},
+			{"trailing garbage adopt", "POST", "/v1/adopt", `{"user":1,"item":0,"t":1}]`, 400},
+			{"trailing whitespace", "POST", "/v1/advance", "{\"now\":1}\n\t ", 200},
+			{"oversize after the value", "POST", "/v1/advance", `{"now":1}` + pad, 413},
+			{"user wraps int32", "GET", "/v1/recommend?user=4294967297&t=1", "", 400},
+			{"negative user wraps int32", "GET", "/v1/recommend?user=-4294967295&t=1", "", 400},
+			{"t wraps int32", "GET", "/v1/recommend?user=1&t=4294967297", "", 400},
+			{"largest int32 user", "GET", "/v1/recommend?user=2147483647&t=1", "", 400},
 		} {
 			if code, body := do(t, srv, tc.method, tc.path, tc.body); code != tc.want {
 				t.Errorf("%s: %d %.200s, want %d", tc.name, code, body, tc.want)

@@ -217,6 +217,9 @@ func runTranscript(t *testing.T, h http.Handler, b transcriptBackend) []exchange
 	tr.do("recommend unknown user", "GET", "/v1/recommend?user=999&t=1", "", "", nil)
 	tr.do("recommend negative user", "GET", "/v1/recommend?user=-5&t=1", "", "", nil)
 	tr.do("recommend t out of range", "GET", "/v1/recommend?user=1&t=99", "", "", nil)
+	tr.do("recommend user wraps int32", "GET", "/v1/recommend?user=4294967297&t=2", "", "", nil)
+	tr.do("recommend negative user wraps int32", "GET", "/v1/recommend?user=-4294967295&t=2", "", "", nil)
+	tr.do("recommend t wraps int32", "GET", "/v1/recommend?user=1&t=4294967298", "", "", nil)
 	batch := tr.do("batch", "POST", "/v1/recommend/batch", "", `{"users":[3,4,13,14,23],"t":2}`, nil)
 	tr.do("batch traced", "POST", "/v1/recommend/batch", transcriptTraceID, `{"users":[18,22],"t":2}`, nil)
 	tr.do("batch malformed", "POST", "/v1/recommend/batch", "", `{"users":`, nil)
@@ -257,6 +260,8 @@ func runTranscript(t *testing.T, h http.Handler, b transcriptBackend) []exchange
 	tr.do("advance backwards", "POST", "/v1/advance", "", `{"now":2}`, nil)
 	tr.do("advance malformed", "POST", "/v1/advance", "", `{"now":"two"}`, nil)
 	tr.do("advance oversize", "POST", "/v1/advance", "", pad+`{"now":3}`, nil)
+	tr.do("advance two JSON values", "POST", "/v1/advance", "", `{"now":4}{"now":5}`, nil)
+	tr.do("advance trailing garbage", "POST", "/v1/advance", "", `{"now":4} garbage`, nil)
 	tr.do("recommend after advance", "GET", "/v1/recommend?user=3&t=3", "", "", nil)
 	tr.do("batch after advance", "POST", "/v1/recommend/batch", "", `{"users":[2,3,7,9,23],"t":3}`, nil)
 
