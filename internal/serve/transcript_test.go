@@ -28,12 +28,11 @@ var updateTranscripts = flag.Bool("update", false, "rewrite the testdata/transcr
 // are masked.
 const transcriptTraceID = "00000000000000ab"
 
-// transcriptBackend is what the script drives besides the handler:
-// the synchronization point, the watchdog, and the lifecycle.
+// transcriptBackend is a backend the script can also flush: the
+// synchronization point that makes each exchange deterministic.
 type transcriptBackend interface {
+	backend
 	Flush()
-	SLO() *obs.SLOWatchdog
-	Close()
 }
 
 // mayDiffer lists every exchange of the script whose bytes may differ
@@ -43,7 +42,7 @@ type transcriptBackend interface {
 var mayDiffer = map[string]string{
 	"healthz ok":       "each backend lists its own SLO objectives (engine: replan_p99; cluster: barrier_p99)",
 	"healthz degraded": "each backend lists its own SLO objectives (engine: replan_p99; cluster: barrier_p99)",
-	"stats":            "the cluster adds its coordinator summary and per-shard stats to the merged engine fields",
+	"stats":            "the cluster adds coordinator and per-shard summaries; its merged counters count the boot install as a replan and not requests the router rejects",
 	"metrics":          "the cluster labels every engine family with shard and adds the coordinator's families",
 	"traces":           "the cluster's document groups shard-labeled spans by trace ID",
 }
