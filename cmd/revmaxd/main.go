@@ -148,10 +148,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Resolve the algorithm up front: a typo in -algo, or an -algo that
-	// cannot replan incrementally, must fail in milliseconds with the
-	// registry's name list, not after dataset generation.
-	if _, err := solver.Lookup(*algoName); err != nil {
+	// Resolve the algorithm up front: a typo in -algo, an -algo that
+	// returns no candidate-indexed plan to serve, or one that cannot
+	// replan incrementally, must fail in milliseconds with the registry's
+	// name list, not after dataset generation.
+	if err := solver.CheckServable(*algoName); err != nil {
 		return err
 	}
 	if *incremental {

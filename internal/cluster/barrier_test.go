@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/solver"
 )
 
 // firstCandidates returns up to n (user, item) pairs with a candidate
@@ -193,20 +193,20 @@ func TestScalePriceInstanceRace(t *testing.T) {
 // TestReplansCountedWhenPlanVisible: a coordinated replan is counted
 // when its plan is installed, not when its solve starts, so Stats (and
 // /v1/stats) moves replans and plan revenue together, as a single engine
-// does. A custom planner holds the barrier's solve open while the count
-// is read.
+// does. The solver's progress callback holds the barrier's solve open
+// while the count is read.
 func TestReplansCountedWhenPlanVisible(t *testing.T) {
 	in := testInstance(t, 24, 29)
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
-	planner := func(res *model.Instance) *model.Strategy {
+	progress := func(solver.Progress) {
 		if hold.Load() {
+			hold.Store(false)
 			entered <- struct{}{}
 			<-release
 		}
-		return core.GGreedy(res).Strategy
 	}
-	cl, err := New(in.Clone(), Config{Shards: 2, ReplanEvery: 1 << 30, Planner: planner})
+	cl, err := New(in.Clone(), Config{Shards: 2, ReplanEvery: 1 << 30, Solver: solver.Options{Progress: progress}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +224,11 @@ func TestReplansCountedWhenPlanVisible(t *testing.T) {
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the flush never reached the planner")
+		t.Fatal("the flush never reached the solver")
 	}
 	if got := cl.Stats().Replans; got != before {
 		t.Errorf("replans = %d while the solve is still running, want %d", got, before)
 	}
-	hold.Store(false)
 	close(release)
 	<-done
 	if got := cl.Stats().Replans; got != before+1 {

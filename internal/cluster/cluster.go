@@ -73,15 +73,12 @@ type Config struct {
 	// empty shard would serve nobody and skew reconciliation).
 	Shards int
 	// Algorithm names the registered solver for coordinated replans
-	// (empty falls back like serve.Config.Algorithm).
+	// (empty falls back like serve.Config.Algorithm). Only a servable
+	// algorithm, one that returns a candidate-indexed plan, is accepted
+	// (solver.CheckServable): construction rejects top-rating.
 	Algorithm string
 	// Solver carries the named algorithm's options.
 	Solver solver.Options
-	// Planner, when non-nil, bypasses the registry with a custom global
-	// planning function: it receives each barrier's residual instance
-	// and returns a strategy, which the coordinator trims to the
-	// cluster-wide constraints (admitQuota) before slicing it to shards.
-	Planner planner.Algorithm
 	// WarmStart seeds each coordinated replan with the previous global
 	// plan's triples.
 	WarmStart bool
@@ -91,9 +88,8 @@ type Config struct {
 	// journal and only the candidates it invalidated are re-keyed
 	// before the solve. Output stays byte-identical to the
 	// non-incremental coordinator (cold or warm per WarmStart).
-	// Requires the registry's "g-greedy" (solver.CheckSession);
-	// incompatible with a custom Planner. Shard engines are unaffected —
-	// they never solve.
+	// Requires the registry's "g-greedy" (solver.CheckSession). Shard
+	// engines are unaffected — they never solve.
 	Incremental bool
 	// ReplanEvery is the adoption cadence of the self-driving barrier:
 	// every ReplanEvery-th adoption fed schedules a coordinated replan
@@ -164,9 +160,8 @@ type Cluster struct {
 	// concurrently with exogenous repricing without synchronization.
 	global atomic.Pointer[model.Instance]
 
-	// custom/opts/warm mirror serve.Engine's resolved planning config,
-	// but for the coordinator's global solves.
-	custom   planner.Algorithm
+	// opts/warm mirror serve.Engine's resolved planning config, but for
+	// the coordinator's global solves.
 	opts     solver.Options
 	warm     bool
 	warmPrev []model.Triple
@@ -233,8 +228,12 @@ type Cluster struct {
 
 	clock   atomic.Int64
 	replans atomic.Int64
-	errMu   sync.Mutex
-	err     error
+	// routeErrors counts requests the router rejected before any shard
+	// saw them (an unknown user); Stats adds them to the shards'
+	// request errors.
+	routeErrors atomic.Int64
+	errMu       sync.Mutex
+	err         error
 }
 
 // New builds an in-memory cluster: it solves the initial global plan,
@@ -276,20 +275,17 @@ func newShell(cfg Config, g *model.Instance) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d out of range (want ≥ 1)", cfg.Shards)
 	}
-	custom := cfg.Planner
 	opts := cfg.Solver
-	if custom == nil {
-		if cfg.Algorithm != "" {
-			opts.Algorithm = cfg.Algorithm
-		}
-		if err := solver.ValidateOptions(opts); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
+	if cfg.Algorithm != "" {
+		opts.Algorithm = cfg.Algorithm
+	}
+	if err := solver.CheckServable(opts.Algorithm); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	if err := solver.ValidateOptions(opts); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.Incremental {
-		if custom != nil {
-			return nil, errors.New("cluster: Incremental is incompatible with a custom Planner (needs a registry G-Greedy algorithm)")
-		}
 		if err := solver.CheckSession(opts.Algorithm); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
@@ -297,9 +293,8 @@ func newShell(cfg Config, g *model.Instance) (*Cluster, error) {
 	c := &Cluster{
 		cfg:         cfg,
 		n:           cfg.Shards,
-		custom:      custom,
 		opts:        opts,
-		warm:        cfg.WarmStart && custom == nil,
+		warm:        cfg.WarmStart,
 		incr:        cfg.Incremental,
 		replanEvery: cfg.ReplanEvery,
 		flushCh:     make(chan struct{}, 1),
@@ -548,9 +543,11 @@ func (c *Cluster) Engine(k int) *serve.Engine {
 	return c.engines[k]
 }
 
-// owner validates u and returns its shard and local ID.
+// owner validates u and returns its shard and local ID. A rejected
+// request never reaches a shard, so it is counted here (routeErrors).
 func (c *Cluster) owner(u model.UserID) (int, model.UserID, error) {
 	if int(u) < 0 || int(u) >= c.inst().NumUsers {
+		c.routeErrors.Add(1)
 		return 0, 0, fmt.Errorf("cluster: unknown user %d", u)
 	}
 	return shardOf(u, c.n), localID(u, c.n), nil
@@ -830,7 +827,7 @@ func (c *Cluster) Flush() {
 // flushLocked runs one barrier under a coordinator trace: a root span
 // named "barrier" (joining ref's trace when the barrier was caused by a
 // traced request, e.g. an /v1/advance carrying X-Trace-Id) with drain,
-// reconcile, gather/merge/solve/trim/slice, and install children. Every
+// reconcile, gather/merge/solve/slice, and install children. Every
 // shard's install span joins the same trace remotely, so the merged
 // /debug/traces view shows one coordinated timeline. Barriers that find
 // no work drop their span unpublished — the 1s background ticks of an
@@ -1018,21 +1015,19 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 		residual = planner.Residual(c.inst(), fb)
 	}
 	merge.End()
-	gp, denied := c.solveAndInstall(residual, sp)
+	gp := c.solveAndInstall(residual, sp)
 	if c.logger != nil {
 		obs.WithTrace(c.logger, sp).Info("coordinated replan",
-			"revenue", gp.revenue, "triples", len(gp.ids), "denied", denied,
-			"now", c.clock.Load())
+			"revenue", gp.revenue, "triples", len(gp.ids), "now", c.clock.Load())
 	}
 }
 
 // solveAndInstall is the planning half of every coordinated replan,
-// boot's included: solve residual once ("solve"), admit the output as a
-// CandID plan ("trim"), map it to the global CandID space and split its
-// revenue by shard ("slice"), and install it on every shard ("install")
-// — children of sp, which may be nil. It returns the published plan and
-// the number of triples the admission denied.
-func (c *Cluster) solveAndInstall(residual *model.Instance, sp *obs.Span) (*globalPlan, int) {
+// boot's included: solve residual once ("solve"), map the plan to the
+// global CandID space and split its revenue by shard ("slice"), and
+// install it on every shard ("install") — children of sp, which may be
+// nil. It returns the published plan.
+func (c *Cluster) solveAndInstall(residual *model.Instance, sp *obs.Span) *globalPlan {
 	res := c.solveGlobal(residual, sp)
 	if c.sess != nil {
 		st := c.sess.LastStats()
@@ -1041,17 +1036,11 @@ func (c *Cluster) solveAndInstall(residual *model.Instance, sp *obs.Span) (*glob
 		sp.SetInt("unwound_cands", int64(st.UnwoundCands))
 		sp.SetInt("replayed_groups", int64(st.ReplayedGroups))
 	}
-	trim := sp.Child("trim")
-	fp, ev, denied := admit(residual, res)
-	trim.End()
-	if denied > 0 {
-		c.co.denials.Add(int64(denied))
-	}
 	slice := sp.Child("slice")
-	gp := c.slicePlan(fp, ev)
+	gp := c.slicePlan(res)
 	slice.End()
 	c.installGlobal(gp, sp)
-	return gp, denied
+	return gp
 }
 
 // gatherFeedback merges the shards' consistent feedback exports into
@@ -1091,13 +1080,6 @@ func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 // receives the solver's own "solve" child span with phase breakdown. A
 // failed solve degrades to an empty plan, like a single engine's.
 func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) solver.Result {
-	if c.custom != nil {
-		s := c.custom(residual)
-		if s == nil {
-			s = model.NewStrategy()
-		}
-		return solver.Result{Strategy: s}
-	}
 	o := c.opts
 	o.Span = sp
 	if c.sess != nil {
@@ -1108,38 +1090,10 @@ func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) solver.Res
 		o.Warm = c.warmPrev
 	}
 	res, err := solver.Solve(context.Background(), residual, o)
-	if err != nil || (res.Plan == nil && res.Strategy == nil) {
-		return solver.Result{Strategy: model.NewStrategy()}
+	if err != nil || res.Plan == nil {
+		return solver.Result{Plan: residual.NewPlan()}
 	}
 	return res
-}
-
-// admit turns one solve's output into a CandID plan over in, the
-// instance it was solved on, and the evaluator whose group partials are
-// that plan's revenue terms. A registry solve's plan and evaluator pass
-// straight through: registered solvers emit valid plans. A strategy — a
-// custom Planner's, or a plan-less baseline's — is trimmed to the
-// cluster-wide constraints by admitQuota and mapped to CandIDs; a triple
-// that is not a candidate of in (q = 0 there) cannot be served from a
-// CandID plan and is denied too. It returns the number of denials.
-func admit(in *model.Instance, res solver.Result) (*model.Plan, *revenue.Evaluator, int) {
-	if res.Plan != nil {
-		ev := res.Evaluator
-		if ev == nil {
-			ev = evaluate(res.Plan)
-		}
-		return res.Plan, ev, 0
-	}
-	s, denied := admitQuota(in, res.Strategy)
-	fp := in.NewPlan()
-	for _, z := range s.Triples() {
-		if id, ok := in.CandIDOf(z); ok {
-			fp.Add(id)
-		} else {
-			denied++
-		}
-	}
-	return fp, evaluate(fp), denied
 }
 
 // evaluate scores fp from scratch: an evaluator holding exactly its
@@ -1151,41 +1105,6 @@ func evaluate(fp *model.Plan) *revenue.Evaluator {
 		return true
 	})
 	return ev
-}
-
-// admitQuota enforces the cluster-wide constraints on a strategy: ≤ K
-// displays per user per step and ≤ capacity distinct users per item. The
-// fast path is a validity check and zero copies; a hostile custom
-// planner gets deterministically trimmed (triples admitted in canonical
-// order) with the number of denials reported.
-func admitQuota(in *model.Instance, s *model.Strategy) (*model.Strategy, int) {
-	if in.CheckValid(s) == nil {
-		return s, 0
-	}
-	display := make(map[[2]int32]int)
-	users := make(map[model.ItemID]map[model.UserID]struct{})
-	out := model.NewStrategy()
-	denied := 0
-	for _, z := range s.Triples() {
-		key := [2]int32{int32(z.U), int32(z.T)}
-		if display[key]+1 > in.K {
-			denied++
-			continue
-		}
-		m := users[z.I]
-		if m == nil {
-			m = make(map[model.UserID]struct{})
-			users[z.I] = m
-		}
-		if _, seen := m[z.U]; !seen && len(m)+1 > in.Capacity(z.I) {
-			denied++
-			continue
-		}
-		display[key]++
-		m[z.U] = struct{}{}
-		out.Add(z)
-	}
-	return out, denied
 }
 
 // globalPlan is one coordinated solve as the cluster serves it:
@@ -1229,21 +1148,26 @@ func (gp *globalPlan) strategy() *model.Strategy {
 	return gp.strat
 }
 
-// slicePlan turns an admitted plan into the cluster's form: its
+// slicePlan turns one solve's plan into the cluster's form: its
 // candidates in the global CandID space, one slice per shard in that
 // shard's CandID space (shard k holds the users u ≡ k mod n, and
 // subInstance copies each one's candidates in order, so a global CandID
 // moves by the per-user span offset c.off[u]), and the revenue split the
-// same way. The plan's revenue is ev's CanonicalTotal; shard k's is the
-// ascending-group-ID sum of its own groups' partials. A shard's groups
-// are its users' (user, class) pairs in the same order, a subsequence of
-// the global order, so that sum is revenue.Revenue on the shard's
-// residual bit for bit.
-func (c *Cluster) slicePlan(fp *model.Plan, ev *revenue.Evaluator) *globalPlan {
+// same way. The plan's revenue is the CanonicalTotal of the solve's
+// evaluator (or of a fresh one, for solvers that keep none); shard k's
+// is the ascending-group-ID sum of its own groups' partials. A shard's
+// groups are its users' (user, class) pairs in the same order, a
+// subsequence of the global order, so that sum is revenue.Revenue on the
+// shard's residual bit for bit.
+func (c *Cluster) slicePlan(res solver.Result) *globalPlan {
+	fp, ev := res.Plan, res.Evaluator
+	if ev == nil {
+		ev = evaluate(fp)
+	}
 	g := c.inst()
 	gp := &globalPlan{
 		in:       g,
-		ids:      globalIDs(g, fp),
+		ids:      g.BaseIDs(fp),
 		shards:   make([]*model.Plan, c.n),
 		shardRev: make([]float64, c.n),
 		revenue:  ev.CanonicalTotal(),
@@ -1461,9 +1385,11 @@ func (c *Cluster) RecoverShard(k int) error {
 // Stats returns the cluster-wide serving summary: per-shard samples
 // merged with serve.MergeStats, with the cluster's own view of the
 // plan substituted for the summed per-shard fields (one global plan,
-// not n independent ones).
+// not n independent ones) and the requests its router rejected added to
+// the shards' request errors.
 func (c *Cluster) Stats() serve.Stats {
 	st := serve.MergeStats(c.StatsSamples()...)
+	st.RequestErrors += c.routeErrors.Load()
 	st.Shards = c.n
 	st.Now = int(c.clock.Load())
 	st.Replans = c.replans.Load()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/serve"
+	"repro/internal/solver"
 	"repro/internal/testgen"
 )
 
@@ -210,6 +211,10 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, err := Open(nil, Config{Shards: 2}); err == nil {
 		t.Error("Open accepted nil instance without durable state")
+	}
+	rating := func(model.UserID, model.ItemID) float64 { return 1 }
+	if _, err := New(in, Config{Shards: 2, Algorithm: "top-rating", Solver: solver.Options{Rating: rating}}); err == nil {
+		t.Error("New accepted a plan-less algorithm")
 	}
 }
 

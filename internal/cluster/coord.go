@@ -64,7 +64,6 @@ type coordinator struct {
 	reg         *obs.Registry
 	reconciles  *obs.Counter
 	regrants    *obs.Counter
-	denials     *obs.Counter
 	replansC    *obs.Counter
 	outstanding *obs.Gauge
 	remaining   *obs.Gauge
@@ -82,8 +81,6 @@ func newCoordinator(n, items int, capacity func(int) int64) *coordinator {
 			"Reservation-reconcile rounds run at flush barriers."),
 		regrants: reg.Counter("revmaxd_cluster_regrants_total",
 			"Optimistic stock views re-granted to shards after reconciliation."),
-		denials: reg.Counter("revmaxd_cluster_quota_denials_total",
-			"Planned triples denied for exceeding an item's cluster-wide distinct-user quota."),
 		replansC: reg.Counter("revmaxd_cluster_replans_total",
 			"Coordinated cluster-wide replans."),
 		outstanding: reg.Gauge("revmaxd_cluster_outstanding_reservations",

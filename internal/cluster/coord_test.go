@@ -8,8 +8,7 @@ import (
 )
 
 // hostileInstance has one item with capacity 1 and many users wanting
-// it — a custom planner that recommends it to everyone violates the
-// distinct-user quota by construction.
+// it, so adoptions on two shards in one barrier window oversubscribe it.
 func hostileInstance() *model.Instance {
 	in := model.NewInstance(4, 1, 2, 1)
 	in.SetItem(0, 0, 0.5, 1)
@@ -24,69 +23,6 @@ func hostileInstance() *model.Instance {
 	return in
 }
 
-// greedyAll plans every candidate — wildly over quota.
-func greedyAll(in *model.Instance) *model.Strategy {
-	s := model.NewStrategy()
-	for u := 0; u < in.NumUsers; u++ {
-		for _, c := range in.UserCandidates(model.UserID(u)) {
-			s.Add(c.Triple)
-		}
-	}
-	return s
-}
-
-// TestQuotaDenialsTrimHostilePlanner verifies the coordinator's last
-// line of defense: a custom planner that ignores the distinct-user
-// quota gets its plan deterministically trimmed to validity, and the
-// denials are counted.
-func TestQuotaDenialsTrimHostilePlanner(t *testing.T) {
-	in := hostileInstance()
-	cl, err := New(in, Config{Shards: 2, Planner: greedyAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	// Force a coordinated replan so admitQuota sees greedyAll's output.
-	if err := cl.Feed(serve.Event{User: 0, Item: 0, T: 1, Adopted: true}); err != nil {
-		t.Fatal(err)
-	}
-	cl.Flush()
-
-	s := cl.Strategy()
-	if err := cl.Instance().CheckValid(s); err != nil {
-		t.Fatalf("installed plan violates constraints: %v", err)
-	}
-	if got := cl.CoordinatorStats().QuotaDenials; got == 0 {
-		t.Error("hostile planner produced no quota denials")
-	}
-	// Capacity 1 and one adopted user: at most one distinct user may be
-	// planned for item 0, at one step each (K=1).
-	users := make(map[model.UserID]bool)
-	for _, z := range s.Triples() {
-		users[z.U] = true
-	}
-	if len(users) > 1 {
-		t.Errorf("trimmed plan still shows item 0 to %d distinct users (capacity 1)", len(users))
-	}
-}
-
-// TestAdmitQuotaFastPath pins the byte-identity property: a valid
-// strategy passes through admitQuota unchanged (same pointer, no
-// copy), so registered solvers never see their output rewritten.
-func TestAdmitQuotaFastPath(t *testing.T) {
-	in := hostileInstance()
-	s := model.NewStrategy()
-	s.Add(model.Triple{U: 0, I: 0, T: 1})
-	out, denied := admitQuota(in, s)
-	if out != s {
-		t.Error("valid strategy was copied")
-	}
-	if denied != 0 {
-		t.Errorf("valid strategy reported %d denials", denied)
-	}
-}
-
 // TestReconcileAlgebra pins the clipped-drawdown identity the
 // reservation protocol rests on: shards drawing their optimistic views
 // down concurrently reconcile to exactly the remainder a sequential
@@ -94,7 +30,7 @@ func TestAdmitQuotaFastPath(t *testing.T) {
 // rounds that clip at zero.
 func TestReconcileAlgebra(t *testing.T) {
 	in := hostileInstance() // item 0, capacity 1
-	cl, err := New(in, Config{Shards: 2, Planner: greedyAll})
+	cl, err := New(in, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,12 @@ import (
 // CoordinatorStats is the coordinator's own summary, exposed alongside
 // the merged serving stats.
 type CoordinatorStats struct {
-	Shards                  int   `json:"shards"`
-	ReconcileRounds         int64 `json:"reconcile_rounds"`
-	Regrants                int64 `json:"regrants"`
+	Shards          int   `json:"shards"`
+	ReconcileRounds int64 `json:"reconcile_rounds"`
+	Regrants        int64 `json:"regrants"`
+	// QuotaDenials is always 0: every plan the coordinator installs is a
+	// servable solver's candidate-indexed plan, which it never trims.
+	// The field stays for readers of the stats schema.
 	QuotaDenials            int64 `json:"quota_denials"`
 	OutstandingReservations int64 `json:"outstanding_reservations"`
 	StockRemaining          int64 `json:"stock_remaining"`
@@ -26,7 +29,6 @@ func (c *Cluster) CoordinatorStats() CoordinatorStats {
 		Shards:                  c.n,
 		ReconcileRounds:         c.co.reconciles.Value(),
 		Regrants:                c.co.regrants.Value(),
-		QuotaDenials:            c.co.denials.Value(),
 		OutstandingReservations: int64(c.co.outstanding.Value()),
 		StockRemaining:          int64(c.co.remaining.Value()),
 		Replans:                 c.replans.Load(),

@@ -48,7 +48,6 @@ func TestMergedMetricsConformance(t *testing.T) {
 	for _, name := range []string{
 		"revmaxd_cluster_reconcile_rounds_total",
 		"revmaxd_cluster_regrants_total",
-		"revmaxd_cluster_quota_denials_total",
 		"revmaxd_cluster_outstanding_reservations",
 		"revmaxd_cluster_stock_remaining",
 		"revmaxd_cluster_replans_total",

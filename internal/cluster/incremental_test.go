@@ -121,16 +121,12 @@ func assertSameGlobalPlan(t *testing.T, tag string, a, b *Cluster) {
 	}
 }
 
-// TestClusterIncrementalValidation: Incremental demands a registry
-// G-Greedy algorithm and no custom Planner, at New and Open alike.
+// TestClusterIncrementalValidation: Incremental demands the registry's
+// G-Greedy algorithm, by name or alias.
 func TestClusterIncrementalValidation(t *testing.T) {
 	in := testInstance(t, 6, 1)
 	if _, err := New(in.Clone(), Config{Shards: 2, Incremental: true, Algorithm: "rl-greedy"}); err == nil {
 		t.Error("Incremental with rl-greedy accepted")
-	}
-	hostile := func(res *model.Instance) *model.Strategy { return model.NewStrategy() }
-	if _, err := New(in.Clone(), Config{Shards: 2, Incremental: true, Planner: hostile}); err == nil {
-		t.Error("Incremental with a custom Planner accepted")
 	}
 	cl, err := New(in.Clone(), Config{Shards: 2, Incremental: true, Algorithm: "gg"}) // alias resolves
 	if err != nil {

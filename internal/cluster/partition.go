@@ -112,36 +112,3 @@ func candOffsets(g *model.Instance, n int) []model.CandID {
 	}
 	return off
 }
-
-// globalIDs lists fp's candidates, ascending, as CandIDs of the global
-// instance g. A plan over g, over a clone of it (an incremental
-// session's instance), or over a residual that dropped no candidate
-// already lives in g's CandID space. Any other residual keeps a
-// subsequence of each user's candidates in the same canonical order, so
-// one merge walk per user maps it.
-func globalIDs(g *model.Instance, fp *model.Plan) []model.CandID {
-	x := fp.Instance()
-	ids := make([]model.CandID, 0, fp.Len())
-	if x.NumCands() == g.NumCands() {
-		fp.Each(func(id model.CandID) bool {
-			ids = append(ids, id)
-			return true
-		})
-		return ids
-	}
-	prev, j := model.UserID(-1), model.CandID(0)
-	fp.Each(func(id model.CandID) bool {
-		c := x.CandAt(id)
-		if c.U != prev {
-			prev = c.U
-			j, _ = g.UserCandSpan(c.U)
-		}
-		for gc := g.CandAt(j); gc.I != c.I || gc.T != c.T; gc = g.CandAt(j) {
-			j++
-		}
-		ids = append(ids, j)
-		j++
-		return true
-	})
-	return ids
-}

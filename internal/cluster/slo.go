@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // newClusterSLO builds the coordinator-level watchdog on the
@@ -28,9 +27,9 @@ func newClusterSLO(c *Cluster) *obs.SLOWatchdog {
 		return 0
 	}))
 	w.Add(obs.WindowRateObjective("error_rate", cfg.ErrorRate,
-		func() int64 { return sumShardStats(c).RequestErrors },
+		func() int64 { return c.Stats().RequestErrors },
 		func() int64 {
-			st := sumShardStats(c)
+			st := c.Stats()
 			return st.Recommends + st.BatchUsers + st.RequestErrors
 		}))
 	// The merged recommend p99 has no single histogram to window over;
@@ -49,9 +48,4 @@ func newClusterSLO(c *Cluster) *obs.SLOWatchdog {
 		return win.Quantile(0.99)
 	}))
 	return w
-}
-
-// sumShardStats sums the counters the cluster objectives rate against.
-func sumShardStats(c *Cluster) serve.Stats {
-	return serve.MergeStats(c.StatsSamples()...)
 }

@@ -90,7 +90,7 @@ func TestClusterBarrierTraceCorrelation(t *testing.T) {
 	for _, c := range barrier.Children {
 		phases[c.Name] = true
 	}
-	for _, want := range []string{"drain", "reconcile", "gather", "merge", "solve", "trim", "slice", "install"} {
+	for _, want := range []string{"drain", "reconcile", "gather", "merge", "solve", "slice", "install"} {
 		if !phases[want] {
 			t.Errorf("barrier span missing %q child (has %v)", want, barrier.Children)
 		}

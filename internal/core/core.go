@@ -39,8 +39,9 @@ type ProgressFn func(Progress)
 // Result is the output of a RevMax algorithm run.
 type Result struct {
 	// Strategy is the map-based view of the selected plan, materialized
-	// at the end of the run for downstream consumers (serving snapshots,
-	// codecs, metrics). Hot paths should prefer Plan. Session solves
+	// at the end of the run for downstream consumers (codecs, metrics,
+	// the offline CLIs). Serving never reads it: engines and clusters
+	// install Plan. Hot paths should prefer Plan. Session solves
 	// leave it nil — a replan per adoption burst must not build a
 	// plan-sized map nobody reads; Plan.Strategy() yields it on demand.
 	Strategy *model.Strategy

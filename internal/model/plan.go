@@ -273,3 +273,36 @@ func (in *Instance) PlanOf(s *Strategy) (*Plan, bool) {
 	}
 	return p, true
 }
+
+// BaseIDs lists fp's candidates, ascending, as CandIDs of in, the base
+// instance fp's instance derives from. A plan over in, over a clone of
+// it (an incremental session's instance), or over a residual that
+// dropped no candidate already lives in in's CandID space. Any other
+// residual keeps a subsequence of each user's candidates in the same
+// canonical order, so one merge walk per user maps it.
+func (in *Instance) BaseIDs(fp *Plan) []CandID {
+	x := fp.Instance()
+	ids := make([]CandID, 0, fp.Len())
+	if x.NumCands() == in.NumCands() {
+		fp.Each(func(id CandID) bool {
+			ids = append(ids, id)
+			return true
+		})
+		return ids
+	}
+	prev, j := UserID(-1), CandID(0)
+	fp.Each(func(id CandID) bool {
+		c := x.CandAt(id)
+		if c.U != prev {
+			prev = c.U
+			j, _ = in.UserCandSpan(c.U)
+		}
+		for gc := in.CandAt(j); gc.I != c.I || gc.T != c.T; gc = in.CandAt(j) {
+			j++
+		}
+		ids = append(ids, j)
+		j++
+		return true
+	})
+	return ids
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -300,9 +301,28 @@ func TestCheckpointCompactsLogAndRecovers(t *testing.T) {
 }
 
 // TestRecoveryFallsBackWhenNewestSnapshotCorrupt: trash the newest
-// snapshot; recovery must fall back one generation and replay further.
+// snapshot — unreadable bytes, or a strategy holding a triple that is
+// not a candidate — and recovery must reject it, fall back one
+// generation and replay further.
 func TestRecoveryFallsBackWhenNewestSnapshotCorrupt(t *testing.T) {
 	in := testInstance(t, 60, 8, 4, 2, 17)
+	z := nonCandidate(t, in)
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte) []byte
+	}{
+		{"unreadable", func([]byte) []byte { return []byte("{broken") }},
+		{"non-candidate triple", func(snap []byte) []byte {
+			return withStrategy(t, snap, fmt.Sprintf("[[%d,%d,%d]]", z.U, z.I, z.T))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testRecoveryFallsBack(t, in, tc.corrupt)
+		})
+	}
+}
+
+func testRecoveryFallsBack(t *testing.T, in *model.Instance, corrupt func([]byte) []byte) {
 	dir := t.TempDir()
 	cfg := durCfg(dir)
 	a, err := Open(in.Clone(), cfg)
@@ -340,7 +360,16 @@ func TestRecoveryFallsBackWhenNewestSnapshotCorrupt(t *testing.T) {
 	if newest == "" {
 		t.Fatal("no snapshot found")
 	}
-	if err := os.WriteFile(filepath.Join(dir, newest), []byte("{broken"), 0o644); err != nil {
+	path := filepath.Join(dir, newest)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := corrupt(snap)
+	if _, err := decodeShell(bytes.NewReader(bad), cfg); err == nil {
+		t.Fatal("the corrupted newest snapshot still decodes")
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -38,7 +38,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/planner"
-	"repro/internal/revenue"
 	"repro/internal/solver"
 	"repro/internal/store"
 )
@@ -51,8 +50,10 @@ type Config struct {
 	// Algorithm names the registered solver used for planning and
 	// replanning ("g-greedy", "rl-greedy", ...; solver.List()
 	// enumerates, legacy aliases like "GG" resolve). Empty falls back
-	// to Solver.Algorithm, then to solver.DefaultAlgorithm. Ignored
-	// when InstallOnly is set.
+	// to Solver.Algorithm, then to solver.DefaultAlgorithm. Only a
+	// servable algorithm, one that returns a candidate-indexed plan,
+	// is accepted (solver.CheckServable): construction rejects
+	// top-rating. Ignored when InstallOnly is set.
 	Algorithm string
 	// Solver carries the named algorithm's options (permutations, seed,
 	// workers, cuts). When both name fields are set, Algorithm wins
@@ -155,6 +156,9 @@ func (c Config) planSetup() (solver.Options, error) {
 	opts := c.Solver
 	if c.Algorithm != "" {
 		opts.Algorithm = c.Algorithm
+	}
+	if err := solver.CheckServable(opts.Algorithm); err != nil {
+		return solver.Options{}, fmt.Errorf("serve: %w", err)
 	}
 	if err := solver.ValidateOptions(opts); err != nil {
 		return solver.Options{}, fmt.Errorf("serve: %w", err)
@@ -369,11 +373,11 @@ func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
 	}
 	e := newEngineShell(in, cfg, opts)
 	if e.installOnly {
-		e.installPlan(buildPlanFlat(in, in.NewPlan(), nil, 1, 0))
+		e.installPlan(buildPlanFlat(in, in.NewPlan(), 1, 0))
 		return e, nil
 	}
 	span := e.met.tracer.Start("plan")
-	p := e.planFrom(in, e.solve(in, span), 1, span)
+	p := e.planFrom(e.solve(in, span), 1, span)
 	span.SetFloat("revenue", p.revenue)
 	span.End()
 	e.installPlan(p)
@@ -384,8 +388,8 @@ func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
 // replicates planner.Named's error-swallowing contract — a solve failure
 // degrades to an empty plan rather than killing the replan loop — while
 // feeding the meter's solve telemetry and attaching a "solve" child to
-// span (nil span: no tracing, zero cost). The result always selects
-// something to install: a Strategy, a candidate-indexed Plan, or both.
+// span (nil span: no tracing, zero cost). The result always carries a
+// candidate-indexed Plan to install.
 func (e *Engine) solve(residual *model.Instance, span *obs.Span) solver.Result {
 	o := e.opts
 	if e.sess != nil {
@@ -399,38 +403,29 @@ func (e *Engine) solve(residual *model.Instance, span *obs.Span) solver.Result {
 	start := time.Now()
 	res, err := solver.Solve(context.Background(), residual, o)
 	e.met.observeSolve(res, err, time.Since(start))
-	if err != nil || (res.Strategy == nil && res.Plan == nil) {
-		return solver.Result{Strategy: model.NewStrategy()}
+	if err != nil || res.Plan == nil {
+		return solver.Result{Plan: e.in.NewPlan()}
 	}
 	return res
 }
 
-// planFrom scores and indexes one solve's output for serving, as
-// "revenue" and "index" children of span. Both take what the solve
-// already computed when the result shows it is there: a candidate-
-// indexed result carries its revenue under residual (CanonicalRevenue,
-// bit-identical to revenue.Revenue), and a plan living in the engine's
-// CandID space — solved on e.in itself or on the session's clone of it —
-// is indexed straight from its CandIDs. Everything else (non-candidate
-// outputs, plans over a rebuilt residual instance) goes through the
-// strategy: revenue.Revenue, and buildPlan's triple → CandID lookups.
-// Only session solves come without a Strategy, and a session's plan
-// always shares the engine's CandID space.
-func (e *Engine) planFrom(residual *model.Instance, res solver.Result, from model.TimeStep, span *obs.Span) *plan {
-	rsp := span.Child("revenue")
-	rev, source := res.CanonicalRevenue, "carried"
-	if res.Plan == nil {
-		rev, source = revenue.Revenue(residual, res.Strategy), "recomputed"
-	}
-	rsp.SetStr("revenue_source", source)
-	rsp.End()
-
+// planFrom indexes one solve's plan for serving, as the "index" child
+// of span, with the revenue the solve carried (CanonicalRevenue on the
+// instance it solved, bit-identical to revenue.Revenue there). A plan
+// over the engine's instance, or over the session's clone of it, is
+// indexed as is; a residual solve's plan is first mapped to the engine's
+// CandIDs (Instance.BaseIDs).
+func (e *Engine) planFrom(res solver.Result, from model.TimeStep, span *obs.Span) *plan {
 	isp := span.Child("index")
 	defer isp.End()
-	if fp := res.Plan; fp != nil && (fp.Instance() == e.in || (e.sess != nil && fp.Instance() == e.sess.Instance())) {
-		return buildPlanFlat(e.in, fp, res.Strategy, from, rev)
+	fp := res.Plan
+	if x := fp.Instance(); x != e.in && (e.sess == nil || x != e.sess.Instance()) {
+		fp = e.in.NewPlan()
+		for _, id := range e.in.BaseIDs(res.Plan) {
+			fp.Add(id)
+		}
 	}
-	return buildPlan(e.in, res.Strategy, from, rev)
+	return buildPlanFlat(e.in, fp, from, res.CanonicalRevenue)
 }
 
 // newEngineShell allocates an engine with store state but no plan and no
@@ -482,7 +477,7 @@ func (e *Engine) installPlan(p *plan) {
 	p.installedAt = time.Now()
 	e.plan.Store(p)
 	if e.warm && e.sess == nil {
-		e.warmPrev = p.planned()
+		e.warmPrev = p.flat.Triples()
 	}
 }
 
@@ -1311,7 +1306,7 @@ func (e *Engine) Feedback() (planner.Feedback, error) {
 // completion channel orders handoffs), so no locking is needed.
 //
 // span, when non-nil, is the replan's root trace span: replanWith adds
-// delta-sync (or residual), revenue, index and swap phase children (the
+// delta-sync (or residual), index and swap phase children (the
 // solve attaches its own) and ends it. The caller must not touch span
 // afterwards.
 func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Span) {
@@ -1342,7 +1337,7 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 			e.sess.Advance(fb.Now)
 		}
 		rsp.End()
-		p = e.planFrom(e.sess.Instance(), e.solve(e.sess.Instance(), span), fb.Now, span)
+		p = e.planFrom(e.solve(e.sess.Instance(), span), fb.Now, span)
 		st := e.sess.LastStats()
 		span.SetInt("dirty_cands", int64(st.DirtyCands))
 		span.SetInt("restored_pairs", int64(st.RestoredPairs))
@@ -1353,7 +1348,7 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 		rsp := span.Child("residual")
 		residual := planner.Residual(e.in, fb)
 		rsp.End()
-		p = e.planFrom(residual, e.solve(residual, span), fb.Now, span)
+		p = e.planFrom(e.solve(residual, span), fb.Now, span)
 	}
 	ssp := span.Child("swap")
 	e.installPlan(p)
@@ -1419,7 +1414,7 @@ func (e *Engine) InstallPlan(ctx context.Context, fp *model.Plan, revenue float6
 func (e *Engine) install(op *installOp) {
 	start := time.Now()
 	isp := op.span.Child("index")
-	p := buildPlanFlat(e.in, op.fp, nil, op.from, op.revenue)
+	p := buildPlanFlat(e.in, op.fp, op.from, op.revenue)
 	isp.End()
 	ssp := op.span.Child("swap")
 	e.installPlan(p)
@@ -1441,8 +1436,8 @@ func (e *Engine) install(op *installOp) {
 }
 
 // Strategy returns the live plan's strategy (do not mutate). The serving
-// path never needs the map-backed form, so a plan installed from a
-// candidate-indexed solve builds it here, once, on first request.
+// path never needs the map-backed form, so it is built here from the
+// plan, once, on first request.
 func (e *Engine) Strategy() *model.Strategy { return e.plan.Load().strategy() }
 
 // Stats is a point-in-time summary of the engine, served over /v1/stats.

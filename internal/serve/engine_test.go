@@ -442,20 +442,49 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore(bytes.NewReader(snap.Bytes()), Config{Algorithm: "no-such-algorithm"}); err == nil {
 		t.Fatal("restore with an unknown algorithm name accepted")
 	}
-	// A corrupted strategy (out-of-range triple) must be rejected with an
-	// error, not a panic in buildPlan.
+	// A corrupted strategy — an out-of-range triple, or an in-range one
+	// that is not a candidate and so has no CandID to serve from — must
+	// be rejected with an error, not a panic.
+	z := nonCandidate(t, in)
+	for _, triples := range []string{"[[0,999999,1]]", fmt.Sprintf("[[%d,%d,%d]]", z.U, z.I, z.T)} {
+		tampered := withStrategy(t, snap.Bytes(), triples)
+		if _, err := Restore(bytes.NewReader(tampered), Config{}); err == nil {
+			t.Fatalf("snapshot with strategy triples %s accepted", triples)
+		}
+	}
+}
+
+// nonCandidate returns an in-range triple of in that is not a candidate.
+func nonCandidate(t testing.TB, in *model.Instance) model.Triple {
+	t.Helper()
+	for u := 0; u < in.NumUsers; u++ {
+		for i := 0; i < in.NumItems(); i++ {
+			for ts := 1; ts <= in.T; ts++ {
+				z := model.Triple{U: model.UserID(u), I: model.ItemID(i), T: model.TimeStep(ts)}
+				if _, ok := in.CandIDOf(z); !ok {
+					return z
+				}
+			}
+		}
+	}
+	t.Fatal("every triple is a candidate")
+	return model.Triple{}
+}
+
+// withStrategy returns snapshot image snap with its strategy replaced by
+// the given JSON triples list.
+func withStrategy(t testing.TB, snap []byte, triples string) []byte {
+	t.Helper()
 	var wire map[string]json.RawMessage
-	if err := json.Unmarshal(snap.Bytes(), &wire); err != nil {
+	if err := json.Unmarshal(snap, &wire); err != nil {
 		t.Fatal(err)
 	}
-	wire["strategy"] = json.RawMessage(`{"version":1,"triples":[[0,999999,1]]}`)
-	tampered, err := json.Marshal(wire)
+	wire["strategy"] = json.RawMessage(`{"version":1,"triples":` + triples + `}`)
+	out, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(bytes.NewReader(tampered), Config{}); err == nil {
-		t.Fatal("snapshot with out-of-range strategy triple accepted")
-	}
+	return out
 }
 
 func TestFeedAfterCloseFails(t *testing.T) {
@@ -625,8 +654,8 @@ func ExampleEngine() {
 
 // TestConfigAlgorithmResolution: a named algorithm (alias spelling
 // included) resolves through the solver registry and plans exactly
-// what a direct G-Greedy run plans; an unknown name fails engine
-// construction with an actionable error.
+// what a direct G-Greedy run plans; an unknown name, or a name that
+// returns no plan to serve, fails engine construction.
 func TestConfigAlgorithmResolution(t *testing.T) {
 	in := testInstance(t, 24, 6, 3, 1, 4)
 	named, err := NewEngine(in, Config{Algorithm: "GG", ReplanEvery: 1 << 30})
@@ -645,6 +674,12 @@ func TestConfigAlgorithmResolution(t *testing.T) {
 	}
 	if _, err := NewEngine(in, Config{Algorithm: "no-such-algorithm"}); err == nil {
 		t.Fatal("unknown algorithm name accepted")
+	}
+	// top-rating returns no candidate-indexed plan, so it cannot serve,
+	// even with the Rating predictor it needs to run.
+	rating := func(model.UserID, model.ItemID) float64 { return 1 }
+	if _, err := NewEngine(in, Config{Algorithm: "top-rating", Solver: solver.Options{Rating: rating}}); err == nil {
+		t.Fatal("plan-less algorithm accepted")
 	}
 }
 

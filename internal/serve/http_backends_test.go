@@ -150,3 +150,46 @@ func TestHTTPRequestLimits(t *testing.T) {
 		}
 	})
 }
+
+// TestHTTPRejectionsCounted: a request rejected for an unknown user —
+// on recommend, batch or adopt — counts in /v1/stats request_errors and
+// breaches the error_rate objective on both backends, though the cluster
+// router rejects it before any shard sees it.
+func TestHTTPRejectionsCounted(t *testing.T) {
+	requestErrors := func(t *testing.T, srv *httptest.Server) int64 {
+		code, body := do(t, srv, "GET", "/v1/stats", "")
+		var st struct {
+			RequestErrors int64 `json:"request_errors"`
+		}
+		if err := json.Unmarshal(body, &st); code != 200 || err != nil {
+			t.Fatalf("stats: %d %s (%v)", code, body, err)
+		}
+		return st.RequestErrors
+	}
+	forEachBackend(t, func(t *testing.T, b backend, srv *httptest.Server) {
+		b.SLO().Evaluate()
+		before := requestErrors(t, srv)
+		for _, tc := range []struct{ method, path, body string }{
+			{"GET", "/v1/recommend?user=999&t=1", ""},
+			{"POST", "/v1/recommend/batch", `{"users":[0,999],"t":1}`},
+			{"POST", "/v1/adopt", `{"user":999,"item":0,"t":1}`},
+		} {
+			if code, body := do(t, srv, tc.method, tc.path, tc.body); code != 400 {
+				t.Fatalf("%s %s: %d %s, want 400", tc.method, tc.path, code, body)
+			}
+		}
+		if got := requestErrors(t, srv) - before; got != 3 {
+			t.Errorf("request_errors grew by %d, want 3", got)
+		}
+		b.SLO().Evaluate()
+		var breaches int64 = -1
+		for _, st := range b.SLO().Status() {
+			if st.Name == "error_rate" {
+				breaches = st.Breaches
+			}
+		}
+		if breaches <= 0 {
+			t.Errorf("error_rate objective breaches = %d, want ≥ 1 (-1: no such objective)", breaches)
+		}
+	})
+}

@@ -27,15 +27,13 @@ type planEntry struct {
 type plan struct {
 	// revision is stamped by installPlan, just before publication.
 	revision int64
-	// flat is the solver's candidate-indexed plan when the solve ran in
-	// the engine's CandID space; strat, the map-backed view of the same
-	// triples, is then built from it at most once, by the first caller
-	// that needs a Strategy (the serving path never does). Plans that
-	// arrive as a Strategy — non-candidate outputs, snapshots, residual
-	// solves — carry strat from the start. A
-	// session's plan is bound to the session's instance, whose q′ keep
-	// moving; only membership bits and the immutable candidate triples
-	// are ever read through flat.
+	// flat is the plan in the engine's CandID space: over the engine's
+	// instance or over an instance sharing its candidates (a session's
+	// clone, whose q′ keep moving), so only membership bits and the
+	// immutable candidate triples are ever read through it. strat, the
+	// map-backed view of the same triples, is built from it at most
+	// once, by the first caller that needs a Strategy; the serving path
+	// never does.
 	flat      *model.Plan
 	strat     *model.Strategy
 	stratOnce sync.Once
@@ -60,80 +58,20 @@ type plan struct {
 // materializing it from the flat plan on first use. Safe for concurrent
 // callers.
 func (p *plan) strategy() *model.Strategy {
-	p.stratOnce.Do(func() {
-		if p.strat == nil {
-			p.strat = p.flat.Strategy()
-		}
-	})
+	p.stratOnce.Do(func() { p.strat = p.flat.Strategy() })
 	return p.strat
 }
 
-// planned returns the plan's triples in canonical order without forcing
-// the map-backed strategy.
-func (p *plan) planned() []model.Triple {
-	if p.flat != nil {
-		return p.flat.Triples()
-	}
-	return p.strat.Triples()
-}
-
-// buildPlan indexes a strategy for serving. Primitive probabilities are
-// read from the *original* instance, not the residual one, because the
-// serving path re-applies the observed saturation memory per request;
-// storing residual q's would double-count it.
-//
-// When the strategy has a flat representation on in (every triple a
-// candidate — true for all solver outputs), entries are emitted straight
-// from the instance's time-ordered candidate index (indexFlat); the
-// CandIDs are recovered through PlanOf's per-triple binary searches.
-// buildPlanFlat skips that recovery when the solver's own plan is at
-// hand.
-func buildPlan(in *model.Instance, s *model.Strategy, from model.TimeStep, revenue float64) *plan {
-	p := &plan{
-		strat:       s,
-		triples:     s.Len(),
-		revenue:     revenue,
-		plannedFrom: from,
-	}
-	if fp, ok := in.PlanOf(s); ok {
-		p.perUser = indexFlat(in, fp)
-		return p
-	}
-	p.perUser = make([][]planEntry, in.NumUsers)
-	for _, z := range s.Triples() {
-		if int(z.U) < 0 || int(z.U) >= in.NumUsers {
-			continue
-		}
-		p.perUser[z.U] = append(p.perUser[z.U], planEntry{
-			t:     z.T,
-			item:  z.I,
-			class: in.Class(z.I),
-			beta:  in.Beta(z.I),
-			q:     in.Q(z.U, z.I, z.T),
-			price: in.Price(z.I, z.T),
-		})
-	}
-	for u := range p.perUser {
-		es := p.perUser[u]
-		sort.Slice(es, func(a, b int) bool {
-			if es[a].t != es[b].t {
-				return es[a].t < es[b].t
-			}
-			return es[a].item < es[b].item
-		})
-	}
-	return p
-}
-
-// buildPlanFlat indexes a solver's candidate-indexed plan for serving.
-// fp must address in's CandID space — a plan over in itself or over a
-// clone of it (a core.Session's instance) — and is retained: the caller
-// must not mutate it afterwards. s is the already-materialized strategy
-// of the same triples, or nil to build it on demand.
-func buildPlanFlat(in *model.Instance, fp *model.Plan, s *model.Strategy, from model.TimeStep, revenue float64) *plan {
+// buildPlanFlat indexes a candidate-indexed plan for serving. fp must
+// address in's CandID space — a plan over in itself or over a clone of
+// it (a core.Session's instance) — and is retained: the caller must not
+// mutate it afterwards. Primitive probabilities are read from in, the
+// *original* instance, not the residual one, because the serving path
+// re-applies the observed saturation memory per request; storing
+// residual q's would double-count it.
+func buildPlanFlat(in *model.Instance, fp *model.Plan, from model.TimeStep, revenue float64) *plan {
 	return &plan{
 		flat:        fp,
-		strat:       s,
 		triples:     fp.Len(),
 		perUser:     indexFlat(in, fp),
 		revenue:     revenue,

@@ -66,18 +66,13 @@ func TestLazyStrategyUnderReplans(t *testing.T) {
 	if got := e.Stats().Replans; got != replans {
 		t.Fatalf("%d replans ran, want %d", got, replans)
 	}
-	lazy := 0
 	for p, s := range seen {
-		if p.flat == nil {
-			continue
-		}
-		lazy++
 		if want := p.flat.Strategy(); !reflect.DeepEqual(s.Triples(), want.Triples()) || s.Len() != p.triples {
 			t.Errorf("plan revision %d: lazy strategy holds %d triples, its solver plan %d", p.revision, s.Len(), want.Len())
 		}
 	}
-	if lazy == 0 {
-		t.Fatal("no reader ever caught a CandID-indexed plan")
+	if len(seen) == 0 {
+		t.Fatal("no reader ever caught a plan")
 	}
 	if s := e.Strategy(); s != e.Strategy() {
 		t.Error("Engine.Strategy rebuilt the live plan's map on a second call")

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/planner"
 	"repro/internal/revenue"
@@ -18,13 +17,13 @@ import (
 
 // checkPlanRoutes compares the engine's live plan — index, revenue bits,
 // planned-from step, triple count — with the same plan rebuilt through
-// the Strategy route, and checks which route the engine itself took.
-func checkPlanRoutes(t *testing.T, tag string, e *serve.Engine, wantCandIDs bool) {
+// the Strategy route, and checks that the engine indexed it from CandIDs.
+func checkPlanRoutes(t *testing.T, tag string, e *serve.Engine) {
 	t.Helper()
 	e.Flush()
 	live, fromCandIDs := e.LivePlan()
-	if fromCandIDs != wantCandIDs {
-		t.Fatalf("%s: plan indexed from CandIDs = %v, want %v", tag, fromCandIDs, wantCandIDs)
+	if !fromCandIDs {
+		t.Fatalf("%s: plan not indexed from CandIDs", tag)
 	}
 	ref, err := e.StrategyRoutePlan()
 	if err != nil {
@@ -83,14 +82,13 @@ func feedRound(t *testing.T, e server, round int) {
 }
 
 // TestPlanFromCandIDsMatchesStrategyRoute: on every scenario archetype,
-// a plan the engine indexed straight from the solver's CandIDs, with the
-// solve's carried revenue, is DeepEqual to the Strategy-route rebuild —
-// at boot, across incremental replans that include price rescales and
-// stock overrides, after kill -9 → Open recovery, and after
-// Snapshot/Restore. A from-scratch engine runs the same script: its
-// residual solves live in another CandID space, so the code must fall
-// back to the Strategy route for the index while still carrying the
-// revenue.
+// a plan the engine indexed from CandIDs, with the solve's carried
+// revenue, is DeepEqual to the Strategy-route rebuild — at boot, across
+// replans that include price rescales and stock overrides, after kill -9
+// → Open recovery, and after Snapshot/Restore. A from-scratch engine's
+// residual solves live in another CandID space, so its plans are mapped
+// to the engine's CandIDs first (Instance.BaseIDs); a restored snapshot's
+// strategy is mapped by PlanOf.
 func TestPlanFromCandIDsMatchesStrategyRoute(t *testing.T) {
 	for _, arch := range scenario.Catalog() {
 		for _, tc := range []struct {
@@ -115,10 +113,10 @@ func TestPlanFromCandIDsMatchesStrategyRoute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkPlanRoutes(t, "boot", e, true)
+				checkPlanRoutes(t, "boot", e)
 				for round := 0; round < 3; round++ {
 					feedRound(t, e, round)
-					checkPlanRoutes(t, "replan", e, cfg.Incremental)
+					checkPlanRoutes(t, "replan", e)
 				}
 				if err := e.Sync(); err != nil {
 					t.Fatal(err)
@@ -127,14 +125,14 @@ func TestPlanFromCandIDsMatchesStrategyRoute(t *testing.T) {
 
 				// Recovery installs the snapshotted strategy, replays the WAL
 				// tail and replans once: an incremental engine bootstraps a
-				// fresh session there and is back on CandIDs.
+				// fresh session there.
 				e, err = serve.Open(nil, durable)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkPlanRoutes(t, "recovered", e, cfg.Incremental)
+				checkPlanRoutes(t, "recovered", e)
 				feedRound(t, e, 3)
-				checkPlanRoutes(t, "recovered replan", e, cfg.Incremental)
+				checkPlanRoutes(t, "recovered replan", e)
 
 				var img bytes.Buffer
 				if err := e.Snapshot(&img); err != nil {
@@ -146,9 +144,9 @@ func TestPlanFromCandIDsMatchesStrategyRoute(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer r.Close()
-				checkPlanRoutes(t, "restored", r, false)
+				checkPlanRoutes(t, "restored", r)
 				feedRound(t, r, 4)
-				checkPlanRoutes(t, "restored replan", r, cfg.Incremental)
+				checkPlanRoutes(t, "restored replan", r)
 			})
 		}
 	}
@@ -170,7 +168,7 @@ func checkShardRoutes(t *testing.T, tag string, cl *cluster.Cluster) {
 	}
 	for k := 0; k < n; k++ {
 		e := cl.Engine(k)
-		checkPlanRoutes(t, fmt.Sprintf("%s: shard %d", tag, k), e, true)
+		checkPlanRoutes(t, fmt.Sprintf("%s: shard %d", tag, k), e)
 		fb, err := e.Feedback()
 		if err != nil {
 			t.Fatalf("%s: shard %d: %v", tag, k, err)
@@ -199,13 +197,12 @@ func checkShardRoutes(t *testing.T, tag string, cl *cluster.Cluster) {
 
 // TestClusterShardPlansMatchStrategyRoute is the cluster twin of
 // TestPlanFromCandIDsMatchesStrategyRoute: on every scenario archetype,
-// for a cold, an incremental and a custom-Planner coordinator, each
+// for a cold, an incremental and a warm-started coordinator, each
 // shard's installed slice — mapped to the shard's CandIDs by span
 // offsets, its revenue summed from the solve's group partials — equals
 // the Strategy route after every barrier, after a one-shard kill -9 and
 // RecoverShard, and after a whole-cluster kill -9 and Open.
 func TestClusterShardPlansMatchStrategyRoute(t *testing.T) {
-	gg := func(in *model.Instance) *model.Strategy { return core.GGreedy(in).Strategy }
 	for _, arch := range scenario.Catalog() {
 		for _, tc := range []struct {
 			name string
@@ -213,7 +210,7 @@ func TestClusterShardPlansMatchStrategyRoute(t *testing.T) {
 		}{
 			{"cold", cluster.Config{}},
 			{"incremental", cluster.Config{Incremental: true}},
-			{"custom-planner", cluster.Config{Planner: gg}},
+			{"warm", cluster.Config{WarmStart: true}},
 		} {
 			t.Run(arch.Name+"/"+tc.name, func(t *testing.T) {
 				in, err := scenario.Build(arch, 1)

@@ -166,7 +166,9 @@ func (e *Engine) encodeSnapshot(w io.Writer, st snapState) error {
 	}
 	wire.Instance = append(json.RawMessage(nil), bytes.TrimSpace(buf.Bytes())...)
 	buf.Reset()
-	if err := codec.EncodeStrategy(&buf, st.plan.strategy()); err != nil {
+	// A throwaway Strategy, not the plan's cached one: the live plan
+	// keeps its map only for Engine.Strategy callers.
+	if err := codec.EncodeStrategy(&buf, st.plan.flat.Strategy()); err != nil {
 		return fmt.Errorf("serve: snapshot strategy: %w", err)
 	}
 	wire.Strategy = append(json.RawMessage(nil), bytes.TrimSpace(buf.Bytes())...)
@@ -216,14 +218,12 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot strategy: %w", err)
 	}
-	// DecodeStrategy does no range checking, so a corrupted snapshot must
-	// be rejected here rather than panicking inside buildPlan.
-	for _, z := range strat.Triples() {
-		if int(z.U) < 0 || int(z.U) >= in.NumUsers ||
-			int(z.I) < 0 || int(z.I) >= in.NumItems() ||
-			z.T < 1 || int(z.T) > in.T {
-			return nil, fmt.Errorf("serve: snapshot strategy triple %v out of range", z)
-		}
+	// DecodeStrategy does no range checking; PlanOf does, and a triple
+	// that is not a candidate — corrupt, since only candidate-indexed
+	// plans are ever served — fails the restore here.
+	fp, ok := in.PlanOf(strat)
+	if !ok {
+		return nil, errors.New("serve: snapshot strategy holds a triple that is not a candidate")
 	}
 	if len(wire.Stock) != in.NumItems() {
 		return nil, fmt.Errorf("serve: snapshot has %d stock entries for %d items", len(wire.Stock), in.NumItems())
@@ -259,6 +259,6 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 		}
 	}
 	e.revision.Store(wire.Revision - 1)
-	e.installPlan(buildPlan(in, strat, model.TimeStep(wire.From), wire.Revenue))
+	e.installPlan(buildPlanFlat(in, fp, model.TimeStep(wire.From), wire.Revenue))
 	return e, nil
 }

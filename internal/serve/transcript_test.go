@@ -42,7 +42,7 @@ type transcriptBackend interface {
 var mayDiffer = map[string]string{
 	"healthz ok":       "each backend lists its own SLO objectives (engine: replan_p99; cluster: barrier_p99)",
 	"healthz degraded": "each backend lists its own SLO objectives (engine: replan_p99; cluster: barrier_p99)",
-	"stats":            "the cluster adds coordinator and per-shard summaries; its merged counters count the boot install as a replan and not requests the router rejects",
+	"stats":            "the cluster adds coordinator and per-shard summaries; its merged counters count the boot install as a replan",
 	"metrics":          "the cluster labels every engine family with shard and adds the coordinator's families",
 	"traces":           "the cluster's document groups shard-labeled spans by trace ID",
 }

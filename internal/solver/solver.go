@@ -322,6 +322,22 @@ func CheckSession(name string) error {
 	return nil
 }
 
+// CheckServable reports whether the named algorithm (a name or alias;
+// empty means DefaultAlgorithm) can plan for serving. Serving installs
+// the candidate-indexed Result.Plan, which every registry algorithm
+// returns except top-rating: its strategy repeats top-rated items at q = 0
+// steps, so it has no Plan. serve and cluster construction call it.
+func CheckServable(name string) error {
+	a, err := Lookup(name)
+	if err != nil {
+		return err
+	}
+	if a.Name() == NameTopRating {
+		return fmt.Errorf("solver: %q returns no candidate-indexed plan, so it cannot serve", NameTopRating)
+	}
+	return nil
+}
+
 // Solve resolves opts.Algorithm through the registry and runs it on in
 // under ctx. It is the single dispatch point every execution path —
 // CLIs, the serving daemon, the scenario engine, the experiment harness

@@ -295,3 +295,50 @@ func TestValidateOptions(t *testing.T) {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
+
+// TestServableAlgorithms: serving installs Result.Plan, so every
+// registry algorithm CheckServable admits must return one over the
+// instance it solved, holding exactly its strategy's triples; top-rating,
+// whose strategy has non-candidate triples, is the one it rejects.
+func TestServableAlgorithms(t *testing.T) {
+	for _, name := range List() {
+		t.Run(name, func(t *testing.T) {
+			err := CheckServable(name)
+			if name == NameTopRating {
+				if err == nil {
+					t.Fatal("CheckServable accepted a plan-less algorithm")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := testInstance(t, 5)
+			if name == NameOptimal || name == NameLocalSearch {
+				in = tinyInstance(t)
+			}
+			res, err := Solve(context.Background(), in, Options{Algorithm: name, Cuts: []int{2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Plan == nil || res.Plan.Instance() != in {
+				t.Fatalf("no plan over the solved instance (plan %v)", res.Plan)
+			}
+			got, want := res.Plan.Triples(), res.Strategy.Triples()
+			if len(got) != len(want) {
+				t.Fatalf("plan holds %d triples, strategy %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("triple %d: plan %v, strategy %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+	if err := CheckServable("toprat"); err == nil {
+		t.Error("CheckServable accepted top-rating by alias")
+	}
+	if err := CheckServable("nope"); err == nil {
+		t.Error("CheckServable accepted an unknown name")
+	}
+}

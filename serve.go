@@ -19,7 +19,9 @@ type (
 	ServeEngine = serve.Engine
 	// ServeConfig tunes a ServeEngine: the planning algorithm by
 	// solver-registry name (Algorithm + Solver options; the zero value
-	// plans with G-Greedy), shard count, and replan cadence.
+	// plans with G-Greedy; top-rating, which returns no
+	// candidate-indexed plan, is rejected), shard count, and replan
+	// cadence.
 	ServeConfig = serve.Config
 	// ServeEvent is one adoption-feedback event.
 	ServeEvent = serve.Event
@@ -81,11 +83,13 @@ type (
 	// router and stock/quota coordinator.
 	Cluster = cluster.Cluster
 	// ClusterConfig tunes a Cluster: shard count, the coordinator's
-	// planning algorithm, and the durable cluster root.
+	// planning algorithm (a servable one, as for ServeConfig: the
+	// coordinator installs its candidate-indexed plan, never a
+	// strategy), and the durable cluster root.
 	ClusterConfig = cluster.Config
 	// ClusterCoordinatorStats summarizes the coordinator's reservation
-	// ledger: reconcile rounds, re-grants, quota denials, outstanding
-	// reservations, remaining stock.
+	// ledger: reconcile rounds, re-grants, outstanding reservations,
+	// remaining stock (quota denials always read 0).
 	ClusterCoordinatorStats = cluster.CoordinatorStats
 )
 
