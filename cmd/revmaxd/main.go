@@ -46,7 +46,10 @@
 //
 // The legacy -snapshot flag is the in-memory warm-restart path (write
 // one image on shutdown, restore it on boot); it is mutually exclusive
-// with -data-dir, which strictly supersedes it.
+// with -data-dir, which strictly supersedes it. Both write the same
+// binary engine snapshot (version 2, CRC-checked); a version 1 JSON
+// image from an older build is refused at boot with an error naming
+// its version.
 //
 // Scale-out. With -shards N (N ≥ 2) the daemon stripes its users across
 // N engine shards behind a cross-shard stock/quota coordinator
@@ -129,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "rl-greedy-parallel workers (0 = GOMAXPROCS)")
 	cuts := fs.String("cuts", "", "staged variants: comma-separated sub-horizon cut-offs, e.g. 2,4")
 	loadInstance := fs.String("load-instance", "", "load the instance from a JSON file instead of generating one")
-	snapshot := fs.String("snapshot", "", "legacy snapshot file: restore from it at boot if present, write it on shutdown (mutually exclusive with -data-dir)")
+	snapshot := fs.String("snapshot", "", "legacy snapshot file: restore from it at boot if present, write it on shutdown; a binary v2 image, v1 JSON images are refused (mutually exclusive with -data-dir)")
 	replanEvery := fs.Int("replan-every", 32, "adoptions per background replan")
 	warmStart := fs.Bool("warm-start", false, "seed each replan with the previous plan's still-feasible triples (lower replan latency; plans may differ from cold solves)")
 	incremental := fs.Bool("incremental", false, "replan through a persistent solver session with delta-driven invalidation: byte-identical plans, replan latency flat in the event rate (requires a G-Greedy -algo, composes with -warm-start)")
@@ -149,7 +152,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Resolve the algorithm up front: a typo in -algo, an -algo that
-	// returns no candidate-indexed plan to serve, or one that cannot
+	// returns no candidate-indexed plan to serve or one that may exceed
+	// capacity (solver.CheckServable), or one that cannot
 	// replan incrementally, must fail in milliseconds with the registry's
 	// name list, not after dataset generation.
 	if err := solver.CheckServable(*algoName); err != nil {

@@ -74,8 +74,9 @@ type Config struct {
 	Shards int
 	// Algorithm names the registered solver for coordinated replans
 	// (empty falls back like serve.Config.Algorithm). Only a servable
-	// algorithm, one that returns a candidate-indexed plan, is accepted
-	// (solver.CheckServable): construction rejects top-rating.
+	// algorithm, one that returns a candidate-indexed plan within every
+	// constraint, is accepted (solver.CheckServable): construction
+	// rejects top-rating and local-search.
 	Algorithm string
 	// Solver carries the named algorithm's options.
 	Solver solver.Options
@@ -308,6 +309,9 @@ func newShell(cfg Config, g *model.Instance) (*Cluster, error) {
 	}
 	c.global.Store(g)
 	c.tracer.SetOrigin(coordTraceOrigin)
+	c.co.reg.CounterFunc("revmaxd_cluster_route_errors_total",
+		"Requests the cluster router rejected before any shard saw them (unknown user).",
+		func() float64 { return float64(c.routeErrors.Load()) })
 	c.slo = newClusterSLO(c)
 	if c.replanEvery <= 0 {
 		c.replanEvery = 32 // serve.Config's default cadence

@@ -216,6 +216,9 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := New(in, Config{Shards: 2, Algorithm: "top-rating", Solver: solver.Options{Rating: rating}}); err == nil {
 		t.Error("New accepted a plan-less algorithm")
 	}
+	if _, err := New(in, Config{Shards: 2, Algorithm: "local-search"}); err == nil {
+		t.Error("New accepted a capacity-relaxed algorithm")
+	}
 }
 
 // TestClusterDurableCloseReopen round-trips a durable cluster through

@@ -2,7 +2,9 @@
 // versioned JSON format, so generated datasets and planned strategies
 // can be persisted, shared, and replayed by the CLI tools. Sparse
 // candidate lists are stored per user to keep files proportional to the
-// true input size.
+// true input size. Beside it, a little-endian binary column image of an
+// instance (AppendInstanceBinary, DecodeInstanceBinary) is what the
+// serving engine's snapshots embed.
 package codec
 
 import (
@@ -89,20 +91,8 @@ func DecodeInstance(r io.Reader) (*model.Instance, error) {
 	if wire.Version != FormatVersion {
 		return nil, fmt.Errorf("codec: unsupported format version %d (want %d)", wire.Version, FormatVersion)
 	}
-	// Shape bounds must be checked before allocation: hostile input could
-	// otherwise panic make() or request absurd memory.
-	const maxDim = 1 << 28
-	if wire.Users <= 0 || wire.Users > maxDim {
-		return nil, fmt.Errorf("codec: user count %d out of range", wire.Users)
-	}
-	if wire.T <= 0 || wire.T > 1<<16 {
-		return nil, fmt.Errorf("codec: horizon %d out of range", wire.T)
-	}
-	if wire.K <= 0 || wire.K > 1<<16 {
-		return nil, fmt.Errorf("codec: display limit %d out of range", wire.K)
-	}
-	if len(wire.Items) == 0 || len(wire.Items) > maxDim {
-		return nil, fmt.Errorf("codec: item count %d out of range", len(wire.Items))
+	if err := checkShape(wire.Users, wire.T, wire.K, len(wire.Items)); err != nil {
+		return nil, err
 	}
 	in := model.NewInstance(wire.Users, len(wire.Items), wire.T, wire.K)
 	for i, iw := range wire.Items {
@@ -126,7 +116,36 @@ func DecodeInstance(r io.Reader) (*model.Instance, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("codec: decoded instance invalid: %w", err)
 	}
+	// A repeated (user, item, t) has no one q, and no one CandID: the
+	// engine's binary snapshots refuse it, so a served instance must not
+	// hold one. Candidates are sorted now, so repeats are adjacent.
+	for u := 0; u < in.NumUsers; u++ {
+		cs := in.UserCandidates(model.UserID(u))
+		for k := 1; k < len(cs); k++ {
+			if cs[k].Triple == cs[k-1].Triple {
+				return nil, fmt.Errorf("codec: candidate %v listed twice", cs[k].Triple)
+			}
+		}
+	}
 	return in, nil
+}
+
+// checkShape bounds an instance's shape. Both decoders call it before
+// allocating: hostile input could otherwise panic make() or request
+// absurd memory.
+func checkShape(users, horizon, display, items int) error {
+	const maxDim = 1 << 28
+	switch {
+	case users <= 0 || users > maxDim:
+		return fmt.Errorf("codec: user count %d out of range", users)
+	case horizon <= 0 || horizon > 1<<16:
+		return fmt.Errorf("codec: horizon %d out of range", horizon)
+	case display <= 0 || display > 1<<16:
+		return fmt.Errorf("codec: display limit %d out of range", display)
+	case items <= 0 || items > maxDim:
+		return fmt.Errorf("codec: item count %d out of range", items)
+	}
+	return nil
 }
 
 // strategyWire is the JSON shape of a strategy.

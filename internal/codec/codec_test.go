@@ -119,6 +119,13 @@ func TestDecodeValidatesSemantics(t *testing.T) {
 	if _, err := codec.DecodeInstance(strings.NewReader(bad)); err == nil {
 		t.Fatal("invalid beta accepted")
 	}
+	// A candidate listed twice has no one q.
+	dup := `{"version":1,"users":1,"horizon":1,"display":1,
+		"items":[{"class":0,"beta":0.5,"capacity":1,"prices":[1.0]}],
+		"candidates":[{"user":0,"items":[{"item":0,"t":1,"q":0.5},{"item":0,"t":1,"q":0.25}]}]}`
+	if _, err := codec.DecodeInstance(strings.NewReader(dup)); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("repeated candidate: error %v, want one naming the repeat", err)
+	}
 }
 
 func TestEmptyStrategyRoundTrip(t *testing.T) {

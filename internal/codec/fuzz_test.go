@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/dist"
+	"repro/internal/testgen"
 )
 
 // FuzzDecodeInstance ensures arbitrary input never panics the decoder
@@ -54,6 +56,27 @@ func FuzzDecodeStrategy(f *testing.F) {
 		again, err := codec.DecodeStrategy(&buf)
 		if err != nil || again.Len() != s.Len() {
 			t.Fatalf("round trip failed: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeInstanceBinary ensures arbitrary bytes never panic the
+// binary reader and that whatever it accepts re-encodes to exactly the
+// bytes it consumed.
+func FuzzDecodeInstanceBinary(f *testing.F) {
+	in := testgen.Random(dist.NewRNG(4), testgen.Default())
+	valid := codec.AppendInstanceBinary(nil, in)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:16])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, rest, err := codec.DecodeInstanceBinary(data)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if again := codec.AppendInstanceBinary(nil, in); !bytes.Equal(again, data[:len(data)-len(rest)]) {
+			t.Fatal("accepted image does not re-encode to the bytes it consumed")
 		}
 	})
 }

@@ -218,7 +218,7 @@ func (e *Engine) writeStoreSnapshot(st snapState) error {
 // feedback loop, so no event is half-applied — writes it to the
 // durable store, and compacts the WAL below it. Serving and feedback
 // ingestion continue throughout; only the capture itself (a state copy,
-// not the JSON encoding) runs inside the loop.
+// not the encoding) runs inside the loop.
 func (e *Engine) Checkpoint() error {
 	if e.st == nil {
 		return errors.New("serve: Checkpoint on an engine without durable state")

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,24 +58,6 @@ func feedScript(t *testing.T, eng *Engine, in *model.Instance, seed uint64, step
 		}
 		eng.Flush()
 	}
-}
-
-// wireOf snapshots eng and decodes the image, dropping the fields that
-// legitimately differ between a live engine and its recovered twin
-// (plan revision and replan count — recovery replans once at boot).
-func wireOf(t *testing.T, eng *Engine) map[string]any {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := eng.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	delete(m, "plan_revision")
-	delete(m, "replans")
-	return m
 }
 
 func TestOpenWithoutDurabilityIsNewEngine(t *testing.T) {
@@ -222,12 +202,7 @@ func TestKillRecoverMatchesInMemoryTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Flush()
-	got, want := wireOf(t, a2), wireOf(t, b)
-	if !reflect.DeepEqual(got, want) {
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(want)
-		t.Fatalf("recovered state diverged from in-memory twin\n got: %s\nwant: %s", gj, wj)
-	}
+	requireSameWire(t, wireOf(t, a2), wireOf(t, b), "recovered state diverged from in-memory twin")
 }
 
 // TestCheckpointCompactsLogAndRecovers: a mid-run Checkpoint must
@@ -294,35 +269,24 @@ func TestCheckpointCompactsLogAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Flush()
-	got, want := wireOf(t, a2), wireOf(t, b)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("recovered-from-checkpoint state diverged from in-memory twin")
-	}
+	requireSameWire(t, wireOf(t, a2), wireOf(t, b), "recovered-from-checkpoint state diverged from in-memory twin")
 }
 
 // TestRecoveryFallsBackWhenNewestSnapshotCorrupt: trash the newest
-// snapshot — unreadable bytes, or a strategy holding a triple that is
-// not a candidate — and recovery must reject it, fall back one
+// snapshot — unreadable bytes, or any of the image corruptions
+// (snapCorruptions) — and recovery must reject it, fall back one
 // generation and replay further.
 func TestRecoveryFallsBackWhenNewestSnapshotCorrupt(t *testing.T) {
 	in := testInstance(t, 60, 8, 4, 2, 17)
-	z := nonCandidate(t, in)
-	for _, tc := range []struct {
-		name    string
-		corrupt func([]byte) []byte
-	}{
-		{"unreadable", func([]byte) []byte { return []byte("{broken") }},
-		{"non-candidate triple", func(snap []byte) []byte {
-			return withStrategy(t, snap, fmt.Sprintf("[[%d,%d,%d]]", z.U, z.I, z.T))
-		}},
-	} {
+	cs := append([]snapCorruption{{"unreadable", "version 1", func(testing.TB, []byte) []byte { return []byte("{broken") }}}, snapCorruptions()...)
+	for _, tc := range cs {
 		t.Run(tc.name, func(t *testing.T) {
-			testRecoveryFallsBack(t, in, tc.corrupt)
+			testRecoveryFallsBack(t, in, tc)
 		})
 	}
 }
 
-func testRecoveryFallsBack(t *testing.T, in *model.Instance, corrupt func([]byte) []byte) {
+func testRecoveryFallsBack(t *testing.T, in *model.Instance, c snapCorruption) {
 	dir := t.TempDir()
 	cfg := durCfg(dir)
 	a, err := Open(in.Clone(), cfg)
@@ -365,9 +329,9 @@ func testRecoveryFallsBack(t *testing.T, in *model.Instance, corrupt func([]byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := corrupt(snap)
-	if _, err := decodeShell(bytes.NewReader(bad), cfg); err == nil {
-		t.Fatal("the corrupted newest snapshot still decodes")
+	bad := c.corrupt(t, snap)
+	if _, err := decodeShell(bytes.NewReader(bad), cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+		t.Fatalf("corrupted newest snapshot: error %v, want one naming %q", err, c.want)
 	}
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
@@ -382,10 +346,7 @@ func testRecoveryFallsBack(t *testing.T, in *model.Instance, corrupt func([]byte
 		t.Fatal(err)
 	}
 	b.Flush()
-	got, want := wireOf(t, a2), wireOf(t, b)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("fallback recovery diverged from in-memory twin")
-	}
+	requireSameWire(t, wireOf(t, a2), wireOf(t, b), "fallback recovery diverged from in-memory twin")
 }
 
 // TestCloseDrainsUnflushedQueue: events enqueued but never flushed must

@@ -51,9 +51,10 @@ type Config struct {
 	// replanning ("g-greedy", "rl-greedy", ...; solver.List()
 	// enumerates, legacy aliases like "GG" resolve). Empty falls back
 	// to Solver.Algorithm, then to solver.DefaultAlgorithm. Only a
-	// servable algorithm, one that returns a candidate-indexed plan,
-	// is accepted (solver.CheckServable): construction rejects
-	// top-rating. Ignored when InstallOnly is set.
+	// servable algorithm, one that returns a candidate-indexed plan
+	// within every constraint, is accepted (solver.CheckServable):
+	// construction rejects top-rating and local-search. Ignored when
+	// InstallOnly is set.
 	Algorithm string
 	// Solver carries the named algorithm's options (permutations, seed,
 	// workers, cuts). When both name fields are set, Algorithm wins

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -435,56 +436,19 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 	in := testInstance(t, 10, 4, 2, 1, 8)
 	e := newTestEngine(t, in, Config{})
-	var snap bytes.Buffer
-	if err := e.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(bytes.NewReader(snap.Bytes()), Config{Algorithm: "no-such-algorithm"}); err == nil {
+	snap := snapshotBytes(t, e)
+	if _, err := Restore(bytes.NewReader(snap), Config{Algorithm: "no-such-algorithm"}); err == nil {
 		t.Fatal("restore with an unknown algorithm name accepted")
 	}
-	// A corrupted strategy — an out-of-range triple, or an in-range one
-	// that is not a candidate and so has no CandID to serve from — must
-	// be rejected with an error, not a panic.
-	z := nonCandidate(t, in)
-	for _, triples := range []string{"[[0,999999,1]]", fmt.Sprintf("[[%d,%d,%d]]", z.U, z.I, z.T)} {
-		tampered := withStrategy(t, snap.Bytes(), triples)
-		if _, err := Restore(bytes.NewReader(tampered), Config{}); err == nil {
-			t.Fatalf("snapshot with strategy triples %s accepted", triples)
+	// Every corruption must be rejected with an error, not a panic.
+	for _, c := range snapCorruptions() {
+		if _, err := Restore(bytes.NewReader(c.corrupt(t, snap)), Config{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("snapshot with %s: error %v, want one naming %q", c.name, err, c.want)
 		}
 	}
-}
-
-// nonCandidate returns an in-range triple of in that is not a candidate.
-func nonCandidate(t testing.TB, in *model.Instance) model.Triple {
-	t.Helper()
-	for u := 0; u < in.NumUsers; u++ {
-		for i := 0; i < in.NumItems(); i++ {
-			for ts := 1; ts <= in.T; ts++ {
-				z := model.Triple{U: model.UserID(u), I: model.ItemID(i), T: model.TimeStep(ts)}
-				if _, ok := in.CandIDOf(z); !ok {
-					return z
-				}
-			}
-		}
+	if _, err := Restore(bytes.NewReader(snap), Config{}); err != nil {
+		t.Fatalf("corruptions damaged the original image: %v", err)
 	}
-	t.Fatal("every triple is a candidate")
-	return model.Triple{}
-}
-
-// withStrategy returns snapshot image snap with its strategy replaced by
-// the given JSON triples list.
-func withStrategy(t testing.TB, snap []byte, triples string) []byte {
-	t.Helper()
-	var wire map[string]json.RawMessage
-	if err := json.Unmarshal(snap, &wire); err != nil {
-		t.Fatal(err)
-	}
-	wire["strategy"] = json.RawMessage(`{"version":1,"triples":` + triples + `}`)
-	out, err := json.Marshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestFeedAfterCloseFails(t *testing.T) {
@@ -680,6 +644,10 @@ func TestConfigAlgorithmResolution(t *testing.T) {
 	rating := func(model.UserID, model.ItemID) float64 { return 1 }
 	if _, err := NewEngine(in, Config{Algorithm: "top-rating", Solver: solver.Options{Rating: rating}}); err == nil {
 		t.Fatal("plan-less algorithm accepted")
+	}
+	// local-search plans R-REVMAX, which may exceed item capacity.
+	if _, err := NewEngine(in, Config{Algorithm: "local-search"}); err == nil {
+		t.Fatal("capacity-relaxed algorithm accepted")
 	}
 }
 

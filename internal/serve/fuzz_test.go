@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/model"
@@ -11,7 +10,7 @@ import (
 // restoreSeedCorpus builds a valid snapshot to seed the fuzzer with:
 // an engine with applied feedback, snapshotted after Close so the
 // capture is synchronous and the bytes are representative.
-func restoreSeedCorpus(f *testing.F) []byte {
+func restoreSeedCorpus(f testing.TB) []byte {
 	f.Helper()
 	in := model.NewInstance(4, 3, 3, 1)
 	for i := 0; i < 3; i++ {
@@ -23,11 +22,6 @@ func restoreSeedCorpus(f *testing.F) []byte {
 	for u := 0; u < 4; u++ {
 		for i := 0; i < 3; i++ {
 			for t := 1; t <= 3; t++ {
-				// (3, 2, 3) stays out: a seed names it as an in-range
-				// triple that is not a candidate.
-				if u == 3 && i == 2 && t == 3 {
-					continue
-				}
 				in.AddCandidate(model.UserID(u), model.ItemID(i), model.TimeStep(t), 0.4)
 			}
 		}
@@ -54,37 +48,44 @@ func restoreSeedCorpus(f *testing.F) []byte {
 func FuzzRestore(f *testing.F) {
 	valid := restoreSeedCorpus(f)
 	f.Add(valid)
-	// Targeted corruptions of the valid snapshot: truncations, version
-	// skew, and field-level tampering reach deeper than random bytes.
-	f.Add(valid[:len(valid)/2])
-	f.Add(bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":99`), 1))
-	f.Add(bytes.Replace(valid, []byte(`"now":`), []byte(`"now":-`), 1))
-	f.Add(bytes.Replace(valid, []byte(`"stock":[`), []byte(`"stock":[-9,`), 1))
-	f.Add(bytes.Replace(valid, []byte(`"triples":[`), []byte(`"triples":[[3,2,3],`), 1))
+	// Targeted corruptions of the valid image reach deeper than random
+	// bytes: most are resealed, so the section parsers see them.
+	for _, c := range snapCorruptions() {
+		f.Add(c.corrupt(f, valid))
+	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"version":1,"now":1,"stock":[],"instance":{},"strategy":{}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := Restore(bytes.NewReader(data), Config{})
-		if err != nil {
-			return // rejection is the expected failure mode
-		}
-		// Whatever was accepted must behave like an engine: serve a
-		// lookup, report stats, snapshot, and shut down cleanly.
-		defer e.Close()
-		if _, err := e.Recommend(0, e.Now()); err != nil {
-			t.Logf("restored engine rejected lookup: %v", err)
-		}
-		st := e.Stats()
-		if st.Users <= 0 || st.Horizon <= 0 {
-			t.Fatalf("restored engine has nonsensical shape: %+v", st)
-		}
-		var buf bytes.Buffer
-		if err := e.Snapshot(&buf); err != nil {
-			t.Fatalf("restored engine cannot re-snapshot: %v", err)
-		}
-		if !json.Valid(buf.Bytes()) {
-			t.Fatal("re-snapshot produced invalid JSON")
+		fuzzRestoreImage(t, data)
+		if len(data) >= 4 {
+			// Recompute the trailer too, so mutations get past the
+			// checksum and into the section parsers.
+			fuzzRestoreImage(t, reseal(data[:len(data)-4]))
 		}
 	})
+}
+
+// fuzzRestoreImage restores data and, when that succeeds, checks the
+// engine serves, reports a sane shape and re-snapshots to an image that
+// re-decodes.
+func fuzzRestoreImage(t *testing.T, data []byte) {
+	e, err := Restore(bytes.NewReader(data), Config{})
+	if err != nil {
+		return // rejection is the expected failure mode
+	}
+	defer e.Close()
+	if _, err := e.Recommend(0, e.Now()); err != nil {
+		t.Logf("restored engine rejected lookup: %v", err)
+	}
+	st := e.Stats()
+	if st.Users <= 0 || st.Horizon <= 0 {
+		t.Fatalf("restored engine has nonsensical shape: %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		t.Fatalf("restored engine cannot re-snapshot: %v", err)
+	}
+	if _, err := parseSnapshot(buf.Bytes()); err != nil {
+		t.Fatalf("re-snapshot does not re-decode: %v", err)
+	}
 }

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/testgen"
 )
@@ -151,6 +153,29 @@ func TestHTTPRequestLimits(t *testing.T) {
 	})
 }
 
+// metricsSum scrapes /metrics and sums every sample of the named
+// families (absent families count 0).
+func metricsSum(t *testing.T, srv *httptest.Server, families ...string) float64 {
+	t.Helper()
+	code, body := do(t, srv, "GET", "/metrics", "")
+	if code != 200 {
+		t.Fatalf("metrics: %d %s", code, body)
+	}
+	fams, err := obs.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, name := range families {
+		if f := fams[name]; f != nil {
+			for _, s := range f.Samples {
+				sum += s.Value
+			}
+		}
+	}
+	return sum
+}
+
 // TestHTTPRejectionsCounted: a request rejected for an unknown user —
 // on recommend, batch or adopt — counts in /v1/stats request_errors and
 // breaches the error_rate objective on both backends, though the cluster
@@ -178,8 +203,14 @@ func TestHTTPRejectionsCounted(t *testing.T) {
 				t.Fatalf("%s %s: %d %s, want 400", tc.method, tc.path, code, body)
 			}
 		}
-		if got := requestErrors(t, srv) - before; got != 3 {
+		total := requestErrors(t, srv)
+		if got := total - before; got != 3 {
 			t.Errorf("request_errors grew by %d, want 3", got)
+		}
+		// /metrics accounts for every one of them: the request-error
+		// series (per shard on a cluster) plus the cluster router's.
+		if got := metricsSum(t, srv, "revmaxd_request_errors_total", "revmaxd_cluster_route_errors_total"); got != float64(total) {
+			t.Errorf("/metrics request errors sum to %v, /v1/stats request_errors = %d", got, total)
 		}
 		b.SLO().Evaluate()
 		var breaches int64 = -1

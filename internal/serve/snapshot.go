@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/codec"
@@ -14,48 +14,55 @@ import (
 )
 
 // SnapshotVersion is bumped on breaking changes to the snapshot format.
-const SnapshotVersion = 1
+// Version 1 was a JSON envelope; it is rejected, not migrated.
+const SnapshotVersion = 2
 
-// snapshotWire is the JSON envelope of an engine snapshot: the instance
-// and live strategy in the shared codec formats, plus the serving state
-// a warm restart needs (clock, stock, per-user feedback, counters).
-type snapshotWire struct {
-	Version   int             `json:"version"`
-	Now       int32           `json:"now"`
-	Revision  int64           `json:"plan_revision"`
-	Revenue   float64         `json:"plan_revenue"`
-	From      int32           `json:"planned_from"`
-	Adoptions int64           `json:"adoptions"`
-	Exposures int64           `json:"exposures"`
-	Replans   int64           `json:"replans"`
-	Stock     []int64         `json:"stock"`
-	Users     []userWire      `json:"user_state,omitempty"`
-	Instance  json.RawMessage `json:"instance"`
-	Strategy  json.RawMessage `json:"strategy"`
-}
+// snapMagic opens every snapshot image.
+const snapMagic = "RVMXSNAP"
 
-type userWire struct {
-	User      int32          `json:"user"`
-	Adopted   []int32        `json:"adopted_classes,omitempty"`
-	Exposures []exposureWire `json:"exposures,omitempty"`
-}
+// A snapshot image is one little-endian buffer (appendSnapshot):
+//
+//	header    magic "RVMXSNAP", u32 version
+//	scalars   i32 now, i64 plan revision, f64 plan revenue,
+//	          i32 planned-from, i64 adoptions, i64 exposures, i64 replans
+//	instance  codec.AppendInstanceBinary: shape, item columns (class,
+//	          beta, capacity, T prices), candidate columns in CandID order
+//	stock     u32 count (= items), count × i64
+//	plan      u32 count, count × u32 CandID, strictly ascending
+//	feedback  u32 users, users × i32 user (ascending);
+//	          users × u32 adopted count, then the adopted classes;
+//	          users × u32 exposed-class count, then the exposed classes,
+//	          then one u32 time count per exposed class, then the times
+//	          (classes ascend within each user)
+//	trailer   u32 CRC32-C (store.Checksum) of everything before it
+const snapHeaderLen = len(snapMagic) + 4
 
-type exposureWire struct {
-	Class int32   `json:"class"`
-	Times []int32 `json:"times"`
-}
-
-// snapState is one consistent capture of the engine's mutable state:
-// the wire envelope (sans instance/strategy blobs), the plan and
-// instance that were live at capture time, and — for durable engines —
-// the WAL position the capture is consistent with. The plan is carried
-// by pointer: the capture runs on the feedback loop, and materializing
-// a lazy plan's strategy is the encoding goroutine's job.
+// snapState is one consistent capture of the engine's state: the
+// scalars, stock and per-user feedback a warm restart needs, the
+// instance and plan that were live at capture time, and — for durable
+// engines — the WAL position the capture is consistent with. It is
+// also what parseSnapshot decodes an image into.
 type snapState struct {
-	wire *snapshotWire
-	plan *plan
-	in   *model.Instance
-	lsn  store.LSN
+	now, from                               model.TimeStep
+	revision, adoptions, exposures, replans int64
+	revenue                                 float64
+	stock                                   []int64
+	users                                   []userFeedback // ascending by user
+	in                                      *model.Instance
+	plan                                    *model.Plan // in's CandID space
+	lsn                                     store.LSN
+}
+
+// userFeedback is one user's adoption and exposure memory.
+type userFeedback struct {
+	user      model.UserID
+	adopted   []model.ClassID  // ascending
+	exposures []classExposures // ascending by class
+}
+
+type classExposures struct {
+	class model.ClassID
+	times []model.TimeStep
 }
 
 // captureState builds a snapState. It is normally executed *by the
@@ -64,51 +71,47 @@ type snapState struct {
 // gone, no writers left) it is safe to call directly.
 func (e *Engine) captureState() snapState {
 	p := e.plan.Load()
-	wire := &snapshotWire{
-		Version:   SnapshotVersion,
-		Now:       int32(e.Now()),
-		Revision:  p.revision,
-		Revenue:   p.revenue,
-		From:      int32(p.plannedFrom),
-		Adoptions: e.adoptions.Load(),
-		Exposures: e.exposures.Load(),
-		Replans:   e.replans.Load(),
-		Stock:     make([]int64, len(e.stock)),
+	st := snapState{
+		now:       e.Now(),
+		from:      p.plannedFrom,
+		revision:  p.revision,
+		adoptions: e.adoptions.Load(),
+		exposures: e.exposures.Load(),
+		replans:   e.replans.Load(),
+		revenue:   p.revenue,
+		stock:     make([]int64, len(e.stock)),
+		plan:      p.flat,
 	}
 	for i := range e.stock {
-		wire.Stock[i] = e.stock[i].Load()
+		st.stock[i] = e.stock[i].Load()
 	}
 	for si := range e.shards {
 		sh := &e.shards[si]
 		sh.mu.RLock()
 		for u, us := range sh.users {
-			uw := userWire{User: int32(u)}
+			uf := userFeedback{user: u}
 			for c := range us.adopted {
-				uw.Adopted = append(uw.Adopted, int32(c))
+				uf.adopted = append(uf.adopted, c)
 			}
-			sort.Slice(uw.Adopted, func(a, b int) bool { return uw.Adopted[a] < uw.Adopted[b] })
+			sort.Slice(uf.adopted, func(a, b int) bool { return uf.adopted[a] < uf.adopted[b] })
 			for c, ts := range us.exposures {
-				ew := exposureWire{Class: int32(c)}
-				for _, t := range ts {
-					ew.Times = append(ew.Times, int32(t))
-				}
-				uw.Exposures = append(uw.Exposures, ew)
+				uf.exposures = append(uf.exposures, classExposures{class: c, times: append([]model.TimeStep(nil), ts...)})
 			}
-			sort.Slice(uw.Exposures, func(a, b int) bool { return uw.Exposures[a].Class < uw.Exposures[b].Class })
-			wire.Users = append(wire.Users, uw)
+			sort.Slice(uf.exposures, func(a, b int) bool { return uf.exposures[a].class < uf.exposures[b].class })
+			st.users = append(st.users, uf)
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(wire.Users, func(a, b int) bool { return wire.Users[a].User < wire.Users[b].User })
+	sort.Slice(st.users, func(a, b int) bool { return st.users[a].user < st.users[b].user })
 	// The price table must be copied, not shared: ScalePrice mutates it
-	// from the loop, and the (slow) JSON encoding runs on the caller's
-	// goroutine after this capture returns — encoding the live pointer
-	// would race with any rescale arriving mid-encode and could tear a
-	// half-applied repricing into the image. Everything else on the
-	// instance is immutable, so the price-deep copy (taken here,
-	// between applies) is a consistent image without stalling the loop
-	// on a full candidate-set clone.
-	st := snapState{wire: wire, plan: p, in: e.in.ClonePrices()}
+	// from the loop, and the encoding runs on the caller's goroutine
+	// after this capture returns — encoding the live pointer would race
+	// with any rescale arriving mid-encode and could tear a half-applied
+	// repricing into the image. Everything else on the instance is
+	// immutable, and so is the installed plan, so the price-deep copy
+	// (taken here, between applies) is a consistent image without
+	// stalling the loop on a full candidate-set clone.
+	st.in = e.in.ClonePrices()
 	if e.st != nil {
 		st.lsn = e.st.NextLSN()
 	}
@@ -148,7 +151,7 @@ func (e *Engine) capture() (snapState, error) {
 	e.feedback <- feedbackMsg{snap: ch}
 	e.closeMu.RUnlock()
 	st := <-ch
-	if st.wire == nil {
+	if st.in == nil {
 		// The loop answered in crash-discard mode.
 		return snapState{}, ErrKilled
 	}
@@ -156,23 +159,71 @@ func (e *Engine) capture() (snapState, error) {
 }
 
 // encodeSnapshot serializes a captured state. The captured instance and
-// strategy are immutable (or deep copies), so the (comparatively slow)
-// JSON encoding happens outside the feedback loop.
+// plan are immutable (or deep copies), so the encoding happens outside
+// the feedback loop.
 func (e *Engine) encodeSnapshot(w io.Writer, st snapState) error {
-	wire := st.wire
-	var buf bytes.Buffer
-	if err := codec.EncodeInstance(&buf, st.in); err != nil {
-		return fmt.Errorf("serve: snapshot instance: %w", err)
+	_, err := w.Write(appendSnapshot(nil, st))
+	return err
+}
+
+// appendSnapshot appends st's image, trailer included, to b.
+func appendSnapshot(b []byte, st snapState) []byte {
+	le := binary.LittleEndian
+	start := len(b)
+	b = append(b, snapMagic...)
+	b = le.AppendUint32(b, SnapshotVersion)
+	b = le.AppendUint32(b, uint32(st.now))
+	b = le.AppendUint64(b, uint64(st.revision))
+	b = le.AppendUint64(b, math.Float64bits(st.revenue))
+	b = le.AppendUint32(b, uint32(st.from))
+	b = le.AppendUint64(b, uint64(st.adoptions))
+	b = le.AppendUint64(b, uint64(st.exposures))
+	b = le.AppendUint64(b, uint64(st.replans))
+	b = codec.AppendInstanceBinary(b, st.in)
+
+	b = le.AppendUint32(b, uint32(len(st.stock)))
+	for _, s := range st.stock {
+		b = le.AppendUint64(b, uint64(s))
 	}
-	wire.Instance = append(json.RawMessage(nil), bytes.TrimSpace(buf.Bytes())...)
-	buf.Reset()
-	// A throwaway Strategy, not the plan's cached one: the live plan
-	// keeps its map only for Engine.Strategy callers.
-	if err := codec.EncodeStrategy(&buf, st.plan.flat.Strategy()); err != nil {
-		return fmt.Errorf("serve: snapshot strategy: %w", err)
+	b = le.AppendUint32(b, uint32(st.plan.Len()))
+	st.plan.Each(func(id model.CandID) bool {
+		b = le.AppendUint32(b, uint32(id))
+		return true
+	})
+
+	b = le.AppendUint32(b, uint32(len(st.users)))
+	for _, uf := range st.users {
+		b = le.AppendUint32(b, uint32(uf.user))
 	}
-	wire.Strategy = append(json.RawMessage(nil), bytes.TrimSpace(buf.Bytes())...)
-	return json.NewEncoder(w).Encode(wire)
+	for _, uf := range st.users {
+		b = le.AppendUint32(b, uint32(len(uf.adopted)))
+	}
+	for _, uf := range st.users {
+		for _, c := range uf.adopted {
+			b = le.AppendUint32(b, uint32(c))
+		}
+	}
+	for _, uf := range st.users {
+		b = le.AppendUint32(b, uint32(len(uf.exposures)))
+	}
+	for _, uf := range st.users {
+		for _, ce := range uf.exposures {
+			b = le.AppendUint32(b, uint32(ce.class))
+		}
+	}
+	for _, uf := range st.users {
+		for _, ce := range uf.exposures {
+			b = le.AppendUint32(b, uint32(len(ce.times)))
+		}
+	}
+	for _, uf := range st.users {
+		for _, ce := range uf.exposures {
+			for _, t := range ce.times {
+				b = le.AppendUint32(b, uint32(t))
+			}
+		}
+	}
+	return le.AppendUint32(b, store.Checksum(b[start:]))
 }
 
 // Restore rebuilds an engine from a snapshot produced by Snapshot. The
@@ -203,62 +254,193 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var wire snapshotWire
-	if err := json.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("serve: snapshot decode: %w", err)
-	}
-	if wire.Version != SnapshotVersion {
-		return nil, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", wire.Version, SnapshotVersion)
-	}
-	in, err := codec.DecodeInstance(bytes.NewReader(wire.Instance))
+	img, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot instance: %w", err)
+		return nil, fmt.Errorf("serve: snapshot read: %w", err)
 	}
-	strat, err := codec.DecodeStrategy(bytes.NewReader(wire.Strategy))
+	st, err := parseSnapshot(img)
 	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot strategy: %w", err)
+		return nil, err
 	}
-	// DecodeStrategy does no range checking; PlanOf does, and a triple
-	// that is not a candidate — corrupt, since only candidate-indexed
-	// plans are ever served — fails the restore here.
-	fp, ok := in.PlanOf(strat)
-	if !ok {
-		return nil, errors.New("serve: snapshot strategy holds a triple that is not a candidate")
-	}
-	if len(wire.Stock) != in.NumItems() {
-		return nil, fmt.Errorf("serve: snapshot has %d stock entries for %d items", len(wire.Stock), in.NumItems())
-	}
-	if wire.Now < 1 || int(wire.Now) > in.T {
-		return nil, fmt.Errorf("serve: snapshot clock %d outside horizon [1,%d]", wire.Now, in.T)
-	}
-
-	e := newEngineShell(in, cfg, opts)
-	e.now.Store(int64(wire.Now))
-	e.adoptions.Store(wire.Adoptions)
-	e.exposures.Store(wire.Exposures)
-	e.replans.Store(wire.Replans)
-	for i, s := range wire.Stock {
+	e := newEngineShell(st.in, cfg, opts)
+	e.now.Store(int64(st.now))
+	e.adoptions.Store(st.adoptions)
+	e.exposures.Store(st.exposures)
+	e.replans.Store(st.replans)
+	for i, s := range st.stock {
 		e.stock[i].Store(s)
 	}
-	for _, uw := range wire.Users {
-		u := model.UserID(uw.User)
-		if int(u) < 0 || int(u) >= in.NumUsers {
-			return nil, fmt.Errorf("serve: snapshot state for unknown user %d", uw.User)
+	for _, uf := range st.users {
+		us := e.shards[shardIndex(uf.user, e.mask)].state(uf.user)
+		for _, c := range uf.adopted {
+			us.adopted[c] = true
 		}
-		sh := &e.shards[shardIndex(u, e.mask)]
-		us := sh.state(u)
-		for _, c := range uw.Adopted {
-			us.adopted[model.ClassID(c)] = true
-		}
-		for _, ew := range uw.Exposures {
-			ts := make([]model.TimeStep, len(ew.Times))
-			for i, t := range ew.Times {
-				ts[i] = model.TimeStep(t)
-			}
-			us.exposures[model.ClassID(ew.Class)] = ts
+		for _, ce := range uf.exposures {
+			us.exposures[ce.class] = ce.times
 		}
 	}
-	e.revision.Store(wire.Revision - 1)
-	e.installPlan(buildPlanFlat(in, fp, model.TimeStep(wire.From), wire.Revenue))
+	e.revision.Store(st.revision - 1)
+	e.installPlan(buildPlanFlat(st.in, st.plan, st.from, st.revenue))
 	return e, nil
+}
+
+// parseSnapshot decodes a whole snapshot image. The trailer is checked
+// before anything else is read, and every count before anything is
+// allocated for it; a v1 (JSON) image is named as such. The plan is
+// rebuilt by ascending Adds, so a CandID that is out of range,
+// repeated or out of order fails the parse.
+func parseSnapshot(img []byte) (snapState, error) {
+	var st snapState
+	if len(img) > 0 && img[0] == '{' {
+		return st, fmt.Errorf("serve: snapshot is a version 1 (JSON) image; this build reads version %d only", SnapshotVersion)
+	}
+	if len(img) < snapHeaderLen+4 || string(img[:len(snapMagic)]) != snapMagic {
+		return st, errors.New("serve: not a snapshot image (bad magic or too short)")
+	}
+	body := img[:len(img)-4]
+	if sum := binary.LittleEndian.Uint32(img[len(body):]); store.Checksum(body) != sum {
+		return st, errors.New("serve: snapshot checksum mismatch")
+	}
+	c := codec.NewCursor(body[len(snapMagic):])
+	if v := c.U32(); v != SnapshotVersion {
+		return st, fmt.Errorf("serve: unsupported snapshot version %d (want %d)", v, SnapshotVersion)
+	}
+	st.now = model.TimeStep(c.I32())
+	st.revision = c.I64()
+	st.revenue = c.F64()
+	st.from = model.TimeStep(c.I32())
+	st.adoptions, st.exposures, st.replans = c.I64(), c.I64(), c.I64()
+	if err := c.Err(); err != nil {
+		return st, fmt.Errorf("serve: snapshot scalars: %w", err)
+	}
+	in, rest, err := codec.DecodeInstanceBinary(c.Rest())
+	if err != nil {
+		return st, fmt.Errorf("serve: snapshot instance: %w", err)
+	}
+	st.in = in
+	if st.now < 1 || int(st.now) > in.T {
+		return st, fmt.Errorf("serve: snapshot clock %d outside horizon [1,%d]", st.now, in.T)
+	}
+
+	c = codec.NewCursor(rest)
+	n := c.Count(8, "stock")
+	if c.Err() == nil && n != in.NumItems() {
+		return st, fmt.Errorf("serve: snapshot has %d stock entries for %d items", n, in.NumItems())
+	}
+	st.stock = make([]int64, n)
+	for i := range st.stock {
+		st.stock[i] = c.I64()
+	}
+	if err := c.Err(); err != nil {
+		return st, fmt.Errorf("serve: snapshot stock: %w", err)
+	}
+
+	n = c.Count(4, "plan")
+	st.plan = in.NewPlan()
+	prev := int64(-1)
+	for k := 0; k < n; k++ {
+		id := int64(c.U32())
+		if id <= prev || id >= int64(in.NumCands()) {
+			return st, fmt.Errorf("serve: snapshot plan CandID %d after %d is out of range [0,%d) or not ascending", id, prev, in.NumCands())
+		}
+		st.plan.Add(model.CandID(id))
+		prev = id
+	}
+	if err := c.Err(); err != nil {
+		return st, fmt.Errorf("serve: snapshot plan: %w", err)
+	}
+
+	if err := parseFeedback(c, &st); err != nil {
+		return st, err
+	}
+	if c.Len() != 0 {
+		return st, fmt.Errorf("serve: snapshot has %d bytes after the feedback section", c.Len())
+	}
+	return st, nil
+}
+
+// parseFeedback decodes the feedback section into st.users. Users must
+// be known to st.in and ascend; classes ascend within each user.
+func parseFeedback(c *codec.Cursor, st *snapState) error {
+	nu := c.Count(4+4+4, "feedback user")
+	st.users = make([]userFeedback, nu)
+	for k := range st.users {
+		u := model.UserID(c.I32())
+		if c.Err() == nil && (int(u) < 0 || int(u) >= st.in.NumUsers || k > 0 && u <= st.users[k-1].user) {
+			return fmt.Errorf("serve: snapshot state for unknown or out-of-order user %d", u)
+		}
+		st.users[k].user = u
+	}
+	adopted, err := classRuns(c, nu)
+	if err != nil {
+		return err
+	}
+	exposed, err := classRuns(c, nu)
+	if err != nil {
+		return err
+	}
+	var runs []int // one time count per exposed class
+	for _, cs := range exposed {
+		for range cs {
+			runs = append(runs, int(c.U32()))
+		}
+	}
+	var total uint64
+	for _, n := range runs {
+		total += uint64(n)
+	}
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("serve: snapshot feedback: %w", err)
+	}
+	if total > uint64(c.Len())/4 {
+		return fmt.Errorf("serve: snapshot feedback holds %d exposure times, %d bytes remain", total, c.Len())
+	}
+	for u := range st.users {
+		uf := &st.users[u]
+		uf.adopted = adopted[u]
+		for _, cl := range exposed[u] {
+			ts := make([]model.TimeStep, runs[0])
+			runs = runs[1:]
+			for i := range ts {
+				ts[i] = model.TimeStep(c.I32())
+			}
+			uf.exposures = append(uf.exposures, classExposures{class: cl, times: ts})
+		}
+	}
+	return nil
+}
+
+// classRuns reads one class count per user and then the classes they
+// count, strictly ascending within each user's run; a zero count is a
+// nil run.
+func classRuns(c *codec.Cursor, users int) ([][]model.ClassID, error) {
+	counts := make([]int, users)
+	var total uint64
+	for u := range counts {
+		counts[u] = int(c.U32())
+		total += uint64(counts[u])
+	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("serve: snapshot feedback: %w", err)
+	}
+	if total > uint64(c.Len())/4 {
+		return nil, fmt.Errorf("serve: snapshot feedback holds %d classes, %d bytes remain", total, c.Len())
+	}
+	all := make([]model.ClassID, total)
+	for i := range all {
+		all[i] = model.ClassID(c.I32())
+	}
+	runs := make([][]model.ClassID, users)
+	for u, n := range counts {
+		if n == 0 {
+			continue
+		}
+		runs[u], all = all[:n:n], all[n:]
+		for j := 1; j < n; j++ {
+			if runs[u][j] <= runs[u][j-1] {
+				return nil, fmt.Errorf("serve: snapshot classes of feedback user %d are not ascending", u)
+			}
+		}
+	}
+	return runs, nil
 }

@@ -1,0 +1,227 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/model"
+	"repro/internal/store"
+)
+
+// snapWire is the comparable form of a snapshot image: every section
+// decoded, the instance as its column bytes and the plan as its
+// triples.
+type snapWire struct {
+	Version              uint32
+	Now, From            model.TimeStep
+	Revision, Replans    int64
+	Revenue              float64
+	Adoptions, Exposures int64
+	Stock                []int64
+	Users                []userFeedback
+	Instance             []byte
+	Plan                 []model.Triple
+}
+
+// decodeWire parses img into its comparable form.
+func decodeWire(t testing.TB, img []byte) snapWire {
+	t.Helper()
+	st, err := parseSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snapWire{
+		Version:   binary.LittleEndian.Uint32(img[len(snapMagic):]),
+		Now:       st.now,
+		From:      st.from,
+		Revision:  st.revision,
+		Replans:   st.replans,
+		Revenue:   st.revenue,
+		Adoptions: st.adoptions,
+		Exposures: st.exposures,
+		Stock:     st.stock,
+		Users:     st.users,
+		Instance:  codec.AppendInstanceBinary(nil, st.in),
+		Plan:      st.plan.Triples(),
+	}
+}
+
+// snapshotBytes snapshots eng.
+func snapshotBytes(t testing.TB, eng *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wireOf snapshots eng and decodes the image, masking the fields that
+// legitimately differ between a live engine and its recovered twin
+// (plan revision and replan count — recovery replans once at boot).
+func wireOf(t testing.TB, eng *Engine) snapWire {
+	t.Helper()
+	w := decodeWire(t, snapshotBytes(t, eng))
+	w.Revision, w.Replans = 0, 0
+	return w
+}
+
+// requireSameWire fails t naming every field where got and want differ.
+func requireSameWire(t testing.TB, got, want snapWire, what string) {
+	t.Helper()
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	var diff []string
+	for i := 0; i < gv.NumField(); i++ {
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			diff = append(diff, gv.Type().Field(i).Name)
+		}
+	}
+	if len(diff) > 0 {
+		t.Fatalf("%s: snapshot fields differ: %s", what, strings.Join(diff, ", "))
+	}
+}
+
+// snapScalarsLen is the size of the image's scalars section.
+const snapScalarsLen = 4 + 8 + 8 + 4 + 8 + 8 + 8
+
+// Section ends of a snapshot image, as indexes into snapBounds.
+const (
+	endHeader = iota
+	endScalars
+	endItems
+	endCands
+	endStock
+	endPlan
+	endFeedback // where the trailer starts
+)
+
+var sectionNames = []string{"header", "scalars", "item columns", "candidate columns", "stock", "plan", "feedback"}
+
+// snapBounds returns the offsets at which img's sections end.
+func snapBounds(t testing.TB, img []byte) []int {
+	t.Helper()
+	st, err := parseSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := st.in
+	scalars := snapHeaderLen + snapScalarsLen
+	cands := scalars + len(codec.AppendInstanceBinary(nil, in))
+	stock := cands + 4 + 8*len(st.stock)
+	plan := stock + 4 + 4*st.plan.Len()
+	b := []int{snapHeaderLen, scalars, scalars + 16 + in.NumItems()*(4+8+8+8*in.T), cands, stock, plan, len(img) - 4}
+	if plan > b[endFeedback] {
+		t.Fatalf("section bounds %v overrun the %d-byte image", b, len(img))
+	}
+	return b
+}
+
+// reseal returns body followed by its CRC trailer: a well-checksummed
+// image, so a corruption reaches the section parsers.
+func reseal(body []byte) []byte {
+	out := append([]byte(nil), body...)
+	return binary.LittleEndian.AppendUint32(out, store.Checksum(body))
+}
+
+// withPlanSection returns img with its plan section (count included)
+// replaced by sec, resealed.
+func withPlanSection(t testing.TB, img, sec []byte) []byte {
+	t.Helper()
+	b := snapBounds(t, img)
+	body := append([]byte(nil), img[:b[endStock]]...)
+	body = append(body, sec...)
+	body = append(body, img[b[endPlan]:b[endFeedback]]...)
+	return reseal(body)
+}
+
+// withPlan returns img with its plan replaced by the given raw CandIDs.
+func withPlan(t testing.TB, img []byte, ids ...uint32) []byte {
+	t.Helper()
+	sec := binary.LittleEndian.AppendUint32(nil, uint32(len(ids)))
+	for _, id := range ids {
+		sec = binary.LittleEndian.AppendUint32(sec, id)
+	}
+	return withPlanSection(t, img, sec)
+}
+
+// v1Image is the shape of a version 1 (JSON) snapshot.
+const v1Image = `{"version":1,"now":1,"plan_revision":1,"plan_revenue":0,"stock":[1],"instance":{},"strategy":{}}`
+
+// snapCorruption is one way to damage a valid snapshot image.
+type snapCorruption struct {
+	name    string
+	want    string // in the rejection error
+	corrupt func(t testing.TB, img []byte) []byte
+}
+
+// snapCorruptions lists the damage every v2 image reader must reject:
+// a flipped byte, a cut trailer, truncation at every section boundary
+// (resealed, so the section parsers see it), a v1 JSON image, a plan
+// CandID out of range, repeated or descending, and counts larger than
+// the file. Each corruption reads the sections of the image it is
+// handed, which must plan at least two candidates.
+func snapCorruptions() []snapCorruption {
+	huge := binary.LittleEndian.AppendUint32(nil, 1<<31-1)
+	cs := []snapCorruption{
+		{"flipped byte", "checksum", func(t testing.TB, img []byte) []byte {
+			out := append([]byte(nil), img...)
+			out[len(out)/2] ^= 0x40
+			return out
+		}},
+		{"truncated trailer", "checksum", func(t testing.TB, img []byte) []byte { return img[:len(img)-2] }},
+		{"no trailer", "checksum", func(t testing.TB, img []byte) []byte { return img[:len(img)-4] }},
+		{"v1 JSON image", "version 1", func(testing.TB, []byte) []byte { return []byte(v1Image) }},
+		{"CandID out of range", "out of range", func(t testing.TB, img []byte) []byte {
+			_, n := planIDs(t, img)
+			return withPlan(t, img, uint32(n))
+		}},
+		{"duplicate CandID", "not ascending", func(t testing.TB, img []byte) []byte {
+			ids, _ := planIDs(t, img)
+			return withPlan(t, img, ids[0], ids[0])
+		}},
+		{"descending CandIDs", "not ascending", func(t testing.TB, img []byte) []byte {
+			ids, _ := planIDs(t, img)
+			return withPlan(t, img, ids[1], ids[0])
+		}},
+		{"plan count beyond file", "plan count", func(t testing.TB, img []byte) []byte { return withPlanSection(t, img, huge) }},
+		{"candidate count beyond file", "candidates need", func(t testing.TB, img []byte) []byte {
+			body := append([]byte(nil), img[:len(img)-4]...)
+			copy(body[snapBounds(t, img)[endItems]:], huge)
+			return reseal(body)
+		}},
+		{"trailing byte", "bytes after", func(t testing.TB, img []byte) []byte {
+			return reseal(append(append([]byte(nil), img[:len(img)-4]...), 0))
+		}},
+	}
+	// The section that finds each cut short.
+	short := []string{"scalars", "instance", "instance", "stock", "plan", "feedback"}
+	for i := endHeader; i < endFeedback; i++ {
+		cs = append(cs, snapCorruption{"cut after " + sectionNames[i], "snapshot " + short[i], func(t testing.TB, img []byte) []byte {
+			return reseal(img[:snapBounds(t, img)[i]])
+		}})
+	}
+	return cs
+}
+
+// planIDs returns the first two planned CandIDs of img and its
+// candidate count.
+func planIDs(t testing.TB, img []byte) ([]uint32, int) {
+	t.Helper()
+	st, err := parseSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint32
+	st.plan.Each(func(id model.CandID) bool {
+		ids = append(ids, uint32(id))
+		return len(ids) < 2
+	})
+	if len(ids) < 2 {
+		t.Fatalf("plan corruptions need two planned candidates, the image plans %d", st.plan.Len())
+	}
+	return ids, st.in.NumCands()
+}

@@ -324,16 +324,22 @@ func CheckSession(name string) error {
 
 // CheckServable reports whether the named algorithm (a name or alias;
 // empty means DefaultAlgorithm) can plan for serving. Serving installs
-// the candidate-indexed Result.Plan, which every registry algorithm
-// returns except top-rating: its strategy repeats top-rated items at q = 0
-// steps, so it has no Plan. serve and cluster construction call it.
+// the candidate-indexed Result.Plan as is, so the plan must exist and
+// respect every constraint. Two registry algorithms fail that:
+// top-rating, whose strategy repeats top-rated items at q = 0 steps and
+// so has no Plan, and local-search, which solves R-REVMAX — capacity
+// relaxed into the objective — so its plans can recommend an item to
+// more users than its capacity. serve and cluster construction call it.
 func CheckServable(name string) error {
 	a, err := Lookup(name)
 	if err != nil {
 		return err
 	}
-	if a.Name() == NameTopRating {
+	switch a.Name() {
+	case NameTopRating:
 		return fmt.Errorf("solver: %q returns no candidate-indexed plan, so it cannot serve", NameTopRating)
+	case NameLocalSearch:
+		return fmt.Errorf("solver: %q solves R-REVMAX, which relaxes item capacity into the objective, so its plans can exceed capacity and cannot serve", NameLocalSearch)
 	}
 	return nil
 }

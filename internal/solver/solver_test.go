@@ -296,17 +296,19 @@ func TestValidateOptions(t *testing.T) {
 	}
 }
 
-// TestServableAlgorithms: serving installs Result.Plan, so every
-// registry algorithm CheckServable admits must return one over the
-// instance it solved, holding exactly its strategy's triples; top-rating,
-// whose strategy has non-candidate triples, is the one it rejects.
+// TestServableAlgorithms: serving installs Result.Plan as is, so every
+// registry algorithm CheckServable admits must return a valid one over
+// the instance it solved, holding exactly its strategy's triples. It
+// rejects top-rating, whose strategy has non-candidate triples, and
+// local-search, whose R-REVMAX plans may exceed capacity.
 func TestServableAlgorithms(t *testing.T) {
 	for _, name := range List() {
 		t.Run(name, func(t *testing.T) {
 			err := CheckServable(name)
-			if name == NameTopRating {
+			switch name {
+			case NameTopRating, NameLocalSearch:
 				if err == nil {
-					t.Fatal("CheckServable accepted a plan-less algorithm")
+					t.Fatal("CheckServable accepted an algorithm whose plans cannot serve")
 				}
 				return
 			}
@@ -314,7 +316,7 @@ func TestServableAlgorithms(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := testInstance(t, 5)
-			if name == NameOptimal || name == NameLocalSearch {
+			if name == NameOptimal {
 				in = tinyInstance(t)
 			}
 			res, err := Solve(context.Background(), in, Options{Algorithm: name, Cuts: []int{2}})
@@ -323,6 +325,9 @@ func TestServableAlgorithms(t *testing.T) {
 			}
 			if res.Plan == nil || res.Plan.Instance() != in {
 				t.Fatalf("no plan over the solved instance (plan %v)", res.Plan)
+			}
+			if err := res.Plan.Valid(); err != nil {
+				t.Fatalf("servable plan violates a constraint: %v", err)
 			}
 			got, want := res.Plan.Triples(), res.Strategy.Triples()
 			if len(got) != len(want) {
@@ -334,6 +339,9 @@ func TestServableAlgorithms(t *testing.T) {
 				}
 			}
 		})
+	}
+	if err := CheckServable("ls"); err == nil {
+		t.Error("CheckServable accepted local-search by alias")
 	}
 	if err := CheckServable("toprat"); err == nil {
 		t.Error("CheckServable accepted top-rating by alias")

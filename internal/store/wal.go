@@ -37,6 +37,10 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// Checksum returns the CRC32-C (Castagnoli) of b: the checksum of every
+// WAL frame, and the trailer of the engine's snapshot images.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
+
 // errTorn marks an invalid frame at the end of a segment: the canonical
 // signature of a crash mid-append. Scanning stops cleanly at the last
 // valid frame.
@@ -86,7 +90,7 @@ func readSegHeader(r io.Reader) (LSN, error) {
 // appendFrame encodes one framed payload onto buf.
 func appendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	buf = binary.LittleEndian.AppendUint32(buf, Checksum(payload))
 	return append(buf, payload...)
 }
 
@@ -121,7 +125,7 @@ func readFrame(r io.Reader, buf []byte) (payload []byte, frameLen int64, err err
 		}
 		return nil, 0, fmt.Errorf("store: read frame payload: %w", err)
 	}
-	if crc32.Checksum(buf, crcTable) != want {
+	if Checksum(buf) != want {
 		return nil, 0, errTorn
 	}
 	return buf, frameHeader + int64(n), nil
