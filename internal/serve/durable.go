@@ -135,8 +135,14 @@ func recoverFrom(st *store.Store, lsn store.LSN, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: snapshot %d: %w", lsn, err)
 	}
 	e.st = st
-	stats, err := st.Replay(lsn, func(_ store.LSN, rec store.Record) error {
-		return e.applyRecord(rec)
+	// Replay takes the live path, check then applyRecord: a record live
+	// traffic would refuse aborts recovery from this snapshot.
+	stats, err := st.Replay(lsn, func(at store.LSN, rec store.Record) error {
+		if err := e.check(rec); err != nil {
+			return fmt.Errorf("replayed record %d: %w", at, err)
+		}
+		e.applyRecord(rec)
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: replay from %d: %w", lsn, err)
@@ -152,57 +158,6 @@ func recoverFrom(st *store.Store, lsn store.LSN, cfg Config) (*Engine, error) {
 	}
 	e.start()
 	return e, nil
-}
-
-// applyRecord folds one replayed WAL record into a not-yet-started
-// engine shell, through the same application logic live feedback uses —
-// the recovered state is bit-identical to the pre-crash state, which is
-// what makes crash recovery deterministic. Range violations mean the
-// log does not belong to the snapshot's instance and abort recovery.
-func (e *Engine) applyRecord(rec store.Record) error {
-	switch rec.Type {
-	case store.RecEvent:
-		ev := Event{User: model.UserID(rec.User), Item: model.ItemID(rec.Item),
-			T: model.TimeStep(rec.T), Adopted: rec.Adopted}
-		if err := e.validate(ev.User, ev.T); err != nil {
-			return err
-		}
-		if int(ev.Item) < 0 || int(ev.Item) >= e.in.NumItems() {
-			return fmt.Errorf("serve: replayed event for unknown item %d", ev.Item)
-		}
-		e.apply(ev)
-	case store.RecSetStock:
-		if int(rec.Item) < 0 || int(rec.Item) >= e.in.NumItems() {
-			return fmt.Errorf("serve: replayed stock override for unknown item %d", rec.Item)
-		}
-		n := rec.Stock
-		if n < 0 {
-			n = 0
-		}
-		e.stock[rec.Item].Store(n)
-	case store.RecAdvance:
-		t := int64(rec.T)
-		if t < 1 || t > int64(e.in.T) {
-			return fmt.Errorf("serve: replayed clock advance to %d outside horizon [1,%d]", rec.T, e.in.T)
-		}
-		if t > e.now.Load() {
-			e.now.Store(t)
-		}
-	case store.RecScalePrice:
-		if int(rec.Item) < 0 || int(rec.Item) >= e.in.NumItems() {
-			return fmt.Errorf("serve: replayed price rescale for unknown item %d", rec.Item)
-		}
-		from := model.TimeStep(rec.T)
-		if from < 1 || int(from) > e.in.T {
-			return fmt.Errorf("serve: replayed price rescale from step %d outside horizon [1,%d]", rec.T, e.in.T)
-		}
-		e.scalePrices(model.ItemID(rec.Item), from, rec.Factor)
-	case store.RecPlanSwap:
-		// Marker only: recovery replans from recovered state.
-	default:
-		return fmt.Errorf("serve: replayed record of unknown type %d", rec.Type)
-	}
-	return nil
 }
 
 // writeStoreSnapshot persists a captured state to the durable store,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -420,6 +421,11 @@ func TestScalePriceValidationAndEffect(t *testing.T) {
 	if err := e.ScalePrice(model.ItemID(0), 1, 0); err == nil {
 		t.Fatal("zero factor accepted")
 	}
+	for _, f := range []float64{2 * maxPriceFactor, 0.5 / maxPriceFactor, math.MaxFloat64} {
+		if err := e.ScalePrice(model.ItemID(0), 1, f); err == nil {
+			t.Fatalf("factor %v accepted, outside [1/maxPriceFactor, maxPriceFactor]", f)
+		}
+	}
 	p2, p3 := in.Price(0, 2), in.Price(0, 3)
 	if err := e.ScalePrice(model.ItemID(0), 3, 0.5); err != nil {
 		t.Fatal(err)
@@ -433,35 +439,66 @@ func TestScalePriceValidationAndEffect(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsForeignLog: a WAL that references entities outside
-// the snapshot's instance must abort recovery, not panic.
+// TestRecoverRejectsForeignLog: a WAL record that live traffic would
+// refuse — an entity outside the snapshot's instance, a step outside the
+// horizon, a stock or price factor out of range — must abort recovery
+// with the live check's error, not panic and not be applied.
 func TestRecoverRejectsForeignLog(t *testing.T) {
 	in := testInstance(t, 10, 3, 3, 2, 21)
-	dir := t.TempDir()
-	cfg := durCfg(dir)
-	e, err := Open(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	// Append a record for an item the instance does not have.
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append(store.Record{Type: store.RecEvent, User: 0, Item: 999, T: 1, Adopted: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(nil, cfg); err == nil {
-		t.Fatal("recovery accepted a log referencing an unknown item")
-	} else if !strings.Contains(err.Error(), "unknown item") {
-		t.Fatalf("unexpected recovery error: %v", err)
+	T := int32(in.T)
+	for _, tc := range []struct {
+		name string
+		rec  store.Record
+		want string
+	}{
+		{"event unknown user", store.Record{Type: store.RecEvent, User: 999, Item: 0, T: 1}, "unknown user"},
+		{"event unknown item", store.Record{Type: store.RecEvent, User: 0, Item: 999, T: 1, Adopted: true}, "unknown item"},
+		{"event t=0", store.Record{Type: store.RecEvent, User: 0, Item: 0, T: 0}, "outside horizon"},
+		{"event t=T+1", store.Record{Type: store.RecEvent, User: 0, Item: 0, T: T + 1}, "outside horizon"},
+		{"set-stock unknown item", store.Record{Type: store.RecSetStock, Item: 999, Stock: 1}, "unknown item"},
+		{"set-stock negative", store.Record{Type: store.RecSetStock, Item: 0, Stock: -1}, "stock -1 out of range"},
+		{"advance to 0", store.Record{Type: store.RecAdvance, T: 0}, "outside horizon"},
+		{"advance to T+1", store.Record{Type: store.RecAdvance, T: T + 1}, "outside horizon"},
+		{"scale-price unknown item", store.Record{Type: store.RecScalePrice, Item: 999, T: 1, Factor: 0.5}, "unknown item"},
+		{"scale-price from 0", store.Record{Type: store.RecScalePrice, Item: 0, T: 0, Factor: 0.5}, "outside horizon"},
+		{"scale-price from T+1", store.Record{Type: store.RecScalePrice, Item: 0, T: T + 1, Factor: 0.5}, "outside horizon"},
+		{"scale-price factor 0", store.Record{Type: store.RecScalePrice, Item: 0, T: 1, Factor: 0}, "price factor"},
+		{"scale-price factor -2", store.Record{Type: store.RecScalePrice, Item: 0, T: 1, Factor: -2}, "price factor"},
+		{"scale-price factor NaN", store.Record{Type: store.RecScalePrice, Item: 0, T: 1, Factor: math.NaN()}, "price factor"},
+		{"scale-price factor +Inf", store.Record{Type: store.RecScalePrice, Item: 0, T: 1, Factor: math.Inf(1)}, "price factor"},
+		{"scale-price factor 1e300", store.Record{Type: store.RecScalePrice, Item: 0, T: 1, Factor: 1e300}, "price factor"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durCfg(dir)
+			e, err := Open(in.Clone(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Append(tc.rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(nil, cfg)
+			if err == nil {
+				price := r.Instance().Price(0, 1)
+				r.Close()
+				t.Fatalf("recovery accepted %+v (item 0 now priced %v)", tc.rec, price)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("recovery error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }
 

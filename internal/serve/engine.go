@@ -203,19 +203,17 @@ type Recommendation struct {
 	Prob  float64      `json:"prob"`
 }
 
-// feedbackMsg is one message on the engine's feedback queue: an event
-// to apply, a flush barrier, a clock advance, a stock override, a price
-// rescale, or a snapshot capture request (served by the loop so the
-// captured state is consistent — no event is half-applied across stock
-// and shards).
+// feedbackMsg is one message on the engine's feedback queue: a mutation
+// record to log, apply and journal (rec.Type nonzero: an event, stock
+// override, price rescale or clock advance), or — with a zero rec.Type —
+// a control message: a flush barrier, a snapshot or feedback capture
+// request (served by the loop so the captured state is consistent — no
+// event is half-applied across stock and shards), or a plan install.
 type feedbackMsg struct {
-	ev      Event
+	rec     store.Record
+	trace   obs.TraceRef          // with a RecAdvance: trace the forced replan joins
 	flush   chan struct{}         // non-nil: barrier; closed once covered by a replan
-	advance model.TimeStep        // > 0: clock advanced to this step; replan forced
-	trace   obs.TraceRef          // with advance: trace the forced replan joins
 	snap    chan snapState        // non-nil: capture store state between applies
-	stock   *stockSet             // non-nil: exogenous inventory override
-	price   *priceOp              // non-nil: exogenous price rescale
 	fb      chan planner.Feedback // non-nil: export a consistent feedback view
 	install *installOp            // non-nil: publish a plan computed elsewhere
 }
@@ -229,46 +227,6 @@ type installOp struct {
 	from    model.TimeStep
 	span    *obs.Span
 	done    chan error
-}
-
-// stockSet is an exogenous stock override (supplier shortfall, warehouse
-// write-off, restock) applied by the feedback loop between events.
-type stockSet struct {
-	item model.ItemID
-	n    int64
-}
-
-// sessEvent is one journaled feedback delta for the incremental
-// session: an adoption/exposure event, a stock override, or a price
-// rescale, recorded by the feedback loop at the exact point the
-// corresponding in-memory mutation happens, so replaying the journal
-// into the session reproduces the same state sequence. Clock advances
-// are not journaled — the replan stamps the session with the clock
-// value captured when it starts, mirroring collectFeedback's Now.
-type sessEvent struct {
-	kind   uint8
-	user   model.UserID
-	item   model.ItemID
-	t      model.TimeStep
-	adopt  bool
-	n      int
-	factor float64
-}
-
-const (
-	sessObserve = uint8(iota)
-	sessStock
-	sessPrice
-)
-
-// priceOp is an exogenous price rescale (competitor undercut,
-// promotion): item's price is multiplied by factor from step `from`
-// through the end of the horizon. It mutates the engine's instance, so
-// the loop defers it while a replan is reading prices off-thread.
-type priceOp struct {
-	item   model.ItemID
-	from   model.TimeStep
-	factor float64
 }
 
 // Engine is the online serving engine. All exported methods are safe for
@@ -293,12 +251,13 @@ type Engine struct {
 	// session. sess and sessUp belong to the replan goroutine (at most
 	// one runs at a time; the loop only reads sessUp after observing the
 	// previous replan's completion channel, which orders the accesses).
-	// sessDelta is the loop-owned journal of feedback deltas since the
-	// last replan capture; the loop hands it to the replan wholesale.
+	// sessDelta is the loop-owned journal of the mutation records applied
+	// since the last replan capture; the loop hands it to the replan
+	// wholesale.
 	incr      bool
 	sess      *core.Session
 	sessUp    bool
-	sessDelta []sessEvent
+	sessDelta []store.Record
 
 	shards []shard
 	mask   uint32
@@ -467,7 +426,8 @@ func newEngineShell(in *model.Instance, cfg Config, opts solver.Options) *Engine
 	return e
 }
 
-// installPlan publishes p as the live plan under the next revision.
+// installPlan publishes p as the live plan under the next revision and,
+// once the engine has a store, logs the plan-swap marker (RecPlanSwap).
 // Warm-start engines also copy the plan's triples as the next replan's
 // seed, but only until the incremental session exists: a seeded session
 // keeps its own seed and nothing reads warmPrev again. installPlan runs
@@ -477,6 +437,7 @@ func (e *Engine) installPlan(p *plan) {
 	p.revision = e.revision.Add(1)
 	p.installedAt = time.Now()
 	e.plan.Store(p)
+	e.walAppend(store.Record{Type: store.RecPlanSwap, Revision: p.revision})
 	if e.warm && e.sess == nil {
 		e.warmPrev = p.flat.Triples()
 	}
@@ -507,8 +468,9 @@ func (e *Engine) SetNow(t model.TimeStep) error {
 // TraceRef (an X-Trace-Id'd /v1/advance), the replan this advance
 // triggers joins that trace as a remote span.
 func (e *Engine) SetNowCtx(ctx context.Context, t model.TimeStep) error {
-	if t < 1 || int(t) > e.in.T {
-		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", t, e.in.T)
+	rec := store.Record{Type: store.RecAdvance, T: int32(t)}
+	if err := e.check(rec); err != nil {
+		return err
 	}
 	for {
 		cur := e.now.Load()
@@ -519,7 +481,8 @@ func (e *Engine) SetNowCtx(ctx context.Context, t model.TimeStep) error {
 			break
 		}
 	}
-	e.requestAdvance(t, obs.TraceRefFromContext(ctx))
+	// A closed engine has no loop left to replan; the clock has moved.
+	_ = e.enqueue(feedbackMsg{rec: rec, trace: obs.TraceRefFromContext(ctx)})
 	return nil
 }
 
@@ -603,8 +566,19 @@ func (e *Engine) validate(u model.UserID, t model.TimeStep) error {
 	if int(u) < 0 || int(u) >= e.in.NumUsers {
 		return fmt.Errorf("serve: unknown user %d", u)
 	}
+	return e.checkStep(t)
+}
+
+func (e *Engine) checkStep(t model.TimeStep) error {
 	if t < 1 || int(t) > e.in.T {
 		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", t, e.in.T)
+	}
+	return nil
+}
+
+func (e *Engine) checkItem(i model.ItemID) error {
+	if int(i) < 0 || int(i) >= e.in.NumItems() {
+		return fmt.Errorf("serve: unknown item %d", i)
 	}
 	return nil
 }
@@ -667,8 +641,8 @@ func (e *Engine) RecommendBatchCtx(ctx context.Context, users []model.UserID, t 
 		}
 		return nil, err
 	}
-	if t < 1 || int(t) > e.in.T {
-		return fail(fmt.Errorf("serve: time step %d outside horizon [1,%d]", t, e.in.T))
+	if err := e.checkStep(t); err != nil {
+		return fail(err)
 	}
 	p := e.plan.Load()
 	out := make([][]Recommendation, len(users))
@@ -740,19 +714,72 @@ func (e *Engine) FeedCtx(ctx context.Context, ev Event) error {
 }
 
 func (e *Engine) feed(ev Event) error {
-	if err := e.validate(ev.User, ev.T); err != nil {
+	rec := store.Record{Type: store.RecEvent, User: int32(ev.User), Item: int32(ev.Item), T: int32(ev.T), Adopted: ev.Adopted}
+	if err := e.check(rec); err != nil {
 		return err
 	}
-	if int(ev.Item) < 0 || int(ev.Item) >= e.in.NumItems() {
-		return fmt.Errorf("serve: unknown item %d", ev.Item)
+	if err := e.enqueue(feedbackMsg{rec: rec}); err != nil {
+		return err
 	}
+	e.met.feeds.Inc()
+	return nil
+}
+
+// enqueue hands msg to the feedback loop, in order with everything
+// queued before it, or returns ErrClosed. The send blocks only while the
+// queue is full — and the loop drains continuously even during a replan,
+// so the wait is bounded by apply time, not plan time.
+func (e *Engine) enqueue(msg feedbackMsg) error {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	e.feedback <- feedbackMsg{ev: ev}
-	e.met.feeds.Inc()
+	e.feedback <- msg
+	return nil
+}
+
+// maxPriceFactor bounds one price rescale either way (factor within
+// [1/maxPriceFactor, maxPriceFactor]), so a single rescale cannot take a
+// finite positive price to +Inf or to zero.
+const maxPriceFactor = 1e6
+
+// check is the one range check on a mutation record, run by the
+// producers before they enqueue it and by recovery before it applies a
+// replayed one: replay refuses what live traffic would. Producers
+// normalise first (SetStock clamps n < 0, ScalePrice from < 1).
+func (e *Engine) check(rec store.Record) error {
+	switch rec.Type {
+	case store.RecEvent:
+		if err := e.validate(model.UserID(rec.User), model.TimeStep(rec.T)); err != nil {
+			return err
+		}
+		return e.checkItem(model.ItemID(rec.Item))
+	case store.RecSetStock:
+		if err := e.checkItem(model.ItemID(rec.Item)); err != nil {
+			return err
+		}
+		if rec.Stock < 0 {
+			return fmt.Errorf("serve: stock %d out of range (want >= 0)", rec.Stock)
+		}
+	case store.RecAdvance:
+		return e.checkStep(model.TimeStep(rec.T))
+	case store.RecScalePrice:
+		if err := e.checkItem(model.ItemID(rec.Item)); err != nil {
+			return err
+		}
+		if err := e.checkStep(model.TimeStep(rec.T)); err != nil {
+			return err
+		}
+		if f := rec.Factor; f <= 0 || math.IsInf(f, 0) || math.IsNaN(f) {
+			return fmt.Errorf("serve: price factor %v out of range (want finite > 0)", f)
+		} else if f < 1/maxPriceFactor || f > maxPriceFactor {
+			return fmt.Errorf("serve: price factor %v out of range (want within [%g, %g])", f, 1/maxPriceFactor, maxPriceFactor)
+		}
+	case store.RecPlanSwap: // a marker, with nothing to range-check
+	default:
+		return fmt.Errorf("serve: record of unknown type %d", rec.Type)
+	}
 	return nil
 }
 
@@ -762,39 +789,21 @@ func (e *Engine) feed(ev Event) error {
 // synchronization point for deterministic tests and consistent
 // snapshots.
 func (e *Engine) Flush() {
-	e.closeMu.RLock()
-	if e.closed.Load() {
-		e.closeMu.RUnlock()
+	done := make(chan struct{})
+	if err := e.enqueue(feedbackMsg{flush: done}); err != nil {
 		// Close is draining the queue; wait for the loop to finish so the
 		// "everything enqueued before Flush is applied" contract holds.
 		e.wg.Wait()
 		return
 	}
-	done := make(chan struct{})
-	e.feedback <- feedbackMsg{flush: done}
-	e.closeMu.RUnlock()
 	<-done
-}
-
-// requestAdvance tells the feedback loop the clock moved to t, so it
-// can log the advance and force a replan. The send blocks only while
-// the queue is full — and the loop drains continuously even during a
-// replan, so the wait is bounded by apply time, not plan time. trace,
-// when nonzero, names the trace the forced replan should join.
-func (e *Engine) requestAdvance(t model.TimeStep, trace obs.TraceRef) {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return
-	}
-	e.feedback <- feedbackMsg{advance: t, trace: trace}
 }
 
 // Stock returns item i's remaining stock as last applied by the
 // feedback loop (lock-free read of the serving-path atomic).
 func (e *Engine) Stock(i model.ItemID) (int, error) {
-	if int(i) < 0 || int(i) >= e.in.NumItems() {
-		return 0, fmt.Errorf("serve: unknown item %d", i)
+	if err := e.checkItem(i); err != nil {
+		return 0, err
 	}
 	return int(e.stock[i].Load()), nil
 }
@@ -805,19 +814,11 @@ func (e *Engine) Stock(i model.ItemID) (int, error) {
 // queued events and forces a replan, since the residual problem
 // changed; call Flush to wait for both. Negative n clamps to zero.
 func (e *Engine) SetStock(i model.ItemID, n int) error {
-	if int(i) < 0 || int(i) >= e.in.NumItems() {
-		return fmt.Errorf("serve: unknown item %d", i)
+	rec := store.Record{Type: store.RecSetStock, Item: int32(i), Stock: int64(max(n, 0))}
+	if err := e.check(rec); err != nil {
+		return err
 	}
-	if n < 0 {
-		n = 0
-	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.feedback <- feedbackMsg{stock: &stockSet{item: i, n: int64(n)}}
-	return nil
+	return e.enqueue(feedbackMsg{rec: rec})
 }
 
 // ScalePrice multiplies item i's price by factor for every step in
@@ -826,36 +827,14 @@ func (e *Engine) SetStock(i model.ItemID, n int) error {
 // loop in order with queued events and forces a replan; call Flush to
 // wait for both. Already-served recommendations are unaffected (their
 // prices were captured in the plan); the next installed plan quotes the
-// new prices. from < 1 is treated as 1.
+// new prices. from < 1 is treated as 1; factor must be finite and within
+// a factor of 10^6 of 1.
 func (e *Engine) ScalePrice(i model.ItemID, from model.TimeStep, factor float64) error {
-	if int(i) < 0 || int(i) >= e.in.NumItems() {
-		return fmt.Errorf("serve: unknown item %d", i)
+	rec := store.Record{Type: store.RecScalePrice, Item: int32(i), T: int32(max(from, 1)), Factor: factor}
+	if err := e.check(rec); err != nil {
+		return err
 	}
-	if from < 1 {
-		from = 1
-	}
-	if int(from) > e.in.T {
-		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", from, e.in.T)
-	}
-	if factor <= 0 || math.IsInf(factor, 0) || math.IsNaN(factor) {
-		return fmt.Errorf("serve: price factor %v out of range (want finite > 0)", factor)
-	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.feedback <- feedbackMsg{price: &priceOp{item: i, from: from, factor: factor}}
-	return nil
-}
-
-// scalePrices applies a price rescale to the engine's instance. Called
-// only from the feedback loop (with no replan in flight) or from
-// single-threaded recovery replay.
-func (e *Engine) scalePrices(i model.ItemID, from model.TimeStep, factor float64) {
-	for t := from; int(t) <= e.in.T; t++ {
-		e.in.SetPrice(i, t, e.in.Price(i, t)*factor)
-	}
+	return e.enqueue(feedbackMsg{rec: rec})
 }
 
 // Sync blocks until every previously enqueued event is applied and —
@@ -986,7 +965,7 @@ func (e *Engine) loop() {
 	defer e.wg.Done()
 	var (
 		dirty    int             // adoptions not yet covered by a started replan
-		force    bool            // explicit replan requested (clock advance)
+		force    bool            // replan requested (stock, price or clock change)
 		inFlight chan struct{}   // closed when the running replan finishes
 		waiters  []chan struct{} // Flush barriers awaiting coverage
 		// pendingPrice holds price rescales that arrived while a replan
@@ -995,7 +974,7 @@ func (e *Engine) loop() {
 		// (events never read prices), so deferring them — and their WAL
 		// records, which must mirror application order — preserves both
 		// in-memory state and replay determinism.
-		pendingPrice []priceOp
+		pendingPrice []store.Record
 		// waitStart stamps the first uncovered replan trigger, feeding the
 		// replan trace's queue-wait child span (tracing only).
 		waitStart time.Time
@@ -1009,15 +988,26 @@ func (e *Engine) loop() {
 			waitStart = time.Now()
 		}
 	}
-	applyPrices := func() {
-		for _, op := range pendingPrice {
-			e.walAppend(store.Record{Type: store.RecScalePrice, Item: int32(op.item), T: int32(op.from), Factor: op.factor})
-			e.scalePrices(op.item, op.from, op.factor)
-			if e.incr {
-				e.sessDelta = append(e.sessDelta, sessEvent{kind: sessPrice, item: op.item, t: op.from, factor: op.factor})
-			}
-			force = true
+	// mutate logs one mutation record ahead of applying it and journals it
+	// for the incremental session: the same record, in the same order, in
+	// all three places.
+	mutate := func(rec store.Record) {
+		e.walAppend(rec)
+		adopted, forced := e.applyRecord(rec)
+		if e.incr {
+			e.sessDelta = append(e.sessDelta, rec)
+		}
+		if adopted {
+			dirty++
+		}
+		force = force || forced
+		if adopted || forced {
 			trigger()
+		}
+	}
+	applyPrices := func() {
+		for _, rec := range pendingPrice {
+			mutate(rec)
 		}
 		pendingPrice = nil
 	}
@@ -1027,7 +1017,7 @@ func (e *Engine) loop() {
 	// (stock walk + every shard's user maps) is skipped entirely. Before
 	// the session exists (first replan, recovery), the full view
 	// bootstraps it and subsumes whatever the journal holds.
-	capture := func(span *obs.Span) (planner.Feedback, []sessEvent) {
+	capture := func(span *obs.Span) (planner.Feedback, []store.Record) {
 		if e.incr && e.sessUp {
 			delta := e.sessDelta
 			e.sessDelta = nil
@@ -1098,9 +1088,8 @@ func (e *Engine) loop() {
 				}
 				applyPrices()
 				if !e.installOnly && (dirty > 0 || force) {
-					span := e.met.tracer.StartRemote("replan", pendingTrace.TraceID, pendingTrace.ParentID)
-					fb, delta := capture(span)
-					e.replanWith(fb, delta, span)
+					start()
+					<-inFlight
 				}
 				e.walSync()
 				for _, w := range waiters {
@@ -1135,37 +1124,16 @@ func (e *Engine) loop() {
 				msg.fb <- e.collectFeedback()
 			case msg.install != nil:
 				e.install(msg.install)
-			case msg.advance > 0:
-				e.walAppend(store.Record{Type: store.RecAdvance, T: int32(msg.advance)})
-				force = true
-				if msg.trace.TraceID != 0 {
-					pendingTrace = msg.trace
-				}
-				trigger()
-			case msg.stock != nil:
-				e.walAppend(store.Record{Type: store.RecSetStock, Item: int32(msg.stock.item), Stock: msg.stock.n})
-				e.stock[msg.stock.item].Store(msg.stock.n)
-				if e.incr {
-					e.sessDelta = append(e.sessDelta, sessEvent{kind: sessStock, item: msg.stock.item, n: int(msg.stock.n)})
-				}
-				force = true
-				trigger()
-			case msg.price != nil:
-				pendingPrice = append(pendingPrice, *msg.price)
+			case msg.rec.Type == store.RecScalePrice:
+				pendingPrice = append(pendingPrice, msg.rec)
 				if inFlight == nil {
 					applyPrices()
 				}
 			default:
-				e.walAppend(store.Record{Type: store.RecEvent, User: int32(msg.ev.User),
-					Item: int32(msg.ev.Item), T: int32(msg.ev.T), Adopted: msg.ev.Adopted})
-				if e.incr {
-					e.sessDelta = append(e.sessDelta, sessEvent{kind: sessObserve, user: msg.ev.User,
-						item: msg.ev.Item, t: msg.ev.T, adopt: msg.ev.Adopted})
+				if msg.trace.TraceID != 0 {
+					pendingTrace = msg.trace
 				}
-				if e.apply(msg.ev) {
-					dirty++
-					trigger()
-				}
+				mutate(msg.rec)
 			}
 			progress()
 		case <-inFlight:
@@ -1183,21 +1151,50 @@ func (e *Engine) loop() {
 // user-class in a long-running daemon under unbounded feedback.
 const maxExposuresPerClass = 64
 
-// apply folds one event into the store; it reports whether the event
-// was an adoption (the trigger currency for replanning).
-func (e *Engine) apply(ev Event) bool {
-	c := e.in.Class(ev.Item)
-	sh := &e.shards[shardIndex(ev.User, e.mask)]
+// applyRecord folds one checked mutation record into the engine's state,
+// live on the loop and replayed in recovery, so the recovered state is
+// bit-identical to the pre-crash state. It reports an adoption (counted
+// toward ReplanEvery) and a stock, price or clock change (a forced
+// replan). Rescales run with no replan in flight, or in recovery.
+func (e *Engine) applyRecord(rec store.Record) (adopted, force bool) {
+	switch rec.Type {
+	case store.RecEvent:
+		return e.apply(rec), false
+	case store.RecSetStock:
+		e.stock[rec.Item].Store(rec.Stock)
+	case store.RecScalePrice:
+		i := model.ItemID(rec.Item)
+		for t := model.TimeStep(rec.T); int(t) <= e.in.T; t++ {
+			e.in.SetPrice(i, t, e.in.Price(i, t)*rec.Factor)
+		}
+	case store.RecAdvance:
+		// A live advance moved the clock before it was enqueued, so
+		// lookups see it at once; a replayed one moves it here.
+		if t := int64(rec.T); t > e.now.Load() {
+			e.now.Store(t)
+		}
+	default:
+		return false, false // a plan-swap marker: recovery replans from recovered state
+	}
+	return false, true
+}
+
+// apply folds one event record into the user store and stock; it
+// reports whether the event was an adoption.
+func (e *Engine) apply(rec store.Record) bool {
+	u, item, t := model.UserID(rec.User), model.ItemID(rec.Item), model.TimeStep(rec.T)
+	c := e.in.Class(item)
+	sh := &e.shards[shardIndex(u, e.mask)]
 	sh.mu.Lock()
-	us := sh.state(ev.User)
+	us := sh.state(u)
 	if ts := us.exposures[c]; len(ts) >= maxExposuresPerClass {
 		copy(ts, ts[1:])
-		ts[len(ts)-1] = ev.T
+		ts[len(ts)-1] = t
 	} else {
-		us.exposures[c] = append(ts, ev.T)
+		us.exposures[c] = append(ts, t)
 	}
 	adopted := false
-	if ev.Adopted && !us.adopted[c] {
+	if rec.Adopted && !us.adopted[c] {
 		us.adopted[c] = true
 		adopted = true
 	}
@@ -1206,11 +1203,11 @@ func (e *Engine) apply(ev Event) bool {
 	if adopted {
 		// Floor at zero: oversell reports beyond capacity don't go negative.
 		for {
-			cur := e.stock[ev.Item].Load()
+			cur := e.stock[item].Load()
 			if cur <= 0 {
 				break
 			}
-			if e.stock[ev.Item].CompareAndSwap(cur, cur-1) {
+			if e.stock[item].CompareAndSwap(cur, cur-1) {
 				break
 			}
 		}
@@ -1266,27 +1263,32 @@ func (e *Engine) collectFeedback() planner.Feedback {
 // queued-but-unapplied events must be included. It is the state-export
 // hook a cross-engine coordinator replans from.
 func (e *Engine) Feedback() (planner.Feedback, error) {
-	e.closeMu.RLock()
-	if e.closed.Load() {
-		e.closeMu.RUnlock()
+	// A loop in crash-discard mode answers with a zero clock; a live
+	// engine's is always ≥ 1.
+	return askLoop(e, func(ch chan planner.Feedback) feedbackMsg { return feedbackMsg{fb: ch} },
+		e.collectFeedback, func(fb planner.Feedback) bool { return fb.Now != 0 })
+}
+
+// askLoop obtains one consistent capture of engine state: from the loop
+// between applies (ask wraps the reply channel in a control message), or
+// directly once the loop has drained after Close. A killed engine, or a
+// loop answering in crash-discard mode (live false), yields ErrKilled.
+func askLoop[T any](e *Engine, ask func(chan T) feedbackMsg, direct func() T, live func(T) bool) (T, error) {
+	var zero T
+	ch := make(chan T, 1)
+	if err := e.enqueue(ask(ch)); err != nil {
 		// The loop may still be draining buffered events after Close; wait
 		// for it so no apply is in flight mid-capture.
 		e.wg.Wait()
 		if e.killed.Load() {
-			return planner.Feedback{}, ErrKilled
+			return zero, ErrKilled
 		}
-		return e.collectFeedback(), nil
+		return direct(), nil
 	}
-	ch := make(chan planner.Feedback, 1)
-	e.feedback <- feedbackMsg{fb: ch}
-	e.closeMu.RUnlock()
-	fb := <-ch
-	if fb.Now == 0 {
-		// The loop answered in crash-discard mode (a live engine's clock is
-		// always ≥ 1).
-		return planner.Feedback{}, ErrKilled
+	if v := <-ch; live(v) {
+		return v, nil
 	}
-	return fb, nil
+	return zero, ErrKilled
 }
 
 // replanWith recomputes the strategy on the residual state induced by
@@ -1310,7 +1312,7 @@ func (e *Engine) Feedback() (planner.Feedback, error) {
 // delta-sync (or residual), index and swap phase children (the
 // solve attaches its own) and ends it. The caller must not touch span
 // afterwards.
-func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Span) {
+func (e *Engine) replanWith(fb planner.Feedback, delta []store.Record, span *obs.Span) {
 	start := time.Now()
 	var p *plan
 	if e.incr {
@@ -1325,15 +1327,8 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 				e.sess.SeedTriples(e.warmPrev)
 			}
 		} else {
-			for _, d := range delta {
-				switch d.kind {
-				case sessObserve:
-					e.sess.Observe(d.user, d.item, d.t, d.adopt)
-				case sessStock:
-					e.sess.SetStock(d.item, d.n)
-				case sessPrice:
-					e.sess.ScalePrice(d.item, d.t, d.factor)
-				}
+			for _, rec := range delta {
+				e.feedSession(rec)
 			}
 			e.sess.Advance(fb.Now)
 		}
@@ -1353,10 +1348,6 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 	}
 	ssp := span.Child("swap")
 	e.installPlan(p)
-	// Plan-swap marker: recovery replans from recovered state rather
-	// than trusting logged plans, but the marker lets offline tooling
-	// correlate log positions with plan generations.
-	e.walAppend(store.Record{Type: store.RecPlanSwap, Revision: e.revision.Load()})
 	ssp.End()
 	e.replans.Add(1)
 	d := time.Since(start)
@@ -1369,6 +1360,21 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []sessEvent, span *obs.Sp
 		obs.WithTrace(e.logger, span).Info("replan complete",
 			"revision", p.revision, "triples", p.triples, "revenue", p.revenue,
 			"now", int64(fb.Now), "duration_ms", float64(d.Microseconds())/1e3)
+	}
+}
+
+// feedSession journals one applied mutation record into the incremental
+// session, in the order the loop applied it. Clock advances are skipped:
+// the replan stamps the session with the clock it captured, mirroring
+// collectFeedback's Now.
+func (e *Engine) feedSession(rec store.Record) {
+	switch rec.Type {
+	case store.RecEvent:
+		e.sess.Observe(model.UserID(rec.User), model.ItemID(rec.Item), model.TimeStep(rec.T), rec.Adopted)
+	case store.RecSetStock:
+		e.sess.SetStock(model.ItemID(rec.Item), int(rec.Stock))
+	case store.RecScalePrice:
+		e.sess.ScalePrice(model.ItemID(rec.Item), model.TimeStep(rec.T), rec.Factor)
 	}
 }
 
@@ -1394,20 +1400,16 @@ func (e *Engine) InstallPlan(ctx context.Context, fp *model.Plan, revenue float6
 	if fp == nil || fp.Instance().NumCands() != e.in.NumCands() {
 		return errors.New("serve: InstallPlan plan does not address this engine's candidates")
 	}
-	if from < 1 || int(from) > e.in.T {
-		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", from, e.in.T)
+	if err := e.checkStep(from); err != nil {
+		return err
 	}
 	ref := obs.TraceRefFromContext(ctx)
 	op := &installOp{fp: fp, revenue: revenue, from: from, done: make(chan error, 1),
 		span: e.met.tracer.StartRemote("install", ref.TraceID, ref.ParentID)}
-	e.closeMu.RLock()
-	if e.closed.Load() {
-		e.closeMu.RUnlock()
+	if err := e.enqueue(feedbackMsg{install: op}); err != nil {
 		op.span.Drop()
-		return ErrClosed
+		return err
 	}
-	e.feedback <- feedbackMsg{install: op}
-	e.closeMu.RUnlock()
 	return <-op.done
 }
 
@@ -1419,7 +1421,6 @@ func (e *Engine) install(op *installOp) {
 	isp.End()
 	ssp := op.span.Child("swap")
 	e.installPlan(p)
-	e.walAppend(store.Record{Type: store.RecPlanSwap, Revision: p.revision})
 	ssp.End()
 	e.replans.Add(1)
 	d := time.Since(start)

@@ -64,7 +64,8 @@ func traceContext(tr *obs.Tracer, w http.ResponseWriter, r *http.Request, op str
 //	GET  /healthz                  liveness + SLO verdicts (JSON)
 //	GET  /v1/recommend?user=U&t=T  one user's recommendations at T
 //	POST /v1/recommend/batch       {"users":[...],"t":T}
-//	POST /v1/adopt                 {"user":U,"item":I,"t":T,"adopted":B}
+//	POST /v1/adopt                 {"user":U,"item":I,"t":T,"adopted":B} — 202 means
+//	                               validated and enqueued; durable after a Flush or Sync
 //	POST /v1/advance               {"now":T} — move the serving clock
 //	GET  /v1/stats                 summary (JSON), from b.WriteStats
 //	GET  /metrics                  Prometheus text, from b.WriteMetrics

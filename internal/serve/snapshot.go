@@ -133,29 +133,11 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	return e.encodeSnapshot(w, st)
 }
 
-// capture obtains one consistent snapState: through the feedback loop
-// while it runs, directly once the engine is closed (no writers left).
+// capture obtains one consistent snapState (askLoop); a loop in
+// crash-discard mode answers with no instance.
 func (e *Engine) capture() (snapState, error) {
-	e.closeMu.RLock()
-	if e.closed.Load() {
-		e.closeMu.RUnlock()
-		// The loop may still be draining buffered events after Close;
-		// wait for it to exit so no apply is in flight mid-capture.
-		e.wg.Wait()
-		if e.killed.Load() {
-			return snapState{}, ErrKilled
-		}
-		return e.captureState(), nil
-	}
-	ch := make(chan snapState, 1)
-	e.feedback <- feedbackMsg{snap: ch}
-	e.closeMu.RUnlock()
-	st := <-ch
-	if st.in == nil {
-		// The loop answered in crash-discard mode.
-		return snapState{}, ErrKilled
-	}
-	return st, nil
+	return askLoop(e, func(ch chan snapState) feedbackMsg { return feedbackMsg{snap: ch} },
+		e.captureState, func(st snapState) bool { return st.in != nil })
 }
 
 // encodeSnapshot serializes a captured state. The captured instance and

@@ -138,6 +138,17 @@ func withPlanSection(t testing.TB, img, sec []byte) []byte {
 	return reseal(body)
 }
 
+// withFeedback returns img with its feedback section replaced by the
+// given raw u32 words (the user count first), resealed.
+func withFeedback(t testing.TB, img []byte, words ...uint32) []byte {
+	t.Helper()
+	body := append([]byte(nil), img[:snapBounds(t, img)[endPlan]]...)
+	for _, w := range words {
+		body = binary.LittleEndian.AppendUint32(body, w)
+	}
+	return reseal(body)
+}
+
 // withPlan returns img with its plan replaced by the given raw CandIDs.
 func withPlan(t testing.TB, img []byte, ids ...uint32) []byte {
 	t.Helper()
@@ -160,9 +171,9 @@ type snapCorruption struct {
 
 // snapCorruptions lists the damage every v2 image reader must reject:
 // a flipped byte, a cut trailer, truncation at every section boundary
-// (resealed, so the section parsers see it), a v1 JSON image, a plan
-// CandID out of range, repeated or descending, and counts larger than
-// the file. Each corruption reads the sections of the image it is
+// (resealed, so the section parsers see it), a v1 JSON image, a clock of
+// 0, a plan CandID out of range, repeated or descending, a repeated
+// feedback user or adopted class, and counts larger than the file. Each corruption reads the sections of the image it is
 // handed, which must plan at least two candidates.
 func snapCorruptions() []snapCorruption {
 	huge := binary.LittleEndian.AppendUint32(nil, 1<<31-1)
@@ -175,6 +186,11 @@ func snapCorruptions() []snapCorruption {
 		{"truncated trailer", "checksum", func(t testing.TB, img []byte) []byte { return img[:len(img)-2] }},
 		{"no trailer", "checksum", func(t testing.TB, img []byte) []byte { return img[:len(img)-4] }},
 		{"v1 JSON image", "version 1", func(testing.TB, []byte) []byte { return []byte(v1Image) }},
+		{"clock 0", "snapshot clock 0", func(t testing.TB, img []byte) []byte {
+			body := append([]byte(nil), img[:len(img)-4]...)
+			binary.LittleEndian.PutUint32(body[snapHeaderLen:], 0)
+			return reseal(body)
+		}},
 		{"CandID out of range", "out of range", func(t testing.TB, img []byte) []byte {
 			_, n := planIDs(t, img)
 			return withPlan(t, img, uint32(n))
@@ -186,6 +202,14 @@ func snapCorruptions() []snapCorruption {
 		{"descending CandIDs", "not ascending", func(t testing.TB, img []byte) []byte {
 			ids, _ := planIDs(t, img)
 			return withPlan(t, img, ids[1], ids[0])
+		}},
+		{"repeated feedback user", "out-of-order user", func(t testing.TB, img []byte) []byte {
+			// Users 0 and 0, neither with adopted or exposed classes.
+			return withFeedback(t, img, 2, 0, 0, 0, 0, 0, 0)
+		}},
+		{"repeated adopted class", "classes of feedback user 0 are not ascending", func(t testing.TB, img []byte) []byte {
+			// User 0 adopted class 0 twice and has no exposures.
+			return withFeedback(t, img, 1, 0, 2, 0, 0, 0)
 		}},
 		{"plan count beyond file", "plan count", func(t testing.TB, img []byte) []byte { return withPlanSection(t, img, huge) }},
 		{"candidate count beyond file", "candidates need", func(t testing.TB, img []byte) []byte {
