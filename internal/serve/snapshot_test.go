@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -248,4 +250,50 @@ func planIDs(t testing.TB, img []byte) ([]uint32, int) {
 		t.Fatalf("plan corruptions need two planned candidates, the image plans %d", st.plan.Len())
 	}
 	return ids, st.in.NumCands()
+}
+
+// pinnedImageSHA256 is the SHA-256 of the image pinnedScript leaves
+// behind, recorded while the engine still kept per-user feedback in maps.
+// The image must not move when the in-memory form does: a change here is
+// a change of the snapshot format (or of what the engine plans), which
+// needs a SnapshotVersion bump or a stated reason.
+const pinnedImageSHA256 = "2a461632b0a67cd68f1b8a7b3af51ebaa420b03a27944552de6655894149db5a"
+
+// pinnedScript drives e through every kind of mutation the image
+// records — adoptions, exposures past maxExposuresPerClass on one
+// (user, class), a stock override, a price rescale and a clock advance —
+// with a flush after each, so every replan lands deterministically.
+func pinnedScript(t *testing.T, e *Engine) {
+	t.Helper()
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+	}
+	for u := 0; u < 6; u++ {
+		step(e.Feed(Event{User: model.UserID(u), Item: model.ItemID(u % 5), T: 1, Adopted: u%2 == 0}))
+	}
+	for k := 0; k < 70; k++ {
+		step(e.Feed(Event{User: 7, Item: model.ItemID(1 + 4*(k%2)), T: model.TimeStep(1 + k%3)}))
+	}
+	step(e.Feed(Event{User: 9, Item: 3, T: 2}))
+	step(e.Feed(Event{User: 9, Item: 2, T: 1, Adopted: true}))
+	step(e.SetStock(4, 1))
+	step(e.ScalePrice(2, 2, 1.25))
+	step(e.SetNow(2))
+	step(e.Feed(Event{User: 11, Item: 6, T: 2, Adopted: true}))
+}
+
+// TestSnapshotImagePinned holds the whole image of a scripted engine to
+// a committed hash, so a refactor of how the engine holds its state
+// cannot move the format while still round-tripping through itself.
+func TestSnapshotImagePinned(t *testing.T) {
+	e := newTestEngine(t, testInstance(t, 40, 8, 3, 2, 23), Config{ReplanEvery: 1000})
+	pinnedScript(t, e)
+	img := snapshotBytes(t, e)
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != pinnedImageSHA256 {
+		t.Fatalf("snapshot image SHA-256 %s, want %s (%d bytes)", got, pinnedImageSHA256, len(img))
+	}
 }
