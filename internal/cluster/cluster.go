@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -58,12 +57,6 @@ import (
 // collide; 0xFFFF keeps the coordinator clear of any realistic shard
 // count.
 const coordTraceOrigin = 0xFFFF
-
-// maxExposuresPerClass caps the exposure history the coordinator
-// session retains per (user, class) — the same cap every shard engine
-// applies to its own history and feedback exports, so the session's
-// reconciled view matches the merged barrier feedback exactly.
-const maxExposuresPerClass = 64
 
 // Config tunes a Cluster. Planning fields mirror serve.Config — they
 // configure the coordinator's global solves; shard engines never solve.
@@ -761,20 +754,10 @@ func (c *Cluster) Stock(i model.ItemID) (int, error) {
 
 // ScalePrice multiplies item i's price by factor from step `from` on,
 // on the global instance and every shard, and schedules a coordinated
-// replan.
+// replan. Every shard engine holds the full item catalog, so the first
+// shard's range check (serve.Engine.ScalePrice) rejects a bad rescale
+// before any shard applies it.
 func (c *Cluster) ScalePrice(i model.ItemID, from model.TimeStep, factor float64) error {
-	if int(i) < 0 || int(i) >= c.inst().NumItems() {
-		return fmt.Errorf("cluster: unknown item %d", i)
-	}
-	if from < 1 {
-		from = 1
-	}
-	if int(from) > c.inst().T {
-		return fmt.Errorf("cluster: time step %d outside horizon [1,%d]", from, c.inst().T)
-	}
-	if factor <= 0 || math.IsInf(factor, 0) || math.IsNaN(factor) {
-		return fmt.Errorf("cluster: price factor %v out of range (want finite > 0)", factor)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -794,14 +777,13 @@ func (c *Cluster) ScalePrice(i model.ItemID, from model.TimeStep, factor float64
 	// rescaled table is built on a clone and published atomically, so
 	// Instance() readers never race the price writes.
 	fresh := c.inst().Clone()
-	for t := from; int(t) <= fresh.T; t++ {
-		fresh.SetPrice(i, t, fresh.Price(i, t)*factor)
-	}
+	fresh.ScalePrice(i, from, factor)
 	c.global.Store(fresh)
 	if c.sess != nil {
 		// The session plans from its own instance clone; mirror the
-		// rescale there (same per-step multiply, so the session's price
-		// table stays bit-identical to the published global's).
+		// rescale there (the same model.Instance.ScalePrice, so the
+		// session's price table stays bit-identical to the published
+		// global's).
 		c.sess.ScalePrice(i, from, factor)
 	}
 	c.force.Store(true)
@@ -1005,7 +987,7 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 		if c.sess == nil {
 			c.sess = core.NewSession(c.inst(), core.SessionConfig{
 				Seeded:       c.warm,
-				MaxExposures: maxExposuresPerClass,
+				MaxExposures: model.MaxExposuresPerClass,
 			})
 			planner.SyncSession(c.sess, fb)
 			if c.warm && len(c.warmPrev) > 0 {
@@ -1048,16 +1030,14 @@ func (c *Cluster) solveAndInstall(residual *model.Instance, sp *obs.Span) *globa
 }
 
 // gatherFeedback merges the shards' consistent feedback exports into
-// one global view. User keys are re-keyed shard-local → global; the
-// key sets are disjoint by construction, so merging is pure re-keying.
-// Stock comes from the coordinator (just reconciled), Now from the
-// cluster clock.
+// one global view. Users are placed shard-local → global; the shards
+// partition the user base, so merging is pure placement. Stock comes
+// from the coordinator (just reconciled), Now from the cluster clock.
 func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 	out := planner.Feedback{
-		AdoptedClass: make(map[model.UserID]map[model.ClassID]bool),
-		Exposures:    make(map[model.UserID]map[model.ClassID][]model.TimeStep),
-		Stock:        make([]int, len(c.co.stock)),
-		Now:          model.TimeStep(c.clock.Load()),
+		Users: make([]model.UserFeedback, c.inst().NumUsers),
+		Stock: make([]int, len(c.co.stock)),
+		Now:   model.TimeStep(c.clock.Load()),
 	}
 	for i, r := range c.co.stock {
 		out.Stock[i] = int(r)
@@ -1069,11 +1049,8 @@ func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 		if err != nil {
 			return planner.Feedback{}, fmt.Errorf("cluster: shard %d: %w", k, err)
 		}
-		for lu, classes := range fb.AdoptedClass {
-			out.AdoptedClass[globalID(k, lu, c.n)] = classes
-		}
-		for lu, exp := range fb.Exposures {
-			out.Exposures[globalID(k, lu, c.n)] = exp
+		for lu := range fb.Users {
+			out.Users[globalID(k, model.UserID(lu), c.n)] = fb.Users[lu]
 		}
 	}
 	return out, nil

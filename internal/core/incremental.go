@@ -18,8 +18,8 @@ type SessionConfig struct {
 	Seeded bool
 	// MaxExposures bounds each (user, class) exposure list, evicting the
 	// oldest exposure once the cap is reached — it must equal the bound
-	// the feeding layer applies (serve uses 64) or saturation memories
-	// diverge. 0 means unbounded.
+	// the feeding layer applies (serving uses model.MaxExposuresPerClass)
+	// or saturation memories diverge. 0 means unbounded.
 	MaxExposures int
 }
 
@@ -96,21 +96,15 @@ type Session struct {
 	// stable for the session's lifetime (the heap holds them).
 	entries []pqueue.Entry
 
-	// Feedback state, mirrored from the feeding layer's event order.
-	now       model.TimeStep
-	adopted   []bool             // per group: class adopted by the user
-	exposures [][]model.TimeStep // per group: realized exposure times
-	// adoptedX dedups adoptions for (user, class) pairs without any
-	// candidate group — they still consume stock exactly once, like the
-	// serving engine's per-user adopted set.
-	adoptedX map[uint64]bool
-	stock    []int // per item; the capacity source of truth
-
-	// stateGroups lists groups holding any adopted/exposure state, so
-	// LoadFeedback can diff for regressions (crash recovery) without an
-	// all-groups sweep.
-	stateGroups []int32
-	groupMarked []bool
+	// Feedback state, mirrored from the feeding layer's event order:
+	// users[u] is user u's history (adopted classes, exposure times), in
+	// the form the serving engine keeps, so an adoption consumes stock
+	// exactly once whether or not its (user, class) has candidates.
+	now   model.TimeStep
+	users []model.UserFeedback
+	stock []int // per item; the capacity source of truth
+	// diff is LoadFeedback's scratch list of changed classes.
+	diff []model.ClassID
 
 	// alive caches the aliveness predicate per candidate (alive ⟺ present
 	// in the residual instance). Nothing else per candidate is cached:
@@ -192,10 +186,8 @@ func NewSession(in *model.Instance, cfg SessionConfig) *Session {
 		heap:         pqueue.NewTwoLevelDense(cl.NumPairs(), pairCaps(cl)),
 		entries:      make([]pqueue.Entry, n),
 		now:          1,
-		adopted:      make([]bool, cl.NumGroups()),
-		exposures:    make([][]model.TimeStep, cl.NumGroups()),
+		users:        make([]model.UserFeedback, cl.NumUsers),
 		stock:        make([]int, cl.NumItems()),
-		groupMarked:  make([]bool, cl.NumGroups()),
 		alive:        make([]bool, n),
 		dirtySeen:    make([]bool, n),
 		replaySeen:   make([]bool, cl.NumGroups()),
@@ -336,14 +328,6 @@ func (s *Session) markItem(i model.ItemID) {
 	}
 }
 
-// markGroupState records that group g now holds feedback state.
-func (s *Session) markGroupState(g int32) {
-	if !s.groupMarked[g] {
-		s.groupMarked[g] = true
-		s.stateGroups = append(s.stateGroups, g)
-	}
-}
-
 // dirtyGroupAfter marks group g's candidates at steps strictly after
 // tau dirty (a tau of 0 marks the whole group: memory and adoption
 // changes reach every step).
@@ -373,88 +357,29 @@ func (s *Session) setStock(i model.ItemID, n int) {
 }
 
 // Observe journals one realized recommendation outcome — the AdoptDelta
-// of the event journal, mirroring serve.Engine's apply: the exposure
-// always accrues saturation memory (evicting the oldest beyond
-// MaxExposures), and a first adoption in the class marks the class
-// adopted and consumes one unit of stock (floored at zero).
+// of the event journal, mirroring serve.Engine's apply through the same
+// model.UserFeedback.Observe: the exposure always accrues saturation
+// memory (evicting the oldest beyond MaxExposures), and a first adoption
+// in the class marks the class adopted and consumes one unit of stock
+// (floored at zero).
 func (s *Session) Observe(u model.UserID, i model.ItemID, t model.TimeStep, adopted bool) {
 	c := s.in.Class(i)
-	g, hasG := s.in.GroupID(u, c)
-	if hasG {
-		ts := s.exposures[g]
-		if s.cfg.MaxExposures > 0 && len(ts) >= s.cfg.MaxExposures {
+	first, evicted := s.users[u].Observe(c, t, adopted, s.cfg.MaxExposures)
+	if g, ok := s.in.GroupID(u, c); ok {
+		switch {
+		case first:
+			s.dirtyGroupAfter(g, 0) // an adoption reaches every step
+		case evicted != 0:
 			// Eviction shifts every remembered time: memory can move in
-			// either direction at any step after the dropped exposure, so
-			// the whole group is dirty.
-			evicted := ts[0]
-			copy(ts, ts[1:])
-			ts[len(ts)-1] = t
+			// either direction at any step after the dropped exposure.
 			s.dirtyGroupAfter(g, min(evicted, t))
-		} else {
-			s.exposures[g] = append(ts, t)
+		default:
 			s.dirtyGroupAfter(g, t)
 		}
-		s.markGroupState(g)
 	}
-	if !adopted {
-		return
-	}
-	already := false
-	if hasG {
-		already = s.adopted[g]
-		s.adopted[g] = true
-	} else {
-		k := groupXKey(u, c)
-		already = s.adoptedX[k]
-		if s.adoptedX == nil {
-			s.adoptedX = make(map[uint64]bool)
-		}
-		s.adoptedX[k] = true
-	}
-	if already {
-		return
-	}
-	if hasG {
-		s.dirtyGroupAfter(g, 0)
-	}
-	if s.stock[i] > 0 {
+	if first && s.stock[i] > 0 {
 		s.setStock(i, s.stock[i]-1)
 	}
-}
-
-// AdoptClass journals an adoption flag alone — no exposure, no stock
-// side effect. It is the bootstrap path for loading an externally
-// accounted feedback view (LoadFeedback), where stock arrives
-// separately.
-func (s *Session) AdoptClass(u model.UserID, c model.ClassID) {
-	if g, ok := s.in.GroupID(u, c); ok {
-		if !s.adopted[g] {
-			s.adopted[g] = true
-			s.dirtyGroupAfter(g, 0)
-		}
-		s.markGroupState(g)
-	} else {
-		if s.adoptedX == nil {
-			s.adoptedX = make(map[uint64]bool)
-		}
-		s.adoptedX[groupXKey(u, c)] = true
-	}
-}
-
-// SetExposures journals a verbatim replacement of one (user, class)
-// exposure list — the bootstrap/reconcile path. The list is copied; a
-// list equal to the current one is a no-op (no dirtying).
-func (s *Session) SetExposures(u model.UserID, c model.ClassID, ts []model.TimeStep) {
-	g, ok := s.in.GroupID(u, c)
-	if !ok {
-		return
-	}
-	if timesEqual(s.exposures[g], ts) {
-		return
-	}
-	s.exposures[g] = append(s.exposures[g][:0:0], ts...)
-	s.dirtyGroupAfter(g, 0)
-	s.markGroupState(g)
 }
 
 // SetStock journals an exogenous stock override (the StockDelta).
@@ -463,16 +388,11 @@ func (s *Session) SetStock(i model.ItemID, n int) {
 }
 
 // ScalePrice journals a price rescale (the PriceDelta): item i's price
-// is multiplied by factor from step `from` through the horizon end,
-// with the same float evaluation order as serve.Engine's scalePrices so
-// both instances stay bit-identical.
+// is multiplied by factor from step `from` through the horizon end
+// through model.Instance.ScalePrice, the rescale serve.Engine applies,
+// so both instances stay bit-identical.
 func (s *Session) ScalePrice(i model.ItemID, from model.TimeStep, factor float64) {
-	if from < 1 {
-		from = 1
-	}
-	for t := from; int(t) <= s.in.T; t++ {
-		s.in.SetPrice(i, t, s.in.Price(i, t)*factor)
-	}
+	s.in.ScalePrice(i, from, factor)
 	for _, id := range s.in.ItemCandIDs(i) {
 		if s.in.CandAt(id).T >= from {
 			s.markDirty(id)
@@ -528,47 +448,34 @@ func (s *Session) SeedTriples(warm []model.Triple) {
 }
 
 // LoadFeedback reconciles the session against a complete external
-// feedback view (planner.Feedback's fields), diffing instead of
-// rebuilding: only (user, class) groups whose adopted flag or exposure
-// list actually changed — in either direction, so a crash-recovered
-// view that lost events also converges — dirty their candidates, and
-// only items whose stock moved re-sync. stock may be nil (untouched).
-func (s *Session) LoadFeedback(
-	adopted map[model.UserID]map[model.ClassID]bool,
-	exposures map[model.UserID]map[model.ClassID][]model.TimeStep,
-	stock []int,
-	now model.TimeStep,
-) {
-	// Regression pass: state the session holds that the view no longer
-	// does must be cleared (kill -9 recovery can lose applied events).
-	for _, g := range s.stateGroups {
-		u, c, ok := s.groupUC(g)
-		if !ok {
+// feedback view (planner.Feedback's fields: per-user histories dense by
+// UserID — nil or short means no observations — stock, clock), diffing
+// instead of rebuilding: only (user, class) groups whose adopted flag or
+// exposure list actually changed — in either direction, so a
+// crash-recovered view that lost events also converges — dirty their
+// candidates, and only items whose stock moved re-sync. The session
+// keeps copies of the histories it takes over. stock may be nil
+// (untouched).
+func (s *Session) LoadFeedback(users []model.UserFeedback, stock []int, now model.TimeStep) {
+	var none model.UserFeedback
+	for u := range s.users {
+		v := &none
+		if u < len(users) {
+			v = &users[u]
+		}
+		cur := &s.users[u]
+		if cur.Empty() && v.Empty() {
 			continue
 		}
-		if s.adopted[g] && !adopted[u][c] {
-			s.adopted[g] = false
-			s.dirtyGroupAfter(g, 0)
+		if s.diff = cur.DiffClasses(v, s.diff[:0]); len(s.diff) == 0 {
+			continue
 		}
-		if len(s.exposures[g]) > 0 {
-			if ts := exposures[u][c]; !timesEqual(s.exposures[g], ts) {
-				s.exposures[g] = append(s.exposures[g][:0:0], ts...)
+		// The new history goes in first: dirtying refreshes eagerly.
+		*cur = v.Clone()
+		for _, c := range s.diff {
+			if g, ok := s.in.GroupID(model.UserID(u), c); ok {
 				s.dirtyGroupAfter(g, 0)
 			}
-		}
-	}
-	// Forward pass: adopt the view's state where it differs.
-	s.adoptedX = nil
-	for u, cs := range adopted {
-		for c, v := range cs {
-			if v {
-				s.AdoptClass(u, c)
-			}
-		}
-	}
-	for u, cs := range exposures {
-		for c, ts := range cs {
-			s.SetExposures(u, c, ts)
 		}
 	}
 	if stock != nil {
@@ -579,17 +486,6 @@ func (s *Session) LoadFeedback(
 		}
 	}
 	s.Advance(now)
-}
-
-// groupUC resolves a group back to its (user, class) through the
-// group's first candidate.
-func (s *Session) groupUC(g int32) (model.UserID, model.ClassID, bool) {
-	ids := s.in.GroupCandIDs(g)
-	if len(ids) == 0 {
-		return 0, 0, false
-	}
-	c := s.in.CandAt(ids[0])
-	return c.U, s.in.Class(c.I), true
 }
 
 // Solve replans from the seeded persistent state. See SolveCtx.
@@ -828,13 +724,14 @@ func (s *Session) unwindReplaySet() ([]model.CandID, int) {
 func (s *Session) refresh(id model.CandID) {
 	c := s.in.CandAt(id)
 	g := s.in.GroupOf(id)
+	f, cl := &s.users[c.U], s.in.Class(c.I)
 	q := s.base.CandAt(id).Q
 	if q > 0 {
-		q = model.Discount(q, s.in.Beta(c.I), model.SaturationMemory(s.exposures[g], c.T))
+		q = model.Discount(q, s.in.Beta(c.I), model.SaturationMemory(f.Exposures(cl), c.T))
 	}
 	s.in.SetCandQ(id, q)
 	ub := s.in.Price(c.I, c.T) * q
-	alive := c.T >= s.now && !s.adopted[g] && s.stock[c.I] > 0 && q > 0
+	alive := c.T >= s.now && !f.HasAdopted(cl) && s.stock[c.I] > 0 && q > 0
 	wasAlive := s.alive[id]
 	s.alive[id] = alive
 	if s.st.p.Contains(id) {
@@ -962,22 +859,6 @@ func (s *Session) scan(ctx context.Context, progress ProgressFn) (selections, re
 // same strategy on planner.Residual of the base instance.
 func (s *Session) Revenue(strat *model.Strategy) float64 {
 	return revenue.Revenue(s.in, strat)
-}
-
-func groupXKey(u model.UserID, c model.ClassID) uint64 {
-	return uint64(uint32(u))<<32 | uint64(uint32(c))
-}
-
-func timesEqual(a, b []model.TimeStep) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func min(a, b model.TimeStep) model.TimeStep {

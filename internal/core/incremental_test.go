@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -76,6 +77,25 @@ func (w *refWorld) observe(u model.UserID, i model.ItemID, t model.TimeStep, ado
 }
 
 func (w *refWorld) setStock(i model.ItemID, n int) { w.stock[i] = n }
+
+// users converts the oracle's maps into the dense, class-sorted form
+// Session.LoadFeedback takes.
+func (w *refWorld) users() []model.UserFeedback {
+	out := make([]model.UserFeedback, w.base.NumUsers)
+	for u, cs := range w.adopted {
+		for c := range cs {
+			out[u].Adopted = append(out[u].Adopted, c)
+		}
+		slices.Sort(out[u].Adopted)
+	}
+	for u, cs := range w.exposures {
+		for c, ts := range cs {
+			out[u].Exposed = append(out[u].Exposed, model.ClassExposures{Class: c, Times: slices.Clone(ts)})
+		}
+		slices.SortFunc(out[u].Exposed, func(a, b model.ClassExposures) int { return int(a.Class) - int(b.Class) })
+	}
+	return out
+}
 
 func (w *refWorld) scalePrice(i model.ItemID, from model.TimeStep, factor float64) {
 	if from < 1 {
@@ -384,7 +404,7 @@ func TestSessionLoadFeedbackReconciles(t *testing.T) {
 
 	// Recovery: reconcile against the durable view and re-seed with the
 	// last installed plan.
-	sess.LoadFeedback(w.adopted, w.exposures, w.stock, w.now)
+	sess.LoadFeedback(w.users(), w.stock, w.now)
 	sess.SeedTriples(prev)
 	got := solveChecked(t, sess)
 	want := GGreedyWarm(w.residual(), prev)
@@ -609,12 +629,12 @@ func assertDirtySuperset(t *testing.T, s *Session) {
 	for id := 0; id < len(s.entries); id++ {
 		cid := model.CandID(id)
 		c := s.in.CandAt(cid)
-		g := s.in.GroupOf(cid)
+		f, cl := &s.users[c.U], s.in.Class(c.I)
 		q := s.base.CandAt(cid).Q
 		if q > 0 {
-			q = model.Discount(q, s.in.Beta(c.I), model.SaturationMemory(s.exposures[g], c.T))
+			q = model.Discount(q, s.in.Beta(c.I), model.SaturationMemory(f.Exposures(cl), c.T))
 		}
-		alive := c.T >= s.now && !s.adopted[g] && s.stock[c.I] > 0 && q > 0
+		alive := c.T >= s.now && !f.HasAdopted(cl) && s.stock[c.I] > 0 && q > 0
 		if (math.Float64bits(q) != math.Float64bits(c.Q) || alive != s.alive[id]) && !s.dirtySeen[id] {
 			t.Fatalf("cand %d (%v) stale but not dirty: q′ %.17g→%.17g alive %v→%v",
 				id, c.Triple, c.Q, q, s.alive[id], alive)
@@ -646,5 +666,26 @@ func TestSessionFootprint(t *testing.T) {
 	const limit = 140
 	if perCand > limit {
 		t.Fatalf("session retains %.1f B per candidate, want ≤ %d", perCand, limit)
+	}
+}
+
+// TestSessionExposureDirtiesOnlyLaterSteps pins the exact fan-out of one
+// exposure: saturation memory at τ reaches only steps strictly after τ,
+// so in a group with candidates at t = 1, 2, 3 an exposure at τ = 2
+// dirties exactly the t = 3 candidate.
+func TestSessionExposureDirtiesOnlyLaterSteps(t *testing.T) {
+	in := model.NewInstance(1, 1, 3, 1)
+	in.SetItem(0, 0, 0.5, 1)
+	for ts := model.TimeStep(1); ts <= 3; ts++ {
+		in.SetPrice(0, ts, 10)
+		in.AddCandidate(0, 0, ts, 0.5)
+	}
+	in.FinishCandidates()
+	sess := NewSession(in, SessionConfig{Seeded: true, MaxExposures: 3})
+	sess.Solve()
+	sess.Observe(0, 0, 2, false)
+	sess.Solve()
+	if got := sess.LastStats().DirtyCands; got != 1 {
+		t.Fatalf("an exposure at τ=2 dirtied %d candidates, want 1 (the t=3 one)", got)
 	}
 }

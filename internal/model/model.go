@@ -140,6 +140,32 @@ func (in *Instance) Price(i ItemID, t TimeStep) float64 {
 	return in.prices[i][t-1]
 }
 
+// MinPrice and MaxPrice bound every price ScalePrice writes. Rescales
+// compose multiplicatively, so without a bound a run of them underflows
+// a price to zero or overflows it to +Inf. At MaxPrice, revenue stays
+// finite: it sums at most one price-weighted probability (≤ 1) per
+// candidate, and fewer than 2^31 candidates times 10^12 is below 10^22.
+const (
+	MinPrice = 1e-9
+	MaxPrice = 1e12
+)
+
+// ScalePrice multiplies item i's price by f at every step in [from, T]
+// (from < 1 counts as 1), saturating each positive product into
+// [MinPrice, MaxPrice]; a zero product (a free item, or f = 0) stays
+// zero. It is the one rescale serving engines, incremental sessions and
+// cluster coordinators apply, so their price tables stay bit-identical
+// and a replayed rescale lands where the live one did.
+func (in *Instance) ScalePrice(i ItemID, from TimeStep, f float64) {
+	for t := max(from, 1); int(t) <= in.T; t++ {
+		p := in.Price(i, t) * f
+		if p > 0 {
+			p = min(max(p, MinPrice), MaxPrice)
+		}
+		in.SetPrice(i, t, p)
+	}
+}
+
 // AddCandidate registers a candidate triple with primitive adoption
 // probability q. Candidates with q <= 0 are ignored, mirroring the paper:
 // zero-probability triples are never part of the input.

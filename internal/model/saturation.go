@@ -7,8 +7,8 @@ import "math"
 // It is the single implementation shared by open-loop planning,
 // step-wise replanning, online serving, and incremental solver
 // sessions — change the memory kernel here and every consumer moves
-// together. (planner.SaturationMemory delegates here; the kernel lives
-// in model so core can use it without importing planner.)
+// together. (The kernel lives in model so core can use it without
+// importing planner.)
 func SaturationMemory(exposures []TimeStep, t TimeStep) float64 {
 	mem := 0.0
 	for _, tau := range exposures {

@@ -14,5 +14,5 @@ import (
 // SyncSession, session.Solve() is byte-identical to solving
 // Residual(base, fb) from scratch.
 func SyncSession(s *core.Session, fb Feedback) {
-	s.LoadFeedback(fb.AdoptedClass, fb.Exposures, fb.Stock, fb.Now)
+	s.LoadFeedback(fb.Users, fb.Stock, fb.Now)
 }

@@ -29,12 +29,9 @@ type Planner struct {
 	in   *model.Instance
 	algo Algorithm
 
-	// adoptedClass[u][c] marks that user u already purchased from class
-	// c; further recommendations in c are pointless.
-	adoptedClass map[model.UserID]map[model.ClassID]bool
-	// exposures[u][c] records past exposure times per user and class for
-	// saturation memory.
-	exposures map[model.UserID]map[model.ClassID][]model.TimeStep
+	// users[u] is user u's observed history: adopted classes and
+	// (unbounded) exposure times per class.
+	users []model.UserFeedback
 	// stock is the remaining capacity per item.
 	stock []int
 
@@ -44,12 +41,11 @@ type Planner struct {
 // New returns a planner over in using algo for (re)planning.
 func New(in *model.Instance, algo Algorithm) *Planner {
 	p := &Planner{
-		in:           in,
-		algo:         algo,
-		adoptedClass: make(map[model.UserID]map[model.ClassID]bool),
-		exposures:    make(map[model.UserID]map[model.ClassID][]model.TimeStep),
-		stock:        make([]int, in.NumItems()),
-		now:          1,
+		in:    in,
+		algo:  algo,
+		users: make([]model.UserFeedback, in.NumUsers),
+		stock: make([]int, in.NumItems()),
+		now:   1,
 	}
 	for i := range p.stock {
 		p.stock[i] = in.Capacity(model.ItemID(i))
@@ -113,23 +109,9 @@ func (p *Planner) Observe(issued []Recommendation, adopted []model.Triple) error
 		if z.T != p.now {
 			return errors.New("planner: issued recommendation for a different time step")
 		}
-		c := p.in.Class(z.I)
-		exp := p.exposures[z.U]
-		if exp == nil {
-			exp = make(map[model.ClassID][]model.TimeStep)
-			p.exposures[z.U] = exp
-		}
-		exp[c] = append(exp[c], z.T)
-		if adoptedSet[z] {
-			ac := p.adoptedClass[z.U]
-			if ac == nil {
-				ac = make(map[model.ClassID]bool)
-				p.adoptedClass[z.U] = ac
-			}
-			ac[c] = true
-			if p.stock[z.I] > 0 {
-				p.stock[z.I]--
-			}
+		p.users[z.U].Observe(p.in.Class(z.I), z.T, adoptedSet[z], 0)
+		if adoptedSet[z] && p.stock[z.I] > 0 {
+			p.stock[z.I]--
 		}
 	}
 	p.now++
@@ -151,56 +133,27 @@ func (p *Planner) SetStock(i model.ItemID, n int) {
 // primitive q, discounted by saturation from *realized* exposures, and 0
 // if the user already bought from the class or stock is gone.
 func (p *Planner) conditionalProb(z model.Triple) float64 {
-	c := p.in.Class(z.I)
-	if p.adoptedClass[z.U][c] {
-		return 0
-	}
-	if p.stock[z.I] <= 0 {
+	c, f := p.in.Class(z.I), &p.users[z.U]
+	if f.HasAdopted(c) || p.stock[z.I] <= 0 {
 		return 0
 	}
 	q := p.in.Q(z.U, z.I, z.T)
-	return Discount(q, p.in.Beta(z.I), SaturationMemory(p.exposures[z.U][c], z.T))
+	return model.Discount(q, p.in.Beta(z.I), model.SaturationMemory(f.Exposures(c), z.T))
 }
 
 // Feedback returns a deep copy of the planner's accumulated
 // observations in the shape Residual consumes, frozen at the current
 // step: later Observe calls do not leak into the returned value.
 func (p *Planner) Feedback() Feedback {
-	fb := Feedback{
-		AdoptedClass: make(map[model.UserID]map[model.ClassID]bool, len(p.adoptedClass)),
-		Exposures:    make(map[model.UserID]map[model.ClassID][]model.TimeStep, len(p.exposures)),
-		Stock:        make([]int, len(p.stock)),
-		Now:          p.now,
-	}
-	copy(fb.Stock, p.stock)
-	for u, ac := range p.adoptedClass {
-		m := make(map[model.ClassID]bool, len(ac))
-		for c := range ac {
-			m[c] = true
-		}
-		fb.AdoptedClass[u] = m
-	}
-	for u, ex := range p.exposures {
-		m := make(map[model.ClassID][]model.TimeStep, len(ex))
-		for c, ts := range ex {
-			m[c] = append([]model.TimeStep(nil), ts...)
-		}
-		fb.Exposures[u] = m
-	}
-	return fb
+	return Feedback{Users: model.CloneUsers(p.users), Stock: append([]int(nil), p.stock...), Now: p.now}
 }
 
 // residualInstance builds the remaining-horizon instance conditioned on
 // everything observed so far; see Residual for the construction. It
-// hands Residual the live maps directly (no copy): Residual only reads,
+// hands Residual the live state directly (no copy): Residual only reads,
 // and the planner is single-threaded.
 func (p *Planner) residualInstance() *model.Instance {
-	return Residual(p.in, Feedback{
-		AdoptedClass: p.adoptedClass,
-		Exposures:    p.exposures,
-		Stock:        p.stock,
-		Now:          p.now,
-	})
+	return Residual(p.in, Feedback{Users: p.users, Stock: p.stock, Now: p.now})
 }
 
 func maxInt(a, b int) int {

@@ -5,43 +5,28 @@ import (
 )
 
 // Feedback captures everything a deployment has observed so far, in the
-// exact shape a replan needs to condition on: which user bought from
-// which class, when each user was exposed to each class, how much stock
-// every item has left, and the first time step that still lies in the
-// future. The zero value of each field is meaningful: nil maps mean "no
-// observations", a nil Stock means "full initial capacity".
+// exact shape a replan needs to condition on: each user's history
+// (adopted classes and exposure times), how much stock every item has
+// left, and the first time step that still lies in the future. The zero
+// value means no observations, full initial capacity, from the start.
 //
 // Feedback is the seam between this package and online serving layers
 // (internal/serve): the Planner accumulates one internally during
-// step-wise execution, while a serving engine maintains its own sharded
-// copy and hands a merged view to Residual when it replans.
+// step-wise execution, while a serving engine keeps the same per-user
+// form in its lock-striped store and hands a copy to Residual when it
+// replans.
 type Feedback struct {
-	// AdoptedClass[u][c] marks that user u already purchased from class
-	// c; further recommendations in c are pointless (§3.1 competition).
-	AdoptedClass map[model.UserID]map[model.ClassID]bool
-	// Exposures[u][c] lists realized exposure times of user u to class c,
-	// the memory driving saturation (Eq. 1).
-	Exposures map[model.UserID]map[model.ClassID][]model.TimeStep
+	// Users[u] is user u's history: the classes u already bought from
+	// (further recommendations there are pointless, §3.1 competition) and
+	// u's realized exposure times per class (the saturation memory of
+	// Eq. 1). Dense by UserID; nil means no observations.
+	Users []model.UserFeedback
 	// Stock[i] is the remaining capacity of item i. nil means untouched
 	// initial capacities.
 	Stock []int
 	// Now is the first unexecuted time step; candidates before it are
 	// history and excluded from the residual instance.
 	Now model.TimeStep
-}
-
-// SaturationMemory returns the saturation memory of Eq. 1 accrued by
-// the given exposure times at time t: Σ 1/(t−τ) over exposures τ < t.
-// The kernel lives in model (shared with core's incremental sessions);
-// this wrapper keeps the planner-facing name stable.
-func SaturationMemory(exposures []model.TimeStep, t model.TimeStep) float64 {
-	return model.SaturationMemory(exposures, t)
-}
-
-// Discount applies the saturation discount β^mem to a primitive
-// adoption probability.
-func Discount(q, beta, mem float64) float64 {
-	return model.Discount(q, beta, mem)
 }
 
 // Residual builds the remaining-horizon instance induced by fb on in:
@@ -73,12 +58,16 @@ func Residual(in *model.Instance, fb Feedback) *model.Instance {
 	}
 	for u := 0; u < in.NumUsers; u++ {
 		uid := model.UserID(u)
+		var f model.UserFeedback
+		if fb.Users != nil {
+			f = fb.Users[u]
+		}
 		for _, cand := range in.UserCandidates(uid) {
 			if cand.T < now {
 				continue
 			}
 			c := in.Class(cand.I)
-			if fb.AdoptedClass[uid][c] {
+			if f.HasAdopted(c) {
 				continue
 			}
 			if fb.Stock != nil && fb.Stock[cand.I] <= 0 {
@@ -86,7 +75,7 @@ func Residual(in *model.Instance, fb Feedback) *model.Instance {
 			}
 			// Fold realized-exposure memory into the primitive q so the
 			// residual plan's saturation starts from observed history.
-			q := Discount(cand.Q, in.Beta(cand.I), SaturationMemory(fb.Exposures[uid][c], cand.T))
+			q := model.Discount(cand.Q, in.Beta(cand.I), model.SaturationMemory(f.Exposures(c), cand.T))
 			if q > 0 {
 				res.AddCandidate(uid, cand.I, cand.T, q)
 			}

@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
@@ -35,13 +36,7 @@ func TestFeedbackIsFrozen(t *testing.T) {
 	if fb.Now != 2 {
 		t.Fatalf("Now = %d, want 2", fb.Now)
 	}
-	before := len(fb.AdoptedClass)
-	exposuresBefore := make(map[model.UserID]int)
-	for u, ex := range fb.Exposures {
-		for _, ts := range ex {
-			exposuresBefore[u] += len(ts)
-		}
-	}
+	before := model.CloneUsers(fb.Users)
 
 	// Drive the planner further; fb must not change.
 	for !p.Done() {
@@ -59,17 +54,8 @@ func TestFeedbackIsFrozen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(fb.AdoptedClass) != before {
-		t.Fatalf("frozen Feedback gained adopted users: %d -> %d", before, len(fb.AdoptedClass))
-	}
-	for u, ex := range fb.Exposures {
-		n := 0
-		for _, ts := range ex {
-			n += len(ts)
-		}
-		if n != exposuresBefore[u] {
-			t.Fatalf("frozen Feedback's exposures for user %d changed: %d -> %d", u, exposuresBefore[u], n)
-		}
+	if !reflect.DeepEqual(fb.Users, before) {
+		t.Fatal("frozen Feedback's histories changed under later Observe calls")
 	}
 
 	// The frozen view must reproduce the residual the planner itself saw

@@ -12,10 +12,10 @@
 //     replan; a replan builds a fresh plan off to the side and swaps the
 //     pointer (double buffering).
 //   - Mutable per-user feedback state (adopted classes, exposure times)
-//     is sharded by user-ID hash across next-pow2(GOMAXPROCS) shards,
-//     each guarded by its own RWMutex. Lookups take one shard RLock;
-//     batch lookups group users by shard and amortize one RLock per
-//     shard over the whole group.
+//     is one dense model.UserFeedback per user, lock-striped by user-ID
+//     hash across next-pow2(GOMAXPROCS) shard RWMutexes. Lookups take
+//     one shard RLock; batch lookups group users by shard and amortize
+//     one RLock per shard over the whole group.
 //   - Item stock is a slice of atomics: decremented by the single
 //     feedback goroutine, read lock-free by every lookup.
 //   - Feedback events flow through a buffered channel into one
@@ -259,6 +259,10 @@ type Engine struct {
 	sessUp    bool
 	sessDelta []store.Record
 
+	// users is the per-user feedback store, indexed by UserID; user u is
+	// guarded by shards[shardIndex(u, mask)]. The feedback loop is its only
+	// writer, so the loop itself reads it without locking.
+	users  []model.UserFeedback
 	shards []shard
 	mask   uint32
 
@@ -401,6 +405,7 @@ func newEngineShell(in *model.Instance, cfg Config, opts solver.Options) *Engine
 		installOnly: cfg.InstallOnly,
 		warm:        cfg.WarmStart && !cfg.InstallOnly,
 		incr:        cfg.Incremental,
+		users:       make([]model.UserFeedback, in.NumUsers),
 		shards:      make([]shard, n),
 		mask:        uint32(n - 1),
 		stock:       make([]atomic.Int64, in.NumItems()),
@@ -410,9 +415,6 @@ func newEngineShell(in *model.Instance, cfg Config, opts solver.Options) *Engine
 	}
 	if cfg.TraceOrigin != 0 {
 		e.met.tracer.SetOrigin(cfg.TraceOrigin)
-	}
-	for i := range e.shards {
-		e.shards[i].users = make(map[model.UserID]*userState)
 	}
 	for i := 0; i < in.NumItems(); i++ {
 		e.stock[i].Store(int64(in.Capacity(model.ItemID(i))))
@@ -593,26 +595,25 @@ func (e *Engine) recommendOne(p *plan, u model.UserID, t model.TimeStep) ([]Reco
 	}
 	sh := &e.shards[shardIndex(u, e.mask)]
 	sh.mu.RLock()
-	out := e.fill(sh, u, t, entries)
+	out := e.fill(u, t, entries)
 	sh.mu.RUnlock()
 	return out, nil
 }
 
-// fill computes the conditional probabilities for entries under sh's
-// read lock (already held by the caller).
-func (e *Engine) fill(sh *shard, u model.UserID, t model.TimeStep, entries []planEntry) []Recommendation {
-	us := sh.users[u]
+// fill computes the conditional probabilities for entries under u's
+// shard read lock (already held by the caller).
+func (e *Engine) fill(u model.UserID, t model.TimeStep, entries []planEntry) []Recommendation {
+	f := &e.users[u]
 	out := make([]Recommendation, 0, len(entries))
 	for _, pe := range entries {
 		rec := Recommendation{Item: pe.item, Price: pe.price, Prob: pe.q}
 		switch {
-		case us != nil && us.adopted[pe.class]:
+		case f.HasAdopted(pe.class):
 			rec.Prob = 0
 		case e.stock[pe.item].Load() <= 0:
 			rec.Prob = 0
-		case us != nil:
-			rec.Prob = planner.Discount(rec.Prob, pe.beta,
-				planner.SaturationMemory(us.exposures[pe.class], t))
+		default:
+			rec.Prob = model.Discount(rec.Prob, pe.beta, model.SaturationMemory(f.Exposures(pe.class), t))
 		}
 		out = append(out, rec)
 	}
@@ -665,7 +666,7 @@ func (e *Engine) RecommendBatchCtx(ctx context.Context, users []model.UserID, t 
 		for _, pos := range gs {
 			u := users[pos]
 			if entries := p.entriesAt(u, t); len(entries) > 0 {
-				out[pos] = e.fill(sh, u, t, entries)
+				out[pos] = e.fill(u, t, entries)
 			}
 		}
 		sh.mu.RUnlock()
@@ -1013,8 +1014,8 @@ func (e *Engine) loop() {
 	}
 	// capture freezes the state the next replan conditions on. On the
 	// incremental path with a live session, that is just the delta
-	// journal plus the clock — the expensive full-feedback snapshot
-	// (stock walk + every shard's user maps) is skipped entirely. Before
+	// journal plus the clock — the full-feedback copy (stock walk + the
+	// whole user store) is skipped entirely. Before
 	// the session exists (first replan, recovery), the full view
 	// bootstraps it and subsumes whatever the journal holds.
 	capture := func(span *obs.Span) (planner.Feedback, []store.Record) {
@@ -1144,13 +1145,6 @@ func (e *Engine) loop() {
 	}
 }
 
-// maxExposuresPerClass bounds each (user, class) exposure list: the
-// oldest exposure is evicted once the cap is reached. Old exposures
-// contribute only 1/(t−τ) memory each, so the eviction error is tiny,
-// while the bound keeps Recommend, replans, and snapshots O(1) per
-// user-class in a long-running daemon under unbounded feedback.
-const maxExposuresPerClass = 64
-
 // applyRecord folds one checked mutation record into the engine's state,
 // live on the loop and replayed in recovery, so the recovered state is
 // bit-identical to the pre-crash state. It reports an adoption (counted
@@ -1163,10 +1157,7 @@ func (e *Engine) applyRecord(rec store.Record) (adopted, force bool) {
 	case store.RecSetStock:
 		e.stock[rec.Item].Store(rec.Stock)
 	case store.RecScalePrice:
-		i := model.ItemID(rec.Item)
-		for t := model.TimeStep(rec.T); int(t) <= e.in.T; t++ {
-			e.in.SetPrice(i, t, e.in.Price(i, t)*rec.Factor)
-		}
+		e.in.ScalePrice(model.ItemID(rec.Item), model.TimeStep(rec.T), rec.Factor)
 	case store.RecAdvance:
 		// A live advance moved the clock before it was enqueued, so
 		// lookups see it at once; a replayed one moves it here.
@@ -1182,22 +1173,10 @@ func (e *Engine) applyRecord(rec store.Record) (adopted, force bool) {
 // apply folds one event record into the user store and stock; it
 // reports whether the event was an adoption.
 func (e *Engine) apply(rec store.Record) bool {
-	u, item, t := model.UserID(rec.User), model.ItemID(rec.Item), model.TimeStep(rec.T)
-	c := e.in.Class(item)
+	u, item := model.UserID(rec.User), model.ItemID(rec.Item)
 	sh := &e.shards[shardIndex(u, e.mask)]
 	sh.mu.Lock()
-	us := sh.state(u)
-	if ts := us.exposures[c]; len(ts) >= maxExposuresPerClass {
-		copy(ts, ts[1:])
-		ts[len(ts)-1] = t
-	} else {
-		us.exposures[c] = append(ts, t)
-	}
-	adopted := false
-	if rec.Adopted && !us.adopted[c] {
-		us.adopted[c] = true
-		adopted = true
-	}
+	adopted, _ := e.users[u].Observe(e.in.Class(item), model.TimeStep(rec.T), rec.Adopted, model.MaxExposuresPerClass)
 	sh.mu.Unlock()
 	e.exposures.Add(1)
 	if adopted {
@@ -1216,41 +1195,19 @@ func (e *Engine) apply(rec store.Record) bool {
 	return adopted
 }
 
-// collectFeedback snapshots the sharded store into the planner's
+// collectFeedback copies the user store and stock into the planner's
 // Feedback shape. It must run on the feedback-loop goroutine (the only
-// writer), so stock and shard state can't tear apart mid-copy; the copy
-// is deep, so the replan then works on the frozen view from any
-// goroutine.
+// writer, so it reads the store unlocked and stock and users can't tear
+// apart mid-copy); the copy is deep, so the replan then works on the
+// frozen view from any goroutine.
 func (e *Engine) collectFeedback() planner.Feedback {
 	fb := planner.Feedback{
-		AdoptedClass: make(map[model.UserID]map[model.ClassID]bool),
-		Exposures:    make(map[model.UserID]map[model.ClassID][]model.TimeStep),
-		Stock:        make([]int, e.in.NumItems()),
-		Now:          e.Now(),
+		Users: model.CloneUsers(e.users),
+		Stock: make([]int, e.in.NumItems()),
+		Now:   e.Now(),
 	}
 	for i := range e.stock {
 		fb.Stock[i] = int(e.stock[i].Load())
-	}
-	for si := range e.shards {
-		sh := &e.shards[si]
-		sh.mu.RLock()
-		for u, us := range sh.users {
-			if len(us.adopted) > 0 {
-				ac := make(map[model.ClassID]bool, len(us.adopted))
-				for c := range us.adopted {
-					ac[c] = true
-				}
-				fb.AdoptedClass[u] = ac
-			}
-			if len(us.exposures) > 0 {
-				ex := make(map[model.ClassID][]model.TimeStep, len(us.exposures))
-				for c, ts := range us.exposures {
-					ex[c] = append([]model.TimeStep(nil), ts...)
-				}
-				fb.Exposures[u] = ex
-			}
-		}
-		sh.mu.RUnlock()
 	}
 	return fb
 }
@@ -1320,7 +1277,7 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []store.Record, span *obs
 		if e.sess == nil {
 			e.sess = core.NewSession(e.in, core.SessionConfig{
 				Seeded:       e.warm,
-				MaxExposures: maxExposuresPerClass,
+				MaxExposures: model.MaxExposuresPerClass,
 			})
 			planner.SyncSession(e.sess, fb)
 			if e.warm && len(e.warmPrev) > 0 {

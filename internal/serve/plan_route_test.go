@@ -162,9 +162,8 @@ func checkShardRoutes(t *testing.T, tag string, cl *cluster.Cluster) {
 	cl.Flush()
 	n := cl.Shards()
 	merged := planner.Feedback{
-		AdoptedClass: map[model.UserID]map[model.ClassID]bool{},
-		Exposures:    map[model.UserID]map[model.ClassID][]model.TimeStep{},
-		Now:          cl.Now(),
+		Users: make([]model.UserFeedback, cl.Instance().NumUsers),
+		Now:   cl.Now(),
 	}
 	for k := 0; k < n; k++ {
 		e := cl.Engine(k)
@@ -173,11 +172,8 @@ func checkShardRoutes(t *testing.T, tag string, cl *cluster.Cluster) {
 		if err != nil {
 			t.Fatalf("%s: shard %d: %v", tag, k, err)
 		}
-		for lu, classes := range fb.AdoptedClass {
-			merged.AdoptedClass[model.UserID(int(lu)*n+k)] = classes
-		}
-		for lu, exp := range fb.Exposures {
-			merged.Exposures[model.UserID(int(lu)*n+k)] = exp
+		for lu, f := range fb.Users {
+			merged.Users[lu*n+k] = f
 		}
 	}
 	in := cl.Instance()

@@ -7,22 +7,14 @@ import (
 	"repro/internal/model"
 )
 
-// userState is the mutable per-user feedback record: which competition
-// classes the user already bought from, and when the user was exposed to
-// each class (the saturation memory of Eq. 1). It lives inside exactly
-// one shard and is only touched under that shard's lock.
-type userState struct {
-	adopted   map[model.ClassID]bool
-	exposures map[model.ClassID][]model.TimeStep
-}
-
-// shard is one lock domain of the user store. Reads (Recommend) take
-// RLock; feedback application takes Lock. Users hash to shards by ID, so
-// unrelated users never contend on the same mutex.
+// shard is one lock stripe over the engine's dense per-user store
+// (Engine.users): user u's history is guarded by the shard shardIndex(u)
+// picks. Reads (Recommend) take RLock; feedback application takes Lock.
+// Users hash to shards by ID, so unrelated users rarely contend on the
+// same mutex.
 type shard struct {
-	mu    sync.RWMutex
-	users map[model.UserID]*userState
-	_     [24]byte // pad toward a cache line to curb false sharing between shards
+	mu sync.RWMutex
+	_  [40]byte // pad toward a cache line to curb false sharing between shards
 }
 
 // shardCount returns the engine's shard count: the next power of two at
@@ -46,18 +38,4 @@ func shardCount(requested int) int {
 func shardIndex(u model.UserID, mask uint32) uint32 {
 	h := uint32(u) * 2654435769 // 2^32 / φ
 	return (h >> 16) & mask
-}
-
-// state returns the user's record, allocating it on first touch. Callers
-// must hold the shard's write lock.
-func (s *shard) state(u model.UserID) *userState {
-	us := s.users[u]
-	if us == nil {
-		us = &userState{
-			adopted:   make(map[model.ClassID]bool),
-			exposures: make(map[model.ClassID][]model.TimeStep),
-		}
-		s.users[u] = us
-	}
-	return us
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/model"
@@ -47,22 +46,10 @@ type snapState struct {
 	revision, adoptions, exposures, replans int64
 	revenue                                 float64
 	stock                                   []int64
-	users                                   []userFeedback // ascending by user
+	users                                   []model.UserFeedback // indexed by UserID
 	in                                      *model.Instance
 	plan                                    *model.Plan // in's CandID space
 	lsn                                     store.LSN
-}
-
-// userFeedback is one user's adoption and exposure memory.
-type userFeedback struct {
-	user      model.UserID
-	adopted   []model.ClassID  // ascending
-	exposures []classExposures // ascending by class
-}
-
-type classExposures struct {
-	class model.ClassID
-	times []model.TimeStep
 }
 
 // captureState builds a snapState. It is normally executed *by the
@@ -85,24 +72,7 @@ func (e *Engine) captureState() snapState {
 	for i := range e.stock {
 		st.stock[i] = e.stock[i].Load()
 	}
-	for si := range e.shards {
-		sh := &e.shards[si]
-		sh.mu.RLock()
-		for u, us := range sh.users {
-			uf := userFeedback{user: u}
-			for c := range us.adopted {
-				uf.adopted = append(uf.adopted, c)
-			}
-			sort.Slice(uf.adopted, func(a, b int) bool { return uf.adopted[a] < uf.adopted[b] })
-			for c, ts := range us.exposures {
-				uf.exposures = append(uf.exposures, classExposures{class: c, times: append([]model.TimeStep(nil), ts...)})
-			}
-			sort.Slice(uf.exposures, func(a, b int) bool { return uf.exposures[a].class < uf.exposures[b].class })
-			st.users = append(st.users, uf)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(st.users, func(a, b int) bool { return st.users[a].user < st.users[b].user })
+	st.users = model.CloneUsers(e.users)
 	// The price table must be copied, not shared: ScalePrice mutates it
 	// from the loop, and the encoding runs on the caller's goroutine
 	// after this capture returns — encoding the live pointer would race
@@ -173,34 +143,40 @@ func appendSnapshot(b []byte, st snapState) []byte {
 		return true
 	})
 
-	b = le.AppendUint32(b, uint32(len(st.users)))
-	for _, uf := range st.users {
-		b = le.AppendUint32(b, uint32(uf.user))
+	var observed []model.UserID // users with any history, ascending
+	for u := range st.users {
+		if !st.users[u].Empty() {
+			observed = append(observed, model.UserID(u))
+		}
 	}
-	for _, uf := range st.users {
-		b = le.AppendUint32(b, uint32(len(uf.adopted)))
+	b = le.AppendUint32(b, uint32(len(observed)))
+	for _, u := range observed {
+		b = le.AppendUint32(b, uint32(u))
 	}
-	for _, uf := range st.users {
-		for _, c := range uf.adopted {
+	for _, u := range observed {
+		b = le.AppendUint32(b, uint32(len(st.users[u].Adopted)))
+	}
+	for _, u := range observed {
+		for _, c := range st.users[u].Adopted {
 			b = le.AppendUint32(b, uint32(c))
 		}
 	}
-	for _, uf := range st.users {
-		b = le.AppendUint32(b, uint32(len(uf.exposures)))
+	for _, u := range observed {
+		b = le.AppendUint32(b, uint32(len(st.users[u].Exposed)))
 	}
-	for _, uf := range st.users {
-		for _, ce := range uf.exposures {
-			b = le.AppendUint32(b, uint32(ce.class))
+	for _, u := range observed {
+		for _, ce := range st.users[u].Exposed {
+			b = le.AppendUint32(b, uint32(ce.Class))
 		}
 	}
-	for _, uf := range st.users {
-		for _, ce := range uf.exposures {
-			b = le.AppendUint32(b, uint32(len(ce.times)))
+	for _, u := range observed {
+		for _, ce := range st.users[u].Exposed {
+			b = le.AppendUint32(b, uint32(len(ce.Times)))
 		}
 	}
-	for _, uf := range st.users {
-		for _, ce := range uf.exposures {
-			for _, t := range ce.times {
+	for _, u := range observed {
+		for _, ce := range st.users[u].Exposed {
+			for _, t := range ce.Times {
 				b = le.AppendUint32(b, uint32(t))
 			}
 		}
@@ -252,15 +228,7 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 	for i, s := range st.stock {
 		e.stock[i].Store(s)
 	}
-	for _, uf := range st.users {
-		us := e.shards[shardIndex(uf.user, e.mask)].state(uf.user)
-		for _, c := range uf.adopted {
-			us.adopted[c] = true
-		}
-		for _, ce := range uf.exposures {
-			us.exposures[ce.class] = ce.times
-		}
-	}
+	e.users = st.users
 	e.revision.Store(st.revision - 1)
 	e.installPlan(buildPlanFlat(st.in, st.plan, st.from, st.revenue))
 	return e, nil
@@ -341,17 +309,20 @@ func parseSnapshot(img []byte) (snapState, error) {
 	return st, nil
 }
 
-// parseFeedback decodes the feedback section into st.users. Users must
-// be known to st.in and ascend; classes ascend within each user.
+// parseFeedback decodes the feedback section into st.users, one entry
+// per user of st.in. Listed users must be known to st.in, ascend, and
+// hold at least one adopted or exposed class (a live engine never
+// records an empty history, and re-encoding would drop one); classes
+// ascend within each user.
 func parseFeedback(c *codec.Cursor, st *snapState) error {
 	nu := c.Count(4+4+4, "feedback user")
-	st.users = make([]userFeedback, nu)
-	for k := range st.users {
+	ids := make([]model.UserID, nu)
+	for k := range ids {
 		u := model.UserID(c.I32())
-		if c.Err() == nil && (int(u) < 0 || int(u) >= st.in.NumUsers || k > 0 && u <= st.users[k-1].user) {
+		if c.Err() == nil && (int(u) < 0 || int(u) >= st.in.NumUsers || k > 0 && u <= ids[k-1]) {
 			return fmt.Errorf("serve: snapshot state for unknown or out-of-order user %d", u)
 		}
-		st.users[k].user = u
+		ids[k] = u
 	}
 	adopted, err := classRuns(c, nu)
 	if err != nil {
@@ -362,7 +333,10 @@ func parseFeedback(c *codec.Cursor, st *snapState) error {
 		return err
 	}
 	var runs []int // one time count per exposed class
-	for _, cs := range exposed {
+	for k, cs := range exposed {
+		if len(cs) == 0 && len(adopted[k]) == 0 {
+			return fmt.Errorf("serve: snapshot feedback user %d has no adopted or exposed class", ids[k])
+		}
 		for range cs {
 			runs = append(runs, int(c.U32()))
 		}
@@ -377,16 +351,23 @@ func parseFeedback(c *codec.Cursor, st *snapState) error {
 	if total > uint64(c.Len())/4 {
 		return fmt.Errorf("serve: snapshot feedback holds %d exposure times, %d bytes remain", total, c.Len())
 	}
-	for u := range st.users {
-		uf := &st.users[u]
-		uf.adopted = adopted[u]
-		for _, cl := range exposed[u] {
-			ts := make([]model.TimeStep, runs[0])
-			runs = runs[1:]
-			for i := range ts {
-				ts[i] = model.TimeStep(c.I32())
+	times := make([]model.TimeStep, total)
+	for i := range times {
+		times[i] = model.TimeStep(c.I32())
+	}
+	lists := make([]model.ClassExposures, len(runs))
+	for i, n := range runs {
+		lists[i].Times, times = times[:n:n], times[n:]
+	}
+	st.users = make([]model.UserFeedback, st.in.NumUsers)
+	for k, u := range ids {
+		f := &st.users[u]
+		f.Adopted = adopted[k]
+		if n := len(exposed[k]); n > 0 {
+			f.Exposed, lists = lists[:n:n], lists[n:]
+			for j, cl := range exposed[k] {
+				f.Exposed[j].Class = cl
 			}
-			uf.exposures = append(uf.exposures, classExposures{class: cl, times: ts})
 		}
 	}
 	return nil

@@ -24,7 +24,7 @@ type snapWire struct {
 	Revenue              float64
 	Adoptions, Exposures int64
 	Stock                []int64
-	Users                []userFeedback
+	Users                []model.UserFeedback
 	Instance             []byte
 	Plan                 []model.Triple
 }
@@ -175,8 +175,9 @@ type snapCorruption struct {
 // a flipped byte, a cut trailer, truncation at every section boundary
 // (resealed, so the section parsers see it), a v1 JSON image, a clock of
 // 0, a plan CandID out of range, repeated or descending, a repeated
-// feedback user or adopted class, and counts larger than the file. Each corruption reads the sections of the image it is
-// handed, which must plan at least two candidates.
+// feedback user or adopted class, a feedback user with no class, and
+// counts larger than the file. Each corruption reads the sections of the
+// image it is handed, which must plan at least two candidates.
 func snapCorruptions() []snapCorruption {
 	huge := binary.LittleEndian.AppendUint32(nil, 1<<31-1)
 	cs := []snapCorruption{
@@ -212,6 +213,10 @@ func snapCorruptions() []snapCorruption {
 		{"repeated adopted class", "classes of feedback user 0 are not ascending", func(t testing.TB, img []byte) []byte {
 			// User 0 adopted class 0 twice and has no exposures.
 			return withFeedback(t, img, 1, 0, 2, 0, 0, 0)
+		}},
+		{"empty feedback user", "has no adopted or exposed class", func(t testing.TB, img []byte) []byte {
+			// User 0 listed with neither an adopted nor an exposed class.
+			return withFeedback(t, img, 1, 0, 0, 0)
 		}},
 		{"plan count beyond file", "plan count", func(t testing.TB, img []byte) []byte { return withPlanSection(t, img, huge) }},
 		{"candidate count beyond file", "candidates need", func(t testing.TB, img []byte) []byte {
@@ -260,7 +265,7 @@ func planIDs(t testing.TB, img []byte) ([]uint32, int) {
 const pinnedImageSHA256 = "2a461632b0a67cd68f1b8a7b3af51ebaa420b03a27944552de6655894149db5a"
 
 // pinnedScript drives e through every kind of mutation the image
-// records — adoptions, exposures past maxExposuresPerClass on one
+// records — adoptions, exposures past model.MaxExposuresPerClass on one
 // (user, class), a stock override, a price rescale and a clock advance —
 // with a flush after each, so every replan lands deterministically.
 func pinnedScript(t *testing.T, e *Engine) {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -167,20 +168,19 @@ func newWarmReplanFixture(tb testing.TB) *warmReplanFixture {
 	// Feedback batch: every 20th planned user adopted their first
 	// planned item's class; one item lost its stock.
 	fb := planner.Feedback{
-		AdoptedClass: map[model.UserID]map[model.ClassID]bool{},
-		Exposures:    map[model.UserID]map[model.ClassID][]model.TimeStep{},
-		Stock:        make([]int, in.NumItems()),
-		Now:          2,
+		Users: make([]model.UserFeedback, in.NumUsers),
+		Stock: make([]int, in.NumItems()),
+		Now:   2,
 	}
 	for i := range fb.Stock {
 		fb.Stock[i] = in.Capacity(model.ItemID(i))
 	}
 	for k, z := range seeds {
 		if k%20 == 0 {
-			if fb.AdoptedClass[z.U] == nil {
-				fb.AdoptedClass[z.U] = map[model.ClassID]bool{}
-			}
-			fb.AdoptedClass[z.U][in.Class(z.I)] = true
+			f := &fb.Users[z.U]
+			f.Adopted = append(f.Adopted, in.Class(z.I))
+			slices.Sort(f.Adopted)
+			f.Adopted = slices.Compact(f.Adopted)
 		}
 	}
 	fb.Stock[seeds[0].I] = 0
@@ -224,17 +224,7 @@ func newBenchSession(tb testing.TB, f *warmReplanFixture) *core.Session {
 // with drop-oldest) — the full-rebuild baseline's side of the stream.
 func mirrorExposure(fb *planner.Feedback, in *model.Instance, j int) {
 	u, i, t := incrStreamEvent(in, j)
-	c := in.Class(i)
-	m := fb.Exposures[u]
-	if m == nil {
-		m = map[model.ClassID][]model.TimeStep{}
-		fb.Exposures[u] = m
-	}
-	ts := append(m[c], t)
-	if len(ts) > 64 {
-		ts = ts[1:]
-	}
-	m[c] = ts
+	fb.Users[u].Observe(in.Class(i), t, false, model.MaxExposuresPerClass)
 }
 
 // BenchmarkWarmReplan measures one receding-horizon replan solved cold
