@@ -87,6 +87,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/planner"
 	"repro/internal/serve"
 	"repro/internal/solver"
 	"repro/internal/store"
@@ -151,18 +152,18 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Resolve the algorithm up front: a typo in -algo, an -algo that
+	// Resolve the algorithm up front, through the check every serving
+	// config runs (planner.ServingOptions): a typo in -algo, an -algo that
 	// returns no candidate-indexed plan to serve or one that may exceed
-	// capacity (solver.CheckServable), or one that cannot
-	// replan incrementally, must fail in milliseconds with the registry's
-	// name list, not after dataset generation.
-	if err := solver.CheckServable(*algoName); err != nil {
+	// capacity, or one that cannot replan incrementally, must fail in
+	// milliseconds with the registry's name list, not after dataset
+	// generation. The second check adds only the session requirement, so
+	// its error names -incremental.
+	if _, err := planner.ServingOptions(planner.ReplanConfig{Algorithm: *algoName}); err != nil {
 		return err
 	}
-	if *incremental {
-		if err := solver.CheckSession(*algoName); err != nil {
-			return fmt.Errorf("-incremental: %w", err)
-		}
+	if _, err := planner.ServingOptions(planner.ReplanConfig{Algorithm: *algoName, Incremental: *incremental}); err != nil {
+		return fmt.Errorf("-incremental: %w", err)
 	}
 	if *dataDir != "" && *snapshot != "" {
 		return errors.New("-snapshot and -data-dir are mutually exclusive (the data dir already snapshots on shutdown)")

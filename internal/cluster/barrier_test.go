@@ -236,30 +236,43 @@ func TestReplansCountedWhenPlanVisible(t *testing.T) {
 	}
 }
 
-// planningWork is what one shard engine has spent on planning: solver
-// runs, replans (an install counts as one) and the replan and install
-// spans in its trace ring.
+// planningWork is what one shard engine has spent on planning: whether
+// it has a solve family at all, replans (an install counts as one) and
+// the replan and install spans in its trace ring.
 type planningWork struct {
-	solves, replans           int64
+	solveFamily               bool
+	replans                   int64
 	replanSpans, installSpans int
 }
 
-func shardPlanningWork(t *testing.T, e *serve.Engine) planningWork {
+// solveCount reads revmaxd_solve_seconds_count off reg; ok is false
+// when reg has no solve family.
+func solveCount(t *testing.T, reg *obs.Registry) (n int64, ok bool) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := obs.ParseExposition(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := planningWork{solves: -1, replans: e.Stats().Replans}
-	for _, s := range fams["revmaxd_solve_seconds"].Samples {
+	f := fams["revmaxd_solve_seconds"]
+	if f == nil {
+		return 0, false
+	}
+	for _, s := range f.Samples {
 		if s.Name == "revmaxd_solve_seconds_count" {
-			w.solves = int64(s.Value)
+			n = int64(s.Value)
 		}
 	}
+	return n, true
+}
+
+func shardPlanningWork(t *testing.T, e *serve.Engine) planningWork {
+	t.Helper()
+	w := planningWork{replans: e.Stats().Replans}
+	_, w.solveFamily = solveCount(t, e.Metrics())
 	for _, sp := range e.Tracer().Traces() {
 		switch sp.Name {
 		case "replan":
@@ -272,11 +285,11 @@ func shardPlanningWork(t *testing.T, e *serve.Engine) planningWork {
 }
 
 // TestShardsDoNoPlanningWork: a shard engine never plans on its own —
-// not after ReplanEvery adoptions, not on a clock advance — and one
-// coordinated barrier costs exactly one global solve and one install
-// per shard. The adoptions go straight to the shard's engine, so the
-// cluster's own adoption cadence schedules no barrier behind the test's
-// back.
+// not after ReplanEvery adoptions, not on a clock advance — and has no
+// solve family; one coordinated barrier costs exactly one global solve,
+// counted on the coordinator's registry, and one install per shard. The
+// adoptions go straight to the shard's engine, so the cluster's own
+// adoption cadence schedules no barrier behind the test's back.
 func TestShardsDoNoPlanningWork(t *testing.T) {
 	in := testInstance(t, 48, 23)
 	const cadence = 4
@@ -285,7 +298,17 @@ func TestShardsDoNoPlanningWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	booted := planningWork{solves: 0, replans: 1, installSpans: 1}
+	coordSolves := func() int64 {
+		n, ok := solveCount(t, cl.co.reg)
+		if !ok {
+			t.Fatal("coordinator exports no revmaxd_solve_seconds family")
+		}
+		return n
+	}
+	if got := coordSolves(); got != 1 {
+		t.Fatalf("coordinator solves after boot = %d, want 1", got)
+	}
+	booted := planningWork{replans: 1, installSpans: 1}
 	for k := 0; k < cl.Shards(); k++ {
 		if got := shardPlanningWork(t, cl.Engine(k)); got != booted {
 			t.Fatalf("shard %d after boot: %+v, want %+v (one install, nothing else)", k, got, booted)
@@ -318,6 +341,9 @@ func TestShardsDoNoPlanningWork(t *testing.T) {
 	if got := cl.CoordinatorStats().Replans; got != 1 {
 		t.Fatalf("coordinator replans = %d before any barrier, want 1 (boot)", got)
 	}
+	if got := coordSolves(); got != 1 {
+		t.Fatalf("coordinator solves = %d before any barrier, want 1 (boot)", got)
+	}
 
 	if err := cl.SetNow(2); err != nil {
 		t.Fatal(err)
@@ -325,10 +351,47 @@ func TestShardsDoNoPlanningWork(t *testing.T) {
 	if got := cl.CoordinatorStats().Replans; got != 2 {
 		t.Errorf("coordinator replans = %d after one barrier, want 2 (boot + one coordinated solve)", got)
 	}
-	barrier := planningWork{solves: 0, replans: 2, installSpans: 2}
+	if got := coordSolves(); got != 2 {
+		t.Errorf("coordinator solves = %d after one barrier, want 2 (boot + one coordinated solve)", got)
+	}
+	barrier := planningWork{replans: 2, installSpans: 2}
 	for k := 0; k < cl.Shards(); k++ {
 		if got := shardPlanningWork(t, cl.Engine(k)); got != barrier {
 			t.Errorf("shard %d after one barrier: %+v, want %+v (one more install, nothing else)", k, got, barrier)
 		}
+	}
+}
+
+// TestClusterCountsSolveFailures: a coordinated solve that fails —
+// "optimal" beyond its exhaustive limit — serves an empty plan and is
+// counted in the cluster's revmaxd_solve_failures_total, as a single
+// engine counts its own.
+func TestClusterCountsSolveFailures(t *testing.T) {
+	in := testInstance(t, 48, 23)
+	cl, err := New(in, Config{Shards: 2, Algorithm: solver.NameOptimal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.SetNow(2); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cl.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failures float64
+	for _, s := range fams["revmaxd_solve_failures_total"].Samples {
+		failures += s.Value
+	}
+	if failures < 1 {
+		t.Errorf("revmaxd_solve_failures_total = %v after a boot and a barrier whose solves failed, want ≥ 1", failures)
+	}
+	if st := cl.Stats(); st.PlannedTriples != 0 {
+		t.Errorf("planned triples = %d, want 0 (a failed solve serves an empty plan)", st.PlannedTriples)
 	}
 }

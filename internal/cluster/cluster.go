@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/planner"
@@ -73,17 +72,11 @@ type Config struct {
 	Algorithm string
 	// Solver carries the named algorithm's options.
 	Solver solver.Options
-	// WarmStart seeds each coordinated replan with the previous global
-	// plan's triples.
-	WarmStart bool
-	// Incremental keeps a persistent solver session on the coordinator:
-	// instead of rebuilding the global residual instance at every
-	// barrier, the merged shard feedback is diffed into the session's
-	// journal and only the candidates it invalidated are re-keyed
-	// before the solve. Output stays byte-identical to the
-	// non-incremental coordinator (cold or warm per WarmStart).
-	// Requires the registry's "g-greedy" (solver.CheckSession). Shard
-	// engines are unaffected — they never solve.
+	// WarmStart and Incremental select how the coordinator's replan
+	// step solves, as for a single engine (planner.ReplanConfig): an
+	// incremental coordinator diffs each barrier's merged shard feedback
+	// into its session. Shard engines are unaffected — they never solve.
+	WarmStart   bool
 	Incremental bool
 	// ReplanEvery is the adoption cadence of the self-driving barrier:
 	// every ReplanEvery-th adoption fed schedules a coordinated replan
@@ -154,20 +147,11 @@ type Cluster struct {
 	// concurrently with exogenous repricing without synchronization.
 	global atomic.Pointer[model.Instance]
 
-	// opts/warm mirror serve.Engine's resolved planning config, but for
-	// the coordinator's global solves.
-	opts     solver.Options
-	warm     bool
-	warmPrev []model.Triple
-
-	// incr (Config.Incremental) routes coordinated replans through a
-	// persistent core.Session. sess is bootstrapped lazily at the first
-	// incremental replan (fresh boot and crash recovery alike — the
-	// recovered shell starts with a nil session and rebuilds it from
-	// the first barrier's merged feedback) and is guarded by mu: the
-	// barrier protocol serializes every solve and exogenous mutation.
-	incr bool
-	sess *core.Session
+	// rp is the coordinator's replan step, the one a single engine runs
+	// too. It is guarded by mu: the barrier protocol serializes every
+	// solve and exogenous mutation. A recovered shell starts with a fresh
+	// one, whose session (Config.Incremental) the first barrier rebuilds.
+	rp *planner.Replanner
 
 	// engMu guards the engines slice itself (RecoverShard swaps an
 	// entry); the engines are internally thread-safe. Lock order:
@@ -269,36 +253,26 @@ func newShell(cfg Config, g *model.Instance) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d out of range (want ≥ 1)", cfg.Shards)
 	}
-	opts := cfg.Solver
-	if cfg.Algorithm != "" {
-		opts.Algorithm = cfg.Algorithm
-	}
-	if err := solver.CheckServable(opts.Algorithm); err != nil {
+	co := newCoordinator(cfg.Shards, g.NumItems(), func(i int) int64 {
+		return int64(g.Capacity(model.ItemID(i)))
+	})
+	rp, err := planner.NewReplanner(planner.ReplanConfig{
+		Algorithm: cfg.Algorithm, Solver: cfg.Solver, WarmStart: cfg.WarmStart, Incremental: cfg.Incremental,
+	}, co.reg)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if err := solver.ValidateOptions(opts); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if cfg.Incremental {
-		if err := solver.CheckSession(opts.Algorithm); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
 	}
 	c := &Cluster{
 		cfg:         cfg,
 		n:           cfg.Shards,
-		opts:        opts,
-		warm:        cfg.WarmStart,
-		incr:        cfg.Incremental,
+		rp:          rp,
 		replanEvery: cfg.ReplanEvery,
 		flushCh:     make(chan struct{}, 1),
 		quitCh:      make(chan struct{}),
 		off:         candOffsets(g, cfg.Shards),
-		co: newCoordinator(cfg.Shards, g.NumItems(), func(i int) int64 {
-			return int64(g.Capacity(model.ItemID(i)))
-		}),
-		logger: cfg.Logger,
-		tracer: obs.NewTracer(64),
+		co:          co,
+		logger:      cfg.Logger,
+		tracer:      obs.NewTracer(64),
 	}
 	c.global.Store(g)
 	c.tracer.SetOrigin(coordTraceOrigin)
@@ -378,7 +352,7 @@ func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 	// Initial plan mirrors a single engine's boot: solve the raw
 	// instance (not a residual) so the first plan matches what
 	// serve.NewEngine would install.
-	c.solveAndInstall(in, nil)
+	c.install(c.rp.Boot(in, nil), nil)
 	if err := c.openCoordStore(); err != nil {
 		c.closeEngines()
 		return nil, err
@@ -779,13 +753,9 @@ func (c *Cluster) ScalePrice(i model.ItemID, from model.TimeStep, factor float64
 	fresh := c.inst().Clone()
 	fresh.ScalePrice(i, from, factor)
 	c.global.Store(fresh)
-	if c.sess != nil {
-		// The session plans from its own instance clone; mirror the
-		// rescale there (the same model.Instance.ScalePrice, so the
-		// session's price table stays bit-identical to the published
-		// global's).
-		c.sess.ScalePrice(i, from, factor)
-	}
+	// An incremental session plans from its own instance clone; the same
+	// record keeps its price table bit-identical to the published global's.
+	c.rp.Apply(store.Record{Type: store.RecScalePrice, Item: int32(i), T: int32(from), Factor: factor})
 	c.force.Store(true)
 	c.scheduleFlush()
 	return nil
@@ -955,10 +925,11 @@ func (c *Cluster) reconcileLocked() (granted, charged bool) {
 }
 
 // replanLocked runs one coordinated global replan: gather every
-// shard's feedback, merge into the global view (stock from the
-// coordinator ledger, clock from the cluster), then solve the residual
-// instance once and install its slices (solveAndInstall). Each phase is
-// recorded as a child of the caller's barrier span.
+// shard's feedback into the global view (stock from the coordinator
+// ledger, clock from the cluster), merge it into the replan step's
+// residual or session and solve once, then install the slices
+// (install). Each phase is recorded as a child of the caller's barrier
+// span.
 func (c *Cluster) replanLocked(sp *obs.Span) {
 	gather := sp.Child("gather")
 	fb, err := c.gatherFeedback()
@@ -976,54 +947,20 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 		c.dirty.Store(true)
 		return
 	}
-	merge := sp.Child("merge")
-	var residual *model.Instance
-	if c.incr {
-		// Incremental coordinator: the merged barrier view is diffed
-		// into the persistent session — LoadFeedback touches only the
-		// groups that changed since the last barrier, so the "merge"
-		// phase degenerates from a full residual rebuild into a delta
-		// reconcile plus lazy key refresh of the invalidated candidates.
-		if c.sess == nil {
-			c.sess = core.NewSession(c.inst(), core.SessionConfig{
-				Seeded:       c.warm,
-				MaxExposures: model.MaxExposuresPerClass,
-			})
-			planner.SyncSession(c.sess, fb)
-			if c.warm && len(c.warmPrev) > 0 {
-				c.sess.SeedTriples(c.warmPrev)
-			}
-		} else {
-			planner.SyncSession(c.sess, fb)
-		}
-		residual = c.sess.Instance()
-	} else {
-		residual = planner.Residual(c.inst(), fb)
-	}
-	merge.End()
-	gp := c.solveAndInstall(residual, sp)
+	gp := c.install(c.rp.Replan(c.inst(), fb, nil, sp, "merge"), sp)
 	if c.logger != nil {
 		obs.WithTrace(c.logger, sp).Info("coordinated replan",
 			"revenue", gp.revenue, "triples", len(gp.ids), "now", c.clock.Load())
 	}
 }
 
-// solveAndInstall is the planning half of every coordinated replan,
-// boot's included: solve residual once ("solve"), map the plan to the
-// global CandID space and split its revenue by shard ("slice"), and
-// install it on every shard ("install") — children of sp, which may be
-// nil. It returns the published plan.
-func (c *Cluster) solveAndInstall(residual *model.Instance, sp *obs.Span) *globalPlan {
-	res := c.solveGlobal(residual, sp)
-	if c.sess != nil {
-		st := c.sess.LastStats()
-		sp.SetInt("dirty_cands", int64(st.DirtyCands))
-		sp.SetInt("restored_pairs", int64(st.RestoredPairs))
-		sp.SetInt("unwound_cands", int64(st.UnwoundCands))
-		sp.SetInt("replayed_groups", int64(st.ReplayedGroups))
-	}
+// install is the installing half of every coordinated replan, boot's
+// included: split one solve's plan by shard ("slice") and install it on
+// every shard ("install") — children of sp, which may be nil. It returns
+// the published plan.
+func (c *Cluster) install(s planner.Solved, sp *obs.Span) *globalPlan {
 	slice := sp.Child("slice")
-	gp := c.slicePlan(res)
+	gp := c.slicePlan(s)
 	slice.End()
 	c.installGlobal(gp, sp)
 	return gp
@@ -1056,27 +993,6 @@ func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 	return out, nil
 }
 
-// solveGlobal runs the configured algorithm on the global residual —
-// the single planning invocation per coordinated replan. A non-nil sp
-// receives the solver's own "solve" child span with phase breakdown. A
-// failed solve degrades to an empty plan, like a single engine's.
-func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) solver.Result {
-	o := c.opts
-	o.Span = sp
-	if c.sess != nil {
-		// Incremental replan: the session carries the residual view,
-		// the persistent heap, and (Seeded mode) its own warm seed.
-		o.Session = c.sess
-	} else if c.warm {
-		o.Warm = c.warmPrev
-	}
-	res, err := solver.Solve(context.Background(), residual, o)
-	if err != nil || res.Plan == nil {
-		return solver.Result{Plan: residual.NewPlan()}
-	}
-	return res
-}
-
 // evaluate scores fp from scratch: an evaluator holding exactly its
 // candidates, whose group partials are revenue.Revenue's terms.
 func evaluate(fp *model.Plan) *revenue.Evaluator {
@@ -1107,15 +1023,6 @@ type globalPlan struct {
 	strat     *model.Strategy
 }
 
-// triples returns the plan's triples in canonical order.
-func (gp *globalPlan) triples() []model.Triple {
-	out := make([]model.Triple, len(gp.ids))
-	for i, id := range gp.ids {
-		out[i] = gp.in.CandAt(id).Triple
-	}
-	return out
-}
-
 // strategy materializes the map-backed strategy on first use. Safe for
 // concurrent callers.
 func (gp *globalPlan) strategy() *model.Strategy {
@@ -1140,15 +1047,15 @@ func (gp *globalPlan) strategy() *model.Strategy {
 // groups are its users' (user, class) pairs in the same order, a
 // subsequence of the global order, so that sum is revenue.Revenue on the
 // shard's residual bit for bit.
-func (c *Cluster) slicePlan(res solver.Result) *globalPlan {
-	fp, ev := res.Plan, res.Evaluator
+func (c *Cluster) slicePlan(s planner.Solved) *globalPlan {
+	fp, ev := s.Plan, s.Evaluator
 	if ev == nil {
 		ev = evaluate(fp)
 	}
 	g := c.inst()
 	gp := &globalPlan{
 		in:       g,
-		ids:      g.BaseIDs(fp),
+		ids:      g.BaseIDs(s.Base),
 		shards:   make([]*model.Plan, c.n),
 		shardRev: make([]float64, c.n),
 		revenue:  ev.CanonicalTotal(),
@@ -1202,9 +1109,6 @@ func (c *Cluster) installGlobal(gp *globalPlan, sp *obs.Span) {
 	install.End()
 	c.plan.Store(gp)
 	c.lastReplan.Store(time.Now().UnixNano())
-	if c.warm && c.sess == nil {
-		c.warmPrev = gp.triples()
-	}
 	c.replans.Add(1)
 	c.co.replansC.Inc()
 }

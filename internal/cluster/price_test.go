@@ -117,7 +117,7 @@ func TestScalePriceSaturates(t *testing.T) {
 		global := cl.Instance()
 		requirePrices(t, "global", global, global)
 		cl.mu.Lock()
-		requirePrices(t, "coordinator session", cl.sess.Instance(), global)
+		requirePrices(t, "coordinator session", cl.rp.Session().Instance(), global)
 		cl.mu.Unlock()
 		for k := 0; k < cl.Shards(); k++ {
 			requirePrices(t, "shard", cl.Engine(k).Instance(), global)

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/planner"
@@ -70,13 +69,15 @@ type Config struct {
 	// plan. The planning fields (Algorithm, Solver, WarmStart) are
 	// ignored; Incremental is rejected.
 	InstallOnly bool
-	// WarmStart enables incremental replanning: each replan seeds the
-	// solver with the previous plan's still-feasible triples
-	// (Options.Warm) instead of solving from scratch, cutting replan
-	// latency when feedback batches invalidate only a small part of the
-	// plan. Warm-started plans generally differ from cold ones — leave
-	// it off when byte-identity with open-loop solves matters (the
-	// scenario goldens do). Ignored when InstallOnly is set.
+	// WarmStart seeds each replan with the previous plan, whose
+	// still-feasible triples carry over instead of being re-derived,
+	// cutting replan latency when feedback batches invalidate only a
+	// small part of the plan. The residual path seeds the solver through
+	// Options.Warm; with Incremental the session seeds itself with its
+	// previous plan (planner.Replanner). Warm-started plans generally
+	// differ from cold ones — leave it off when byte-identity with
+	// open-loop solves matters (the scenario goldens do). Ignored when
+	// InstallOnly is set.
 	WarmStart bool
 	// Incremental replans through a persistent core.Session instead of
 	// rebuilding the residual instance from a full feedback snapshot:
@@ -140,36 +141,28 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// planSetup resolves the configured planning algorithm: the named
-// registry algorithm's options, validated once here — an unknown name or
-// a missing required option fails engine construction with solver's
-// actionable error instead of failing a replan. The engine dispatches
-// solver.Solve itself so every solve can carry a trace span and report
-// its phase counters to the meter. An install-only engine never solves,
-// so it resolves nothing.
-func (c Config) planSetup() (solver.Options, error) {
+// planSetup builds the engine's replan step (planner.NewReplanner) on
+// the engine's registry, allocating that here when the caller brought
+// none: an unknown name or a missing required option fails engine
+// construction with solver's actionable error instead of failing a
+// replan. An install-only engine never solves, so it has no replanner.
+func (c *Config) planSetup() (*planner.Replanner, error) {
 	if c.InstallOnly {
 		if c.Incremental {
-			return solver.Options{}, errors.New("serve: Incremental is incompatible with InstallOnly (an install-only engine never solves)")
+			return nil, errors.New("serve: Incremental is incompatible with InstallOnly (an install-only engine never solves)")
 		}
-		return solver.Options{}, nil
+		return nil, nil
 	}
-	opts := c.Solver
-	if c.Algorithm != "" {
-		opts.Algorithm = c.Algorithm
+	if c.obsReg == nil {
+		c.obsReg = obs.NewRegistry()
 	}
-	if err := solver.CheckServable(opts.Algorithm); err != nil {
-		return solver.Options{}, fmt.Errorf("serve: %w", err)
+	rp, err := planner.NewReplanner(planner.ReplanConfig{
+		Algorithm: c.Algorithm, Solver: c.Solver, WarmStart: c.WarmStart, Incremental: c.Incremental,
+	}, c.obsReg)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if err := solver.ValidateOptions(opts); err != nil {
-		return solver.Options{}, fmt.Errorf("serve: %w", err)
-	}
-	if c.Incremental {
-		if err := solver.CheckSession(opts.Algorithm); err != nil {
-			return solver.Options{}, fmt.Errorf("serve: %w", err)
-		}
-	}
-	return opts, nil
+	return rp, nil
 }
 
 // ErrClosed is returned by mutating calls (Feed, SetStock, ScalePrice)
@@ -234,30 +227,18 @@ type installOp struct {
 type Engine struct {
 	in  *model.Instance
 	cfg Config
-	// opts is the resolved registry algorithm (planSetup); installOnly
-	// (Config.InstallOnly) means the engine never solves at all.
-	opts        solver.Options
+	// rp is the replan step (planSetup); installOnly
+	// (Config.InstallOnly) means the engine never solves at all, and rp
+	// is nil. rp belongs to the replan goroutine and to single-threaded
+	// boot paths (at most one replan runs at a time; the loop only asks
+	// rp.FullView after observing the previous replan's completion
+	// channel, which orders the accesses).
+	rp          *planner.Replanner
 	installOnly bool
-	// warm (Config.WarmStart on a planning engine) seeds each replan's
-	// solve with warmPrev — the live plan's triples — until an incremental
-	// session exists, which keeps its own seed from then on. warmPrev is
-	// written by installPlan and read by solve; both run either on
-	// single-threaded boot paths or on the (serialized) replan
-	// goroutine, never concurrently.
-	warm     bool
-	warmPrev []model.Triple
-
-	// incr (Config.Incremental) replans through a persistent solver
-	// session. sess and sessUp belong to the replan goroutine (at most
-	// one runs at a time; the loop only reads sessUp after observing the
-	// previous replan's completion channel, which orders the accesses).
-	// sessDelta is the loop-owned journal of the mutation records applied
-	// since the last replan capture; the loop hands it to the replan
-	// wholesale.
-	incr      bool
-	sess      *core.Session
-	sessUp    bool
-	sessDelta []store.Record
+	// journal is the loop-owned list of the mutation records applied
+	// since the last replan capture, kept when rp.Journals(); the loop
+	// hands it to the replan wholesale.
+	journal []store.Record
 
 	// users is the per-user feedback store, indexed by UserID; user u is
 	// guarded by shards[shardIndex(u, mask)]. The feedback loop is its only
@@ -328,83 +309,47 @@ func NewEngine(in *model.Instance, cfg Config) (*Engine, error) {
 // first. Both NewEngine and Open build on it; boot invariants live in
 // exactly one place.
 func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
-	opts, err := cfg.planSetup()
+	rp, err := cfg.planSetup()
 	if err != nil {
 		return nil, err
 	}
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	e := newEngineShell(in, cfg, opts)
+	e := newEngineShell(in, cfg, rp)
 	if e.installOnly {
 		e.installPlan(buildPlanFlat(in, in.NewPlan(), 1, 0))
 		return e, nil
 	}
 	span := e.met.tracer.Start("plan")
-	p := e.planFrom(e.solve(in, span), 1, span)
+	p := planFrom(in, e.rp.Boot(in, span), 1, span)
 	span.SetFloat("revenue", p.revenue)
 	span.End()
 	e.installPlan(p)
 	return e, nil
 }
 
-// solve runs the configured planning algorithm on residual. It
-// replicates planner.Named's error-swallowing contract — a solve failure
-// degrades to an empty plan rather than killing the replan loop — while
-// feeding the meter's solve telemetry and attaching a "solve" child to
-// span (nil span: no tracing, zero cost). The result always carries a
-// candidate-indexed Plan to install.
-func (e *Engine) solve(residual *model.Instance, span *obs.Span) solver.Result {
-	o := e.opts
-	if e.sess != nil {
-		// Incremental replan: the session carries the residual instance,
-		// the seeded heap state, and (Seeded mode) its own warm seed.
-		o.Session = e.sess
-	} else if e.warm {
-		o.Warm = e.warmPrev
-	}
-	o.Span = span
-	start := time.Now()
-	res, err := solver.Solve(context.Background(), residual, o)
-	e.met.observeSolve(res, err, time.Since(start))
-	if err != nil || res.Plan == nil {
-		return solver.Result{Plan: e.in.NewPlan()}
-	}
-	return res
-}
-
-// planFrom indexes one solve's plan for serving, as the "index" child
-// of span, with the revenue the solve carried (CanonicalRevenue on the
-// instance it solved, bit-identical to revenue.Revenue there). A plan
-// over the engine's instance, or over the session's clone of it, is
-// indexed as is; a residual solve's plan is first mapped to the engine's
-// CandIDs (Instance.BaseIDs).
-func (e *Engine) planFrom(res solver.Result, from model.TimeStep, span *obs.Span) *plan {
+// planFrom indexes one solve's plan, already in in's CandID space, for
+// serving, as the "index" child of span, with the revenue the solve
+// carried (CanonicalRevenue on the instance it solved, bit-identical to
+// revenue.Revenue there).
+func planFrom(in *model.Instance, s planner.Solved, from model.TimeStep, span *obs.Span) *plan {
 	isp := span.Child("index")
 	defer isp.End()
-	fp := res.Plan
-	if x := fp.Instance(); x != e.in && (e.sess == nil || x != e.sess.Instance()) {
-		fp = e.in.NewPlan()
-		for _, id := range e.in.BaseIDs(res.Plan) {
-			fp.Add(id)
-		}
-	}
-	return buildPlanFlat(e.in, fp, from, res.CanonicalRevenue)
+	return buildPlanFlat(in, s.Base, from, s.CanonicalRevenue)
 }
 
 // newEngineShell allocates an engine with store state but no plan and no
-// running feedback loop; NewEngine and Restore finish the setup. opts is
-// cfg's resolved algorithm (planSetup).
-func newEngineShell(in *model.Instance, cfg Config, opts solver.Options) *Engine {
+// running feedback loop; NewEngine and Restore finish the setup. rp is
+// cfg's replan step (planSetup).
+func newEngineShell(in *model.Instance, cfg Config, rp *planner.Replanner) *Engine {
 	cfg = cfg.withDefaults()
 	n := shardCount(cfg.Shards)
 	e := &Engine{
 		in:          in,
 		cfg:         cfg,
-		opts:        opts,
+		rp:          rp,
 		installOnly: cfg.InstallOnly,
-		warm:        cfg.WarmStart && !cfg.InstallOnly,
-		incr:        cfg.Incremental,
 		users:       make([]model.UserFeedback, in.NumUsers),
 		shards:      make([]shard, n),
 		mask:        uint32(n - 1),
@@ -430,19 +375,11 @@ func newEngineShell(in *model.Instance, cfg Config, opts solver.Options) *Engine
 
 // installPlan publishes p as the live plan under the next revision and,
 // once the engine has a store, logs the plan-swap marker (RecPlanSwap).
-// Warm-start engines also copy the plan's triples as the next replan's
-// seed, but only until the incremental session exists: a seeded session
-// keeps its own seed and nothing reads warmPrev again. installPlan runs
-// on single-threaded boot/recovery paths or on the serialized replan
-// goroutine, the same contexts that read warmPrev and sess.
 func (e *Engine) installPlan(p *plan) {
 	p.revision = e.revision.Add(1)
 	p.installedAt = time.Now()
 	e.plan.Store(p)
 	e.walAppend(store.Record{Type: store.RecPlanSwap, Revision: p.revision})
-	if e.warm && e.sess == nil {
-		e.warmPrev = p.flat.Triples()
-	}
 }
 
 // start launches the feedback loop and the SLO watchdog ticker.
@@ -995,8 +932,8 @@ func (e *Engine) loop() {
 	mutate := func(rec store.Record) {
 		e.walAppend(rec)
 		adopted, forced := e.applyRecord(rec)
-		if e.incr {
-			e.sessDelta = append(e.sessDelta, rec)
+		if e.rp.Journals() {
+			e.journal = append(e.journal, rec)
 		}
 		if adopted {
 			dirty++
@@ -1019,15 +956,15 @@ func (e *Engine) loop() {
 	// the session exists (first replan, recovery), the full view
 	// bootstraps it and subsumes whatever the journal holds.
 	capture := func(span *obs.Span) (planner.Feedback, []store.Record) {
-		if e.incr && e.sessUp {
-			delta := e.sessDelta
-			e.sessDelta = nil
+		if !e.rp.FullView() {
+			delta := e.journal
+			e.journal = nil
 			return planner.Feedback{Now: e.Now()}, delta
 		}
 		csp := span.Child("snapshot")
 		fb := e.collectFeedback()
 		csp.End()
-		e.sessDelta = nil // subsumed by the full view
+		e.journal = nil // subsumed by the full view
 		return fb, nil
 	}
 	start := func() {
@@ -1248,61 +1185,20 @@ func askLoop[T any](e *Engine, ask func(chan T) feedbackMsg, direct func() T, li
 	return zero, ErrKilled
 }
 
-// replanWith recomputes the strategy on the residual state induced by
-// fb (plus, for incremental engines, the delta journal) and swaps the
-// live plan. Lookups keep hitting the old plan until the single atomic
-// store below. Warm-start engines seed the solve with the previous
-// plan's triples: seeds invalidated by the feedback (adopted classes,
-// depleted stock, price moves) drop out inside the solver, the rest
-// carry over without being re-derived.
+// replanWith recomputes the plan on the residual state induced by fb
+// (plus, while the replan step keeps an incremental session, the delta
+// journal) through the engine's planner.Replanner, and swaps the live
+// plan. Lookups keep hitting the old plan until the single atomic store
+// below. Replans are serialized (one in flight, the loop's completion
+// channel orders handoffs), so the replanner needs no locking.
 //
-// Incremental engines route the solve through a persistent
-// core.Session instead of building a residual instance: the first
-// replan (and the first after recovery) bootstraps the session from
-// the full feedback view, every later one folds in only the journaled
-// deltas — the event → dirty-CandID mapping replaces both the
-// snapshot copy and the residual rebuild. The session belongs to this
-// goroutine: replans are serialized (one in flight, the loop's
-// completion channel orders handoffs), so no locking is needed.
-//
-// span, when non-nil, is the replan's root trace span: replanWith adds
-// delta-sync (or residual), index and swap phase children (the
-// solve attaches its own) and ends it. The caller must not touch span
-// afterwards.
+// span, when non-nil, is the replan's root trace span: the replanner
+// adds its residual (or delta-sync) and solve children, replanWith the
+// index and swap children, and replanWith ends it. The caller must not
+// touch span afterwards.
 func (e *Engine) replanWith(fb planner.Feedback, delta []store.Record, span *obs.Span) {
 	start := time.Now()
-	var p *plan
-	if e.incr {
-		rsp := span.Child("delta-sync")
-		if e.sess == nil {
-			e.sess = core.NewSession(e.in, core.SessionConfig{
-				Seeded:       e.warm,
-				MaxExposures: model.MaxExposuresPerClass,
-			})
-			planner.SyncSession(e.sess, fb)
-			if e.warm && len(e.warmPrev) > 0 {
-				e.sess.SeedTriples(e.warmPrev)
-			}
-		} else {
-			for _, rec := range delta {
-				e.feedSession(rec)
-			}
-			e.sess.Advance(fb.Now)
-		}
-		rsp.End()
-		p = e.planFrom(e.solve(e.sess.Instance(), span), fb.Now, span)
-		st := e.sess.LastStats()
-		span.SetInt("dirty_cands", int64(st.DirtyCands))
-		span.SetInt("restored_pairs", int64(st.RestoredPairs))
-		span.SetInt("unwound_cands", int64(st.UnwoundCands))
-		span.SetInt("replayed_groups", int64(st.ReplayedGroups))
-		e.sessUp = true
-	} else {
-		rsp := span.Child("residual")
-		residual := planner.Residual(e.in, fb)
-		rsp.End()
-		p = e.planFrom(e.solve(residual, span), fb.Now, span)
-	}
+	p := planFrom(e.in, e.rp.Replan(e.in, fb, delta, span, ""), fb.Now, span)
 	ssp := span.Child("swap")
 	e.installPlan(p)
 	ssp.End()
@@ -1317,21 +1213,6 @@ func (e *Engine) replanWith(fb planner.Feedback, delta []store.Record, span *obs
 		obs.WithTrace(e.logger, span).Info("replan complete",
 			"revision", p.revision, "triples", p.triples, "revenue", p.revenue,
 			"now", int64(fb.Now), "duration_ms", float64(d.Microseconds())/1e3)
-	}
-}
-
-// feedSession journals one applied mutation record into the incremental
-// session, in the order the loop applied it. Clock advances are skipped:
-// the replan stamps the session with the clock it captured, mirroring
-// collectFeedback's Now.
-func (e *Engine) feedSession(rec store.Record) {
-	switch rec.Type {
-	case store.RecEvent:
-		e.sess.Observe(model.UserID(rec.User), model.ItemID(rec.Item), model.TimeStep(rec.T), rec.Adopted)
-	case store.RecSetStock:
-		e.sess.SetStock(model.ItemID(rec.Item), int(rec.Stock))
-	case store.RecScalePrice:
-		e.sess.ScalePrice(model.ItemID(rec.Item), model.TimeStep(rec.T), rec.Factor)
 	}
 }
 

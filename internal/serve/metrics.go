@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/solver"
 )
 
 // latencySampleMask samples single-lookup latency 1-in-(mask+1): the
@@ -55,16 +54,9 @@ type meter struct {
 	blat *obs.Histogram // whole-batch-call latency, kept separate
 	// so batch calls don't skew the per-lookup percentiles
 
-	replanSec *obs.Histogram // whole replan: residual + solve + swap
-	solveSec  *obs.Histogram // solver time alone (initial plan + replans)
-
-	solveSelections     *obs.Counter
-	solveRecomputations *obs.Counter
-	solveHeapPops       *obs.Counter
-	solveScanned        *obs.Counter
-	warmKept            *obs.Counter
-	warmDropped         *obs.Counter
-	solveFailures       *obs.Counter
+	// replanSec times a whole replan: residual, solve, swap. The solve
+	// families belong to the engine's planner.Replanner.
+	replanSec *obs.Histogram
 
 	// qmu guards the QPS sample ring; only scrapes touch it.
 	qmu        sync.Mutex
@@ -100,37 +92,6 @@ func newMeter(reg *obs.Registry, tracer *obs.Tracer) *meter {
 			"Whole-batch-call latency.", lb),
 		replanSec: reg.Histogram("revmaxd_replan_seconds",
 			"End-to-end replan time: residual build, solve, plan swap.", lb),
-		solveSec: reg.Histogram("revmaxd_solve_seconds",
-			"Solver time per solve (initial plan and replans).", lb),
-		solveSelections: reg.Counter("revmaxd_solve_selections_total",
-			"Triples selected across all solves."),
-		solveRecomputations: reg.Counter("revmaxd_solve_recomputations_total",
-			"Lazy marginal-gain re-evaluations across all solves."),
-		solveHeapPops: reg.Counter("revmaxd_solve_heap_pops_total",
-			"Candidate-heap pops across all solves."),
-		solveScanned: reg.Counter("revmaxd_solve_candidates_scanned_total",
-			"Candidates scanned when building solve heaps."),
-		warmKept: reg.Counter("revmaxd_warm_seeds_kept_total",
-			"Warm-start seed triples still feasible and kept."),
-		warmDropped: reg.Counter("revmaxd_warm_seeds_dropped_total",
-			"Warm-start seed triples invalidated and dropped."),
-		solveFailures: reg.Counter("revmaxd_solve_failures_total",
-			"Solves that errored or returned no strategy (plan degraded to empty)."),
-	}
-}
-
-// observeSolve feeds one solver.Solve outcome into the meter.
-func (m *meter) observeSolve(res solver.Result, err error, d time.Duration) {
-	m.solveSec.Observe(d.Seconds())
-	m.solveSelections.Add(int64(res.Selections))
-	m.solveRecomputations.Add(int64(res.Recomputations))
-	st := res.Stats
-	m.solveHeapPops.Add(int64(st.HeapPops))
-	m.solveScanned.Add(int64(st.Considered))
-	m.warmKept.Add(int64(st.WarmKept))
-	m.warmDropped.Add(int64(st.WarmDropped))
-	if err != nil || (res.Strategy == nil && res.Plan == nil) {
-		m.solveFailures.Inc()
 	}
 }
 
@@ -220,15 +181,6 @@ func registerEngineMetrics(e *Engine) {
 	reg.GaugeFunc("revmaxd_feedback_queue_depth",
 		"Feedback events queued but not yet applied.",
 		func() float64 { return float64(len(e.feedback)) })
-	reg.GaugeFunc("revmaxd_warm_hit_rate",
-		"Fraction of warm-start seeds kept across all solves (0 when cold).",
-		func() float64 {
-			kept, dropped := m.warmKept.Value(), m.warmDropped.Value()
-			if total := kept + dropped; total > 0 {
-				return float64(kept) / float64(total)
-			}
-			return 0
-		})
 	reg.GaugeFunc("revmaxd_wal_degraded",
 		"1 when the engine has hit a durability error (see /v1/stats), else 0.",
 		func() float64 {

@@ -208,7 +208,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 // shell. The snapshotted plan is installed verbatim (with its revision,
 // so monitoring sees continuity).
 func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
-	opts, err := cfg.planSetup()
+	rp, err := cfg.planSetup()
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +220,7 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newEngineShell(st.in, cfg, opts)
+	e := newEngineShell(st.in, cfg, rp)
 	e.now.Store(int64(st.now))
 	e.adoptions.Store(st.adoptions)
 	e.exposures.Store(st.exposures)
@@ -231,6 +231,9 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 	e.users = st.users
 	e.revision.Store(st.revision - 1)
 	e.installPlan(buildPlanFlat(st.in, st.plan, st.from, st.revenue))
+	if !e.installOnly {
+		e.rp.Seed(st.plan)
+	}
 	return e, nil
 }
 

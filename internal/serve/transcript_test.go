@@ -43,7 +43,7 @@ var mayDiffer = map[string]string{
 	"healthz ok":       "each backend lists its own SLO objectives (engine: replan_p99; cluster: barrier_p99)",
 	"healthz degraded": "each backend lists its own SLO objectives (engine: replan_p99; cluster: barrier_p99)",
 	"stats":            "the cluster adds coordinator and per-shard summaries; its merged counters count the boot install as a replan",
-	"metrics":          "the cluster labels every engine family with shard and adds the coordinator's families",
+	"metrics":          "the cluster labels every engine family with shard, except the solve and warm-start families its coordinator exports unlabelled, and adds the coordinator's own families",
 	"traces":           "the cluster's document groups shard-labeled spans by trace ID",
 }
 
@@ -100,7 +100,10 @@ func TestHTTPTranscripts(t *testing.T) {
 
 // checkShardLabel holds the metrics exchange to its contract: every
 // engine family is in the cluster exposition under the same name and
-// type, its label names plus shard.
+// type, its label names plus shard — except the solve and warm-start
+// families (solveFamily), which belong to whoever solves: install-only
+// shard engines export none, so they appear once, with the engine's
+// label names, from the coordinator.
 func checkShardLabel(t *testing.T, engine, clustered []exchange) {
 	t.Helper()
 	families := func(xs []exchange) map[string]string {
@@ -120,13 +123,27 @@ func checkShardLabel(t *testing.T, engine, clustered []exchange) {
 		return nil
 	}
 	cf := families(clustered)
+	solveFams := 0
 	for name, desc := range families(engine) {
 		typ, labels, _ := strings.Cut(desc, " ")
 		want := typ + " " + addLabel(labels, "shard")
+		if solveFamily(name) {
+			want = desc
+			solveFams++
+		}
 		if got := cf[name]; got != want {
 			t.Errorf("metrics family %s: engine %q, cluster %q, want %q", name, desc, got, want)
 		}
 	}
+	if solveFams != 9 {
+		t.Errorf("engine exports %d solve and warm-start families, want 9", solveFams)
+	}
+}
+
+// solveFamily reports whether name is one of the nine families of
+// planner.Replanner's solve and warm-start telemetry.
+func solveFamily(name string) bool {
+	return strings.HasPrefix(name, "revmaxd_solve_") || strings.HasPrefix(name, "revmaxd_warm_")
 }
 
 // addLabel inserts name into a rendered "[a b c]" label-name set.

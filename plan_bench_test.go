@@ -211,7 +211,7 @@ func incrStreamEvent(in *model.Instance, j int) (model.UserID, model.ItemID, mod
 func newBenchSession(tb testing.TB, f *warmReplanFixture) *core.Session {
 	tb.Helper()
 	sess := core.NewSession(f.in, core.SessionConfig{Seeded: true, MaxExposures: 64})
-	planner.SyncSession(sess, f.fb)
+	sess.LoadFeedback(f.fb.Users, f.fb.Stock, f.fb.Now)
 	sess.SeedTriples(f.seeds)
 	if sess.Solve().Plan.Len() == 0 {
 		tb.Fatal("empty session prime solve")
