@@ -105,9 +105,26 @@ type SolveStats struct {
 	WarmDropped int
 	// ScanNanos and SelectNanos split the solve wall time into the
 	// candidate-scan/heap-build phase and the selection loop.
+	// For a window solved by the per-user pass, ScanNanos covers the
+	// pass and SelectNanos its merge and commit.
 	ScanNanos   int64
 	SelectNanos int64
+	// Path names the selection loop that ran. Empty for Session solves
+	// and algorithms without a G-Greedy scan.
+	Path SolvePath
 }
+
+// SolvePath names the selection loop a G-Greedy solve ran.
+type SolvePath string
+
+const (
+	// PathPerUser: the per-user pass solved every scan window.
+	PathPerUser SolvePath = "per-user"
+	// PathGlobal: at least one window ran the global two-level heap loop:
+	// capacity could bind on the instance, the caller forced the global
+	// loop (GGreedyGlobal), or ctx was canceled during the pass.
+	PathGlobal SolvePath = "global"
+)
 
 // state carries everything a greedy run mutates: the growing plan (which
 // is also Algorithm 1's constraint counters — display and distinct-user
@@ -120,6 +137,8 @@ type state struct {
 	p     *model.Plan
 	curve []float64
 	stats SolveStats
+	// globalOnly makes gGreedyWindow skip the per-user pass.
+	globalOnly bool
 }
 
 func newState(in *model.Instance) *state {
@@ -128,6 +147,13 @@ func newState(in *model.Instance) *state {
 		ev: revenue.NewEvaluator(in),
 		p:  in.NewPlan(),
 	}
+}
+
+// newGlobalState is newState for a solve that forces the global loop.
+func newGlobalState(in *model.Instance) *state {
+	st := newState(in)
+	st.globalOnly = true
+	return st
 }
 
 // violation classifies why adding a triple would be invalid.

@@ -24,9 +24,22 @@ func GGreedy(in *model.Instance) Result {
 // the error. With a background context the output is identical to
 // GGreedy.
 func GGreedyCtx(ctx context.Context, in *model.Instance, progress ProgressFn) (Result, error) {
-	st := newState(in)
-	sel, rec, err := gGreedyWindow(ctx, st, 1, model.TimeStep(in.T), progress, false)
+	return gGreedyCtx(ctx, newState(in), progress)
+}
+
+func gGreedyCtx(ctx context.Context, st *state, progress ProgressFn) (Result, error) {
+	sel, rec, err := gGreedyWindow(ctx, st, 1, model.TimeStep(st.in.T), progress, false)
 	return st.result(sel, rec), err
+}
+
+// GGreedyGlobal is GGreedy with the per-user pass turned off: Algorithm
+// 1's global two-level heap loop selects over all users at once, as it
+// does when capacity can bind. Its output equals GGreedy's field for field
+// (Stats.Path and the phase timings aside); the ablation keeps it to
+// measure what solving user by user buys.
+func GGreedyGlobal(in *model.Instance) Result {
+	res, _ := gGreedyCtx(context.Background(), newGlobalState(in), nil)
+	return res
 }
 
 // GGreedyWarm runs Global Greedy warm-started from a previous plan's
@@ -54,14 +67,17 @@ func GGreedyWarm(in *model.Instance, warm []model.Triple) Result {
 // commits to the seed before scanning. Callers that need cold-solve
 // byte-identity (scenario goldens) must not pass warm seeds.
 func GGreedyWarmCtx(ctx context.Context, in *model.Instance, warm []model.Triple, progress ProgressFn) (Result, error) {
-	st := newState(in)
+	return gGreedyWarmCtx(ctx, newState(in), warm, progress)
+}
+
+func gGreedyWarmCtx(ctx context.Context, st *state, warm []model.Triple, progress ProgressFn) (Result, error) {
 	seeded := seedWarm(st, warm)
 	// Upper-bound initialization: against the seeded state, exact initial
 	// marginals would cost a full group evaluation per candidate — more
 	// than the seeds saved. The saturation-free key p·q is a true upper
 	// bound on any marginal gain, so the lazy-forward flag discipline
 	// recomputes exactly the candidates that reach the heap root.
-	sel, rec, err := gGreedyWindow(ctx, st, 1, model.TimeStep(in.T), progress, true)
+	sel, rec, err := gGreedyWindow(ctx, st, 1, model.TimeStep(st.in.T), progress, true)
 	return st.result(seeded+sel, rec), err
 }
 
@@ -108,7 +124,11 @@ func GGreedyStaged(in *model.Instance, cuts ...int) Result {
 // GGreedyStagedCtx is GGreedyStaged with cancellation and progress
 // reporting; see GGreedyCtx for the contract.
 func GGreedyStagedCtx(ctx context.Context, in *model.Instance, progress ProgressFn, cuts ...int) (Result, error) {
-	st := newState(in)
+	return gGreedyStagedCtx(ctx, newState(in), progress, cuts)
+}
+
+func gGreedyStagedCtx(ctx context.Context, st *state, progress ProgressFn, cuts []int) (Result, error) {
+	in := st.in
 	sel, rec := 0, 0
 	lo := model.TimeStep(1)
 	for _, c := range cuts {
@@ -149,7 +169,29 @@ func GGreedyStagedCtx(ctx context.Context, in *model.Instance, progress Progress
 // seeded groups don't force a full group evaluation per candidate up
 // front — the lazy-forward discipline recomputes exactly the entries
 // that reach the root.
+//
+// When item capacity cannot bind on the instance, the window is solved
+// by the per-user pass (peruser.go); otherwise, when the state forces the
+// global loop, or when ctx is canceled during the pass, globalWindow runs
+// Algorithm 1's global two-level heap loop from the window-start state.
+// Both give the same result.
 func gGreedyWindow(ctx context.Context, st *state, lo, hi model.TimeStep, progress ProgressFn, upperBoundInit bool) (selections, recomputations int, err error) {
+	if !st.globalOnly && capacityFree(st.in) {
+		sel, rec, ok, err := perUserWindow(ctx, st, lo, hi, progress, upperBoundInit)
+		if ok {
+			if st.stats.Path == "" {
+				st.stats.Path = PathPerUser
+			}
+			return sel, rec, err
+		}
+	}
+	st.stats.Path = PathGlobal
+	return globalWindow(ctx, st, lo, hi, progress, upperBoundInit)
+}
+
+// globalWindow is gGreedyWindow's global loop: one two-level heap over
+// every window candidate of every user.
+func globalWindow(ctx context.Context, st *state, lo, hi model.TimeStep, progress ProgressFn, upperBoundInit bool) (selections, recomputations int, err error) {
 	in := st.in
 	scanStart := time.Now()
 	heap := pqueue.NewTwoLevelDense(in.NumPairs(), pairCaps(in))
@@ -311,8 +353,11 @@ func GlobalNo(in *model.Instance) Result {
 // selection ran on. (Progress reports, which stream mid-selection, do
 // carry the blind objective.)
 func GlobalNoCtx(ctx context.Context, in *model.Instance, progress ProgressFn) (Result, error) {
-	blind := in.ShallowCloneWithBeta(1)
-	res, err := GGreedyCtx(ctx, blind, progress)
+	return globalNoCtx(ctx, in, newState, progress)
+}
+
+func globalNoCtx(ctx context.Context, in *model.Instance, newSt func(*model.Instance) *state, progress ProgressFn) (Result, error) {
+	res, err := gGreedyCtx(ctx, newSt(in.ShallowCloneWithBeta(1)), progress)
 	return scoreOn(in, res), err
 }
 

@@ -74,15 +74,46 @@ func TestRLGreedyCapsPermutationsAtFactorial(t *testing.T) {
 	}
 }
 
+// TestCurveMatchesSelections: the curve has one point per selection and
+// ends at Revenue bit for bit, for a cold, a warm-seeded and a staged
+// solve, with capacity tight (the global loop) and loose (the per-user
+// pass).
 func TestCurveMatchesSelections(t *testing.T) {
 	rng := dist.NewRNG(54)
-	in := testgen.Random(rng, testgen.Default())
-	res := core.GGreedy(in)
-	if len(res.Curve) != res.Strategy.Len() {
-		t.Fatalf("curve has %d points for %d selections", len(res.Curve), res.Strategy.Len())
-	}
-	if n := len(res.Curve); n > 0 && math.Abs(res.Curve[n-1]-res.Revenue) > 1e-9 {
-		t.Fatalf("curve endpoint %v != final revenue %v", res.Curve[n-1], res.Revenue)
+	loose := testgen.Default()
+	loose.MaxCap = 100
+	for _, row := range []struct {
+		p    testgen.Params
+		path core.SolvePath
+	}{{testgen.Default(), core.PathGlobal}, {loose, core.PathPerUser}} {
+		p := row.p
+		in := testgen.Random(rng, p)
+		cold := core.GGreedy(in)
+		var seeds []model.Triple
+		for k, z := range cold.Strategy.Triples() {
+			if k%2 == 0 {
+				seeds = append(seeds, z)
+			}
+		}
+		for _, c := range []struct {
+			name string
+			res  core.Result
+		}{
+			{"cold", cold},
+			{"warm", core.GGreedyWarm(in, seeds)},
+			{"staged", core.GGreedyStaged(in, 1, 3)},
+		} {
+			res := c.res
+			if res.Stats.Path != row.path {
+				t.Fatalf("MaxCap %d %s: path %q, want %q", p.MaxCap, c.name, res.Stats.Path, row.path)
+			}
+			if len(res.Curve) != res.Strategy.Len() || len(res.Curve) == 0 {
+				t.Fatalf("MaxCap %d %s: curve has %d points for %d selections", p.MaxCap, c.name, len(res.Curve), res.Strategy.Len())
+			}
+			if end := res.Curve[len(res.Curve)-1]; math.Float64bits(end) != math.Float64bits(res.Revenue) {
+				t.Fatalf("MaxCap %d %s: curve endpoint %v != final revenue %v", p.MaxCap, c.name, end, res.Revenue)
+			}
+		}
 	}
 }
 

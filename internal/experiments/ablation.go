@@ -24,7 +24,10 @@ type AblationRow struct {
 // choices in Algorithm 1 — the two-level heap and lazy forward — plus
 // the myopic per-step Max-DCS baseline the introduction argues against
 // (a static exact solver rolled out step by step cannot exploit price
-// dynamics, saturation, or cross-step competition).
+// dynamics, saturation, or cross-step competition). The default G-Greedy
+// row solves user by user (core's per-user pass); "GG global two-level"
+// forces Algorithm 1's global two-level heap loop on the same instance,
+// with the same strategy and recomputations.
 type AblationResult struct {
 	Dataset string
 	Rows    []AblationRow
@@ -53,6 +56,7 @@ func Ablation(cfg Config) (*AblationResult, error) {
 		})
 	}
 	measure("GG (two-level + lazy)", func() core.Result { return core.GGreedy(in) })
+	measure("GG global two-level", func() core.Result { return core.GGreedyGlobal(in) })
 	measure("GG single giant heap", func() core.Result { return core.GGreedySingleHeap(in) })
 	measure("GG eager (no lazy fwd)", func() core.Result { return core.GGreedyEager(in) })
 	measure("GG full rescan (naive)", func() core.Result { return core.NaiveGreedy(in) })

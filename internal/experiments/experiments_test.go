@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -248,8 +249,8 @@ func TestAblationShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(res.Rows))
+	if len(res.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(res.Rows))
 	}
 	byName := map[string]experiments.AblationRow{}
 	for _, r := range res.Rows {
@@ -259,6 +260,13 @@ func TestAblationShapes(t *testing.T) {
 		byName[r.Variant] = r
 	}
 	gg := byName["GG (two-level + lazy)"]
+	// The default G-Greedy solves user by user; forcing the global loop
+	// must select exactly the same strategy with the same work.
+	if global := byName["GG global two-level"]; math.Float64bits(global.Revenue) != math.Float64bits(gg.Revenue) ||
+		global.Recomputations != gg.Recomputations {
+		t.Fatalf("global loop revenue/recomputations %v/%d, per-user pass %v/%d",
+			global.Revenue, global.Recomputations, gg.Revenue, gg.Recomputations)
+	}
 	// All G-Greedy variants earn near-identical revenue.
 	for _, name := range []string{"GG single giant heap", "GG eager (no lazy fwd)", "GG full rescan (naive)"} {
 		if v := byName[name]; v.Revenue < 0.9*gg.Revenue || gg.Revenue < 0.9*v.Revenue {

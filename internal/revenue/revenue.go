@@ -195,6 +195,12 @@ func (ev *Evaluator) CanonicalTotal() float64 {
 // term of CanonicalTotal.
 func (ev *Evaluator) GroupPartial(g int32) float64 { return ev.groups[g].revenue }
 
+// SetTotal replaces the running total that Total reports. The total is
+// a sum of per-mutation gains, whose bits depend on the order of its
+// terms: a caller that applied mutations in one order but reports them in
+// another sets the sum it accumulated in the reported order.
+func (ev *Evaluator) SetTotal(total float64) { ev.total = total }
+
 // Len returns |S|.
 func (ev *Evaluator) Len() int { return ev.size }
 
